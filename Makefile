@@ -8,7 +8,7 @@ RACE_PKGS = ./internal/parallel ./internal/selection ./internal/signal \
             ./internal/wdm ./internal/optics/bpm ./internal/obs \
             ./internal/serve ./internal/ilp .
 
-.PHONY: check test race vet docs-lint serve-smoke bench trace-smoke bench-compare bench-alloc bench-scale bench-speedup load-smoke load-compare eco-smoke dup-smoke
+.PHONY: check test race vet docs-lint serve-smoke bench trace-smoke bench-compare bench-alloc bench-scale bench-speedup load-smoke load-compare eco-smoke dup-smoke loc
 
 check: vet docs-lint test race
 
@@ -108,3 +108,9 @@ eco-smoke:
 # fails the run itself on any differential mismatch).
 dup-smoke:
 	$(GO) run ./cmd/loadgen -mix dup -requests 40 -min-reduction 5 -min-cache-hits 1 -max-errors 0 -no-write
+
+# Code-size gauge: non-test Go lines outside the perfbench module. Deleting
+# code while bench and load stay unchanged counts as progress, so this is the
+# number to watch.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l

@@ -17,6 +17,7 @@
 package operon_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -131,13 +132,17 @@ func BenchmarkILP(b *testing.B) {
 		b.Fatal(err)
 	}
 	// One throwaway solve warms the cross-loss caches.
-	if _, err := selection.SolveILP(inst, selection.ILPOptions{TimeLimit: 60 * time.Second}); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := selection.SolveILP(inst, selection.ILPOptions{Ctx: ctx}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ir, err := selection.SolveILP(inst, selection.ILPOptions{TimeLimit: 60 * time.Second})
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		ir, err := selection.SolveILP(inst, selection.ILPOptions{Ctx: ctx})
+		cancel()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -408,7 +408,9 @@ func main() {
 		record("ILP/Selection", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ir, err := selection.SolveILP(ilpInst, selection.ILPOptions{TimeLimit: 60 * time.Second})
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				ir, err := selection.SolveILP(ilpInst, selection.ILPOptions{Ctx: ctx})
+				cancel()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -537,9 +539,9 @@ func main() {
 			record(ilpName, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ir, err := selection.SolveILP(sub, selection.ILPOptions{
-						TimeLimit: 120 * time.Second, MaxNodes: *megaNodes,
-					})
+					ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+					ir, err := selection.SolveILP(sub, selection.ILPOptions{Ctx: ctx, MaxNodes: *megaNodes})
+					cancel()
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -656,9 +658,10 @@ func main() {
 		// embeds the behaviour counters in the report. The Nop sink keeps the
 		// pass cheap: only the atomic counters accumulate.
 		tracer := obs.New(nil)
-		if _, err := selection.SolveILP(ilpInst, selection.ILPOptions{
-			TimeLimit: 60 * time.Second, Obs: tracer,
-		}); err != nil {
+		ilpCtx, cancelILP := context.WithTimeout(context.Background(), 60*time.Second)
+		_, err := selection.SolveILP(ilpInst, selection.ILPOptions{Ctx: ilpCtx, Obs: tracer})
+		cancelILP()
+		if err != nil {
 			fatal(err)
 		}
 		wcfgObs := wcfg

@@ -3,9 +3,7 @@ package operon
 import (
 	"context"
 
-	"operon/internal/codesign"
 	"operon/internal/obs"
-	"operon/internal/parallel"
 	"operon/internal/selection"
 )
 
@@ -17,8 +15,8 @@ type StopReason string
 const (
 	// StopNone means the run completed its full pipeline (Degraded=false).
 	StopNone StopReason = ""
-	// StopDeadline means a time budget expired: the context deadline, the
-	// deprecated Config.ILPTimeLimit, or the branch-and-bound node budget.
+	// StopDeadline means a time budget expired: the context deadline,
+	// Config.ILPTimeLimit, or the branch-and-bound node budget.
 	StopDeadline StopReason = "deadline"
 	// StopCanceled means the context was cancelled outright (shutdown or
 	// caller abort rather than a deadline).
@@ -26,8 +24,8 @@ const (
 )
 
 // stopReasonFor derives the StopReason for a degradation observed under
-// ctx: explicit cancellation wins; everything else (ctx deadline, the
-// deprecated ILP time limit, the node budget) is a deadline.
+// ctx: explicit cancellation wins; everything else (ctx deadline, the ILP
+// time limit, the node budget) is a deadline.
 func stopReasonFor(ctx context.Context) StopReason {
 	if ctx.Err() == context.Canceled {
 		return StopCanceled
@@ -53,6 +51,28 @@ func (r *Result) markDegraded(ctx context.Context, cfg Config, stage string) {
 	}
 }
 
+// candidateStage runs build as the timed "stage/candidates" and stores its
+// nets in r.Nets, unless ctx is already done. When the budget runs out before
+// build completes, the run drops to the bottom rung of the ladder — the
+// electrical floor — and candidateStage reports floored. build's only
+// non-budget failures are returned as errors.
+func (r *Result) candidateStage(ctx context.Context, cfg Config, ws *Workspace, build func() ([]selection.Net, error)) (floored bool, err error) {
+	if ctx.Err() == nil {
+		stop := startStage(cfg.Obs, "stage/candidates", &r.Times.Candidates)
+		nets, err := build()
+		if err == nil {
+			r.Nets = nets
+			stop(obs.I("nets", len(nets)))
+			return false, nil
+		}
+		if ctx.Err() == nil {
+			return false, err
+		}
+		stop(obs.I("nets", 0), obs.S("aborted", "context"))
+	}
+	return true, r.degradeToElectricalFloor(ctx, cfg, ws)
+}
+
 // degradeToElectricalFloor is the bottom rung of the degradation ladder: it
 // routes every hyper net of res (which must already carry HyperNets) with
 // its all-electrical RSMT fallback and selects that candidate everywhere.
@@ -63,29 +83,13 @@ func (r *Result) markDegraded(ctx context.Context, cfg Config, stage string) {
 // all-electrical selection has no optical connections. Candidate and
 // selection stage spans are re-recorded for the floor work, so StageTimes
 // reflects the path actually taken. The floor reuses the run's workspace (a
-// nil ws means throwaway scratch) while keeping its ignore-the-context
-// semantics: the pool runs under context.Background().
+// nil ws means throwaway scratch).
 func (r *Result) degradeToElectricalFloor(ctx context.Context, cfg Config, ws *Workspace) error {
 	r.markDegraded(ctx, cfg, "candidates")
 
 	stop := startStage(cfg.Obs, "stage/candidates", &r.Times.Candidates)
-	hnets := r.HyperNets
-	nets := make([]selection.Net, len(hnets))
-	if err := parallel.ForEachScratchContext(context.Background(), ws.arenaOf(), len(hnets), cfg.Workers, func(w int, s *parallel.Scratch, i int) error {
-		var sp obs.Span
-		if cfg.Obs != nil {
-			sp = cfg.Obs.Span("net/electrical-floor", obs.WorkerLane(w), obs.I("net", i))
-		}
-		cand, err := electricalCandidate(hnets[i], cfg, grabScratch(s, cfg.Obs))
-		if err != nil {
-			return err
-		}
-		nets[i] = selection.Net{Bits: hnets[i].BitCount(), Cands: []codesign.Candidate{cand}}
-		if cfg.Obs != nil {
-			sp.End()
-		}
-		return nil
-	}); err != nil {
+	nets, err := electricalNets(r.HyperNets, cfg, ws.arenaOf(), "net/electrical-floor")
+	if err != nil {
 		return err
 	}
 	r.Nets = nets

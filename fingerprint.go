@@ -40,8 +40,6 @@ import (
 //	  ILPTimeLimit, ILPMaxNodes exact-solver budgets (bound the incumbent)
 //	  LR.MaxIters, LR.ConvergeRatio, LR.StepScale
 //	                            Lagrangian trajectory knobs
-//	  LR.WarmStart              replaces the multiplier initialisation
-//	  LR.ReturnLambda           adds Result.LR.Lambda
 //	  Seed                      drives the deterministic clustering
 //	  SkipWDM                   drops the whole §4 stage
 //
@@ -59,7 +57,7 @@ import (
 // stable across processes, architectures, and releases that keep the tag.
 func Fingerprint(d signal.Design, cfg Config) [32]byte {
 	h := fpHasher{h: sha256.New()}
-	h.str("operon-fp-v1")
+	h.str("operon-fp-v2")
 
 	// Design.
 	h.str(d.Name)
@@ -110,11 +108,6 @@ func Fingerprint(d signal.Design, cfg Config) [32]byte {
 	h.num(int64(cfg.LR.MaxIters))
 	h.f64(cfg.LR.ConvergeRatio)
 	h.f64(cfg.LR.StepScale)
-	h.num(int64(len(cfg.LR.WarmStart)))
-	for _, v := range cfg.LR.WarmStart {
-		h.f64(v)
-	}
-	h.bool(cfg.LR.ReturnLambda)
 
 	var out [32]byte
 	h.h.Sum(out[:0])

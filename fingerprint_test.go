@@ -66,8 +66,6 @@ var fpSemanticConfig = map[string]fpMutator{
 	"LR.MaxIters":      func(_ *signal.Design, c *Config) { c.LR.MaxIters += 5 },
 	"LR.ConvergeRatio": func(_ *signal.Design, c *Config) { c.LR.ConvergeRatio += 0.005 },
 	"LR.StepScale":     func(_ *signal.Design, c *Config) { c.LR.StepScale += 0.5 },
-	"LR.WarmStart":     func(_ *signal.Design, c *Config) { c.LR.WarmStart = []float64{0.5, 1.5} },
-	"LR.ReturnLambda":  func(_ *signal.Design, c *Config) { c.LR.ReturnLambda = !c.LR.ReturnLambda },
 }
 
 // fpNonSemanticConfig classifies the execution-context fields: each mutator
@@ -203,21 +201,5 @@ func TestFingerprintNoBoundaryAliasing(t *testing.T) {
 	d2.Name, d2.Groups[0].Name = "a", "bc"
 	if Fingerprint(d1, cfg) == Fingerprint(d2, cfg) {
 		t.Fatal("string boundary not captured by the encoding")
-	}
-}
-
-// TestFingerprintWarmStartContents asserts WarmStart participates by value,
-// not just by length.
-func TestFingerprintWarmStartContents(t *testing.T) {
-	d := fpDesign()
-	c1, c2 := DefaultConfig(), DefaultConfig()
-	c1.LR.WarmStart = []float64{1, 2, 3}
-	c2.LR.WarmStart = []float64{1, 2, 4}
-	if Fingerprint(d, c1) == Fingerprint(d, c2) {
-		t.Fatal("WarmStart contents not captured")
-	}
-	c2.LR.WarmStart = []float64{1, 2, 3}
-	if Fingerprint(d, c1) != Fingerprint(d, c2) {
-		t.Fatal("equal WarmStart vectors did not collide")
 	}
 }

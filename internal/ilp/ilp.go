@@ -79,13 +79,6 @@ type Options struct {
 	// TimedOut set, returning the best incumbent found so far (the paper's
 	// ">3000 s" semantics). A nil Ctx means context.Background().
 	Ctx context.Context
-	// TimeLimit bounds the wall-clock solve time; zero means no limit.
-	//
-	// Deprecated: TimeLimit is a thin wrapper over the context deadline —
-	// it folds into the budget via lp.ResolveBudget, so the earlier of
-	// TimeLimit and Ctx's own deadline wins. New callers should pass a
-	// context with a deadline via Ctx instead.
-	TimeLimit time.Duration
 	// MaxNodes bounds the number of branch-and-bound nodes; zero means
 	// 200000.
 	MaxNodes int
@@ -155,8 +148,8 @@ type Result struct {
 	Nodes int
 	// Elapsed is the wall-clock time of the solve.
 	Elapsed time.Duration
-	// TimedOut reports that a budget — the context deadline, the deprecated
-	// TimeLimit, or MaxNodes — stopped the search before optimality.
+	// TimedOut reports that a budget — the context deadline or MaxNodes —
+	// stopped the search before optimality.
 	TimedOut bool
 	// LPSolves counts LP relaxations solved (root, nodes, and rounding
 	// heuristics). Discarded speculative solves are not counted, keeping
@@ -342,14 +335,9 @@ func Solve(p Problem, opt Options) (Result, error) {
 	if maxNodes == 0 {
 		maxNodes = 200000
 	}
-	// One time-budget mechanism: the legacy TimeLimit folds into the
-	// context/deadline pair via lp.ResolveBudget; the node loop and every
-	// LP relaxation underneath observe the same budget.
-	var tl time.Time
-	if opt.TimeLimit > 0 {
-		tl = start.Add(opt.TimeLimit)
-	}
-	ctx, deadline := lp.ResolveBudget(opt.Ctx, tl)
+	// One time-budget mechanism: the context. The node loop and every LP
+	// relaxation underneath observe the same deadline.
+	ctx, deadline := lp.ResolveBudget(opt.Ctx)
 
 	// Full-space root bounds: binaries capped at 1, continuous variables
 	// keep the problem bounds.
@@ -424,7 +412,7 @@ func Solve(p Problem, opt Options) (Result, error) {
 		offset:   pre.Offset,
 		ctx:      ctx,
 		deadline: deadline,
-		lpOpt:    lp.Options{Ctx: ctx, Deadline: deadline, MaxTableauBytes: opt.MaxTableauBytes, Obs: opt.Obs},
+		lpOpt:    lp.Options{Ctx: ctx, MaxTableauBytes: opt.MaxTableauBytes, Obs: opt.Obs},
 		maxNodes: maxNodes,
 		solver:   solver,
 		res:      Result{Status: Limit, Objective: math.Inf(1), LPRows: solver.NumRows()},
@@ -885,7 +873,7 @@ func (s *search) stopWorkers() {
 func (s *search) runWorker(ctx context.Context, sc *parallel.Scratch) {
 	ws := sc.Get("ilp", func() any { return &workerSpace{} }).(*workerSpace)
 	ws.prepare(s)
-	lpOpt := lp.Options{Ctx: ctx, Deadline: s.deadline, MaxTableauBytes: s.opt.MaxTableauBytes, Obs: ws.tracer}
+	lpOpt := lp.Options{Ctx: ctx, MaxTableauBytes: s.opt.MaxTableauBytes, Obs: ws.tracer}
 	for {
 		s.mu.Lock()
 		var nd *bnode

@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -252,8 +253,8 @@ func TestSelectionShape(t *testing.T) {
 
 func TestTimeLimit(t *testing.T) {
 	// A crafted equality-knapsack family with many symmetric solutions is
-	// slow to prove optimal; a tiny time limit must return promptly with
-	// TimedOut set.
+	// slow to prove optimal; a tiny context deadline must return promptly
+	// with TimedOut set.
 	rng := rand.New(rand.NewSource(11))
 	n := 26
 	p := Problem{LP: lp.Problem{NumVars: n, Objective: make([]float64, n)}}
@@ -265,7 +266,9 @@ func TestTimeLimit(t *testing.T) {
 	}
 	p.LP.Rows = append(p.LP.Rows, row)
 	start := time.Now()
-	r, err := Solve(p, Options{TimeLimit: 50 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	r, err := Solve(p, Options{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,19 +6,15 @@ import (
 )
 
 // ResolveBudget is the single deadline-plumbing helper shared by every
-// solver layer: it folds an optional explicit deadline into a context,
-// returning the context to poll for cancellation (never nil) and the
-// earliest applicable deadline (the explicit one merged with the context's
-// own; zero when neither is set). The deprecated lp.Options.Deadline and
-// ilp.Options.TimeLimit wrappers both delegate here, so the branch-and-bound
-// workers and the pivot loop observe exactly one time-budget source.
-func ResolveBudget(ctx context.Context, deadline time.Time) (context.Context, time.Time) {
+// solver layer: it returns the context to poll for cancellation (never nil)
+// and that context's deadline (zero when it has none), so the
+// branch-and-bound workers and the pivot loop observe exactly one
+// time-budget source — the context.
+func ResolveBudget(ctx context.Context) (context.Context, time.Time) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
+	deadline, _ := ctx.Deadline()
 	return ctx, deadline
 }
 

@@ -46,7 +46,7 @@ func SolveDenseWithOptions(p Problem, opt Options) (Solution, error) {
 		return Solution{}, fmt.Errorf("%w: needs %d bytes", ErrTooLarge, bytes)
 	}
 	t := newTableau(p)
-	t.ctx, t.deadline = opt.effectiveBudget()
+	t.ctx, t.deadline = ResolveBudget(opt.Ctx)
 	// Phase 1: drive artificial variables to zero.
 	if t.nArt > 0 {
 		status := t.iterate(t.phase1Cost(), t.nCols)

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"operon/internal/obs"
 )
@@ -162,16 +161,9 @@ type Options struct {
 	// Ctx, when non-nil, bounds the solve: its deadline (if any) aborts the
 	// pivot loop with Status IterLimit once passed, and cancellation is
 	// observed every few pivots with the same effect. This is the single
-	// time-budget mechanism of the solver substrate; the legacy Deadline
-	// field below folds into it. A nil Ctx means context.Background().
+	// time-budget mechanism of the solver substrate. A nil Ctx means
+	// context.Background().
 	Ctx context.Context
-	// Deadline aborts the solve with Status IterLimit once passed.
-	// The zero time means no deadline.
-	//
-	// Deprecated: Deadline is a thin wrapper over the context deadline —
-	// it is merged with Ctx's deadline (the earlier one wins). New callers
-	// should pass a context with a deadline via Ctx instead.
-	Deadline time.Time
 	// MaxTableauBytes caps the solver workspace allocation; Solve returns
 	// ErrTooLarge above it. Zero means 1.5 GiB. The revised simplex needs
 	// far less memory than the dense tableau, so the same budget admits
@@ -181,15 +173,6 @@ type Options struct {
 	// lp.solves, lp.pivots, lp.bound_flips, and lp.refactors. The dense
 	// oracle is not instrumented. Nil costs the pivot loop one nil check.
 	Obs *obs.Tracer
-}
-
-// effectiveBudget resolves the time budget of opt into the context to poll
-// for cancellation and the earliest applicable deadline: the legacy Deadline
-// field merged with the context's own deadline (zero time when neither is
-// set). Both simplex engines call it once per solve; it delegates to
-// ResolveBudget so all layers share one deadline source.
-func (opt Options) effectiveBudget() (context.Context, time.Time) {
-	return ResolveBudget(opt.Ctx, opt.Deadline)
 }
 
 const (

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -24,7 +25,9 @@ func TestDeadlineAborts(t *testing.T) {
 		}
 		p.Rows = append(p.Rows, row)
 	}
-	s, err := SolveWithOptions(p, Options{Deadline: time.Now().Add(-time.Second)})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	s, err := SolveWithOptions(p, Options{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,7 +209,7 @@ func (s *BoundedSolver) SolveBoundsInto(lo, up []float64, warm *Basis, opt Optio
 		return fmt.Errorf("lp: %d upper bounds for %d variables", len(up), s.n)
 	}
 	s.setBounds(lo, up)
-	s.ctx, s.deadline = opt.effectiveBudget()
+	s.ctx, s.deadline = ResolveBudget(opt.Ctx)
 	s.iter = 0
 	s.maxIter = 200 * (s.m + s.nTot)
 	s.stall = 0

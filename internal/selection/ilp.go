@@ -21,14 +21,6 @@ type ILPOptions struct {
 	// selection) with TimedOut set instead of erroring. Nil means
 	// context.Background().
 	Ctx context.Context
-	// TimeLimit bounds the branch-and-bound wall clock; zero = unlimited.
-	// The paper caps its runs at 3000 s and reports ">3000" on timeout,
-	// falling back to the Lagrangian relaxation.
-	//
-	// Deprecated: TimeLimit is a thin wrapper over the context deadline
-	// (the earlier of the two wins); pass a context with a deadline via Ctx
-	// instead.
-	TimeLimit time.Duration
 	// MaxNodes bounds branch-and-bound nodes; zero = library default.
 	MaxNodes int
 	// MaxTableauBytes caps the LP tableau memory (zero = library default).
@@ -50,8 +42,8 @@ type ILPResult struct {
 	Selection
 	// Status is the branch-and-bound outcome (Optimal, Feasible, Limit).
 	Status ilp.Status
-	// TimedOut reports that a budget (context deadline, deprecated
-	// TimeLimit, or MaxNodes) stopped the search before optimality.
+	// TimedOut reports that a budget (context deadline or MaxNodes)
+	// stopped the search before optimality.
 	TimedOut bool
 	// Elapsed is the wall-clock time of the solve, repair included.
 	Elapsed time.Duration
@@ -85,7 +77,6 @@ func SolveILP(inst *Instance, opt ILPOptions) (ILPResult, error) {
 		obs.I("vars", res.NumVars), obs.I("rows", res.NumRows))
 	ir, err := ilp.Solve(prob, ilp.Options{
 		Ctx:             opt.Ctx,
-		TimeLimit:       opt.TimeLimit,
 		MaxNodes:        opt.MaxNodes,
 		MaxTableauBytes: opt.MaxTableauBytes,
 		Workers:         opt.Workers,

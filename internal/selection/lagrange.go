@@ -38,16 +38,6 @@ type LROptions struct {
 	// event per iteration carrying power, violations, the dual lower bound,
 	// the multiplier norm, and the sub-gradient step size.
 	Obs *obs.Tracer
-	// WarmStart, when its length equals the instance's total path count,
-	// replaces the default multiplier initialisation with the given vector
-	// (typically a previous solve's final multipliers remapped via
-	// RemapLambda). A warm-started solve follows a different dual trajectory
-	// than a cold one, so results are not bit-identical to a cold solve;
-	// callers that promise bit-identity must leave it nil.
-	WarmStart []float64
-	// ReturnLambda requests the final multiplier vector in LRResult.Lambda
-	// (an extra numPaths-float allocation, so it is opt-in).
-	ReturnLambda bool
 }
 
 // LRResult is the outcome of SolveLR.
@@ -63,10 +53,6 @@ type LRResult struct {
 	Stopped bool
 	// History records (power, violations) after each iteration.
 	History []LRIterate
-	// Lambda is the final multiplier vector, populated only when
-	// LROptions.ReturnLambda is set; it is the warm-start seed for a
-	// subsequent solve on an edited instance (see RemapLambda).
-	Lambda []float64
 }
 
 // LRIterate is one iteration's snapshot.
@@ -121,17 +107,13 @@ func SolveLR(inst *Instance, opt LROptions) (LRResult, error) {
 	// flat — one allocation — addressed through the instance's precomputed
 	// (net, cand) path offsets.
 	lambda := make([]float64, inst.numPaths)
-	if len(opt.WarmStart) == inst.numPaths {
-		copy(lambda, opt.WarmStart)
-	} else {
-		for i, n := range inst.Nets {
-			ei := n.ElectricalIndex()
-			pe := n.Cands[ei].PowerMW
-			for j, c := range n.Cands {
-				off := inst.pathOff[i][j]
-				for p := range c.Paths {
-					lambda[off+p] = 0.1 * pe / inst.Lib.MaxLossDB
-				}
+	for i, n := range inst.Nets {
+		ei := n.ElectricalIndex()
+		pe := n.Cands[ei].PowerMW
+		for j, c := range n.Cands {
+			off := inst.pathOff[i][j]
+			for p := range c.Paths {
+				lambda[off+p] = 0.1 * pe / inst.Lib.MaxLossDB
 			}
 		}
 	}
@@ -304,9 +286,6 @@ func SolveLR(inst *Instance, opt LROptions) (LRResult, error) {
 		return LRResult{}, err
 	}
 	res.Selection = sel
-	if opt.ReturnLambda {
-		res.Lambda = lambda
-	}
 	res.Elapsed = time.Since(start)
 	sp.End(obs.I("iters", res.Iters), obs.I("violations", sel.Violations))
 	return res, nil

@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -335,7 +336,9 @@ func TestILPTimeoutFallsBackLegally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveILP(inst, ILPOptions{TimeLimit: time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	res, err := SolveILP(inst, ILPOptions{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +374,9 @@ func TestEndToEndWithCodesignCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ires, err := SolveILP(inst, ILPOptions{TimeLimit: 20 * time.Second})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	ires, err := SolveILP(inst, ILPOptions{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 package selection
 
-// Cross-solve reuse helpers for incremental (ECO) re-synthesis. The crossing
+// Cross-solve reuse for incremental (ECO) re-synthesis. The crossing
 // loss between two candidates is a pure function of the two candidates'
 // geometry and the optical library, so cached values survive across solves
 // whenever the nets that produced them are carried over unchanged — only the
-// net indices move. These helpers remap index space; the caller (the root
+// net indices move. SeedCrossCache remaps index space; the caller (the root
 // package's Session) is responsible for only mapping nets whose candidate
 // lists are verbatim reuses of the previous solve.
 
@@ -54,54 +54,4 @@ func (inst *Instance) SeedCrossCache(prev *Instance, newToPrev []int) int {
 		seeded++
 	}
 	return seeded
-}
-
-// RemapLambda transfers a previous solve's final Lagrangian multipliers onto
-// a new instance's path layout: new net i inherits the multiplier segment of
-// previous net newToPrev[i] when the candidate structure matches (same
-// candidate count and per-candidate path counts); new or rebuilt nets fall
-// back to the standard initialisation (0.1 × electrical power / loss
-// budget). Returns nil when prevLambda does not match prev's path layout, in
-// which case callers should solve cold. The result is intended for
-// LROptions.WarmStart — note that warm-started LR follows a different dual
-// trajectory than a cold solve and is therefore opt-in (see Session.WarmDuals).
-func RemapLambda(prev *Instance, prevLambda []float64, next *Instance, newToPrev []int) []float64 {
-	if prev == nil || next == nil || len(prevLambda) != prev.numPaths ||
-		len(newToPrev) != len(next.Nets) {
-		return nil
-	}
-	lambda := make([]float64, next.numPaths)
-	for i, n := range next.Nets {
-		pi := newToPrev[i]
-		if ok := pi >= 0 && pi < len(prev.Nets) && sameCandShape(n, prev.Nets[pi]); ok {
-			for j, c := range n.Cands {
-				copy(lambda[next.pathOff[i][j]:next.pathOff[i][j]+len(c.Paths)],
-					prevLambda[prev.pathOff[pi][j]:prev.pathOff[pi][j]+len(c.Paths)])
-			}
-			continue
-		}
-		pe := n.Cands[n.ElectricalIndex()].PowerMW
-		for j, c := range n.Cands {
-			off := next.pathOff[i][j]
-			for p := range c.Paths {
-				lambda[off+p] = 0.1 * pe / next.Lib.MaxLossDB
-			}
-		}
-	}
-	return lambda
-}
-
-// sameCandShape reports whether two nets have identical candidate counts and
-// per-candidate path counts — the condition for multiplier segments to be
-// transferable between their layouts.
-func sameCandShape(a, b Net) bool {
-	if len(a.Cands) != len(b.Cands) {
-		return false
-	}
-	for j := range a.Cands {
-		if len(a.Cands[j].Paths) != len(b.Cands[j].Paths) {
-			return false
-		}
-	}
-	return true
 }

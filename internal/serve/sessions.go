@@ -40,9 +40,6 @@ type SessionRequest struct {
 	Mode string `json:"mode,omitempty"`
 	// SkipWDM disables the WDM placement/assignment stage.
 	SkipWDM bool `json:"skip_wdm,omitempty"`
-	// WarmDuals opts into the Lagrangian warm start (faster, not
-	// bit-identical to cold solves; see operon.Session.SetWarmDuals).
-	WarmDuals bool `json:"warm_duals,omitempty"`
 	// TimeoutMS bounds the initial solve like SolveRequest.TimeoutMS.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
@@ -254,7 +251,6 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		created:  time.Now(),
 		lastUsed: time.Now(),
 	}
-	se.sess.SetWarmDuals(req.WarmDuals)
 	s.putSession(se)
 	s.resolveSession(w, r, se, req.TimeoutMS)
 }

@@ -91,7 +91,9 @@ type Config struct {
 	MaxCandidatesPerNet int
 	// Mode picks the selection algorithm.
 	Mode Mode
-	// ILPTimeLimit bounds the ILP solve (the paper used 3000 s).
+	// ILPTimeLimit bounds the ILP solve (the paper used 3000 s) as a
+	// context timeout around the exact solver alone; the LR fallback then
+	// runs under the caller's context (0 = no limit beyond the context).
 	ILPTimeLimit time.Duration
 	// ILPMaxNodes bounds branch-and-bound nodes (0 = library default).
 	ILPMaxNodes int
@@ -197,7 +199,7 @@ type Result struct {
 	// WDMStats summarises the WDM pipeline (including its Degraded flag).
 	WDMStats wdm.Stats
 	// Degraded reports that the run hit a time budget (context deadline,
-	// cancellation, or the deprecated ILPTimeLimit) and took a fallback rung
+	// cancellation, or ILPTimeLimit) and took a fallback rung
 	// of the degradation ladder — LR incumbent instead of a finished ILP,
 	// electrical-only routing instead of co-design candidates, or a
 	// placement-derived WDM assignment instead of the min-cost flow. The
@@ -260,11 +262,47 @@ func RunContext(ctx context.Context, d signal.Design, cfg Config) (*Result, erro
 // nets within the run). The workspace never affects results — only
 // allocation behaviour — and must not be shared by concurrent runs.
 func RunContextWith(ctx context.Context, d signal.Design, cfg Config, ws *Workspace) (*Result, error) {
+	var st ResolveStats
+	res, _, err := solve(ctx, d, cfg, ws, nil, &st)
+	return res, err
+}
+
+// sessionState holds the stage outputs of one complete solve — everything a
+// later solve of an edited design may reuse.
+type sessionState struct {
+	design     signal.Design
+	cfg        Config
+	groupHNets [][]signal.HyperNet
+	groupStart []int // first net index of each group in the flat net order
+	hnets      []signal.HyperNet
+	trees      [][]steiner.Tree
+	contribs   [][]int // per net, ascending env-contributor net indices
+	nets       []selection.Net
+	inst       *selection.Instance
+	res        *Result
+}
+
+// solve is the flow of Fig. 2: validation and signal processing, baseline
+// trees and co-design candidates, selection, WDM, and the degradation
+// ladder of RunContext. prev is the state of an earlier complete solve, or
+// nil for a cold one. Every stage output of prev whose inputs provably did
+// not change is carried over instead of recomputed (the reuse matrix of
+// DESIGN.md §12); reuse never changes the result, so a solve with prev is
+// bit-identical to a cold solve of the same design and config. st counts
+// what was reused and what was rebuilt. The returned state is nil when the
+// run dropped to the electrical floor.
+func solve(ctx context.Context, d signal.Design, cfg Config, ws *Workspace, prev *sessionState, st *ResolveStats) (*Result, *sessionState, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if ws == nil {
 		ws = NewWorkspace()
+	}
+	var delta cfgDelta
+	if prev == nil {
+		st.Cold = true
+	} else {
+		delta = diffConfig(prev.cfg, cfg)
 	}
 	res := &Result{Design: d.Name, Flow: "operon-" + cfg.Mode.String(), Obs: cfg.Obs}
 	bpmHits0, bpmMisses0 := bpm.CacheCounters()
@@ -274,73 +312,186 @@ func RunContextWith(ctx context.Context, d signal.Design, cfg Config, ws *Worksp
 	}
 	defer res.foldBPMCounters(cfg, bpmHits0, bpmMisses0, bpmSim0)
 
+	// Group gi is clean iff prev had an equal group at the same index (the
+	// clustering seed is Seed+index, so position matters as much as content).
 	stop := startStage(cfg.Obs, "stage/process", &res.Times.Process)
-	hnets, err := process(d, cfg)
+	groupClean := make([]bool, len(d.Groups))
+	var prevGroups [][]signal.HyperNet
+	if prev != nil && !delta.proc {
+		prevGroups = prev.groupHNets
+		for gi := range d.Groups {
+			groupClean[gi] = gi < len(prev.design.Groups) && groupsEqual(d.Groups[gi], prev.design.Groups[gi])
+		}
+	}
+	groupHNets, hnets, err := process(d, cfg, prevGroups, groupClean)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.HyperNets = hnets
 	stop(obs.I("hyper_nets", len(hnets)))
-
-	if ctx.Err() != nil {
-		// The budget was gone before candidate generation even started:
-		// straight to the floor.
-		if err := res.degradeToElectricalFloor(ctx, cfg, ws); err != nil {
-			return nil, err
+	for _, clean := range groupClean {
+		if clean {
+			st.GroupsReused++
+		} else {
+			st.GroupsRebuilt++
 		}
-		return res, nil
 	}
 
-	stop = startStage(cfg.Obs, "stage/candidates", &res.Times.Candidates)
-	nets, err := buildCoDesignNets(ctx, hnets, cfg, ws.arenaOf())
+	next := &sessionState{design: d, cfg: cfg, groupHNets: groupHNets, hnets: hnets}
+	var candMap []int
+	floored, err := res.candidateStage(ctx, cfg, ws, func() ([]selection.Net, error) {
+		var err error
+		candMap, err = next.candidates(ctx, cfg, ws, prev, delta, groupClean, st)
+		return next.nets, err
+	})
 	if err != nil {
-		if ctx.Err() != nil {
-			stop(obs.I("nets", 0), obs.S("aborted", "context"))
-			if err := res.degradeToElectricalFloor(ctx, cfg, ws); err != nil {
-				return nil, err
-			}
-			return res, nil
-		}
-		return nil, err
+		return nil, nil, err
 	}
-	res.Nets = nets
-	stop(obs.I("nets", len(nets)))
+	if floored {
+		return res, nil, nil
+	}
 
-	inst, err := selection.NewInstance(nets, cfg.Lib)
+	// The instance is rebuilt (its index bookkeeping is cheap) but seeded
+	// with every crossing-loss memo entry whose two nets both carried their
+	// candidates over — a pure memo, so seeding cannot change results.
+	inst, err := selection.NewInstance(next.nets, cfg.Lib)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	next.inst = inst
+	if prev != nil {
+		st.CrossCacheSeeded = inst.SeedCrossCache(prev.inst, candMap)
 	}
 	stop = startStage(cfg.Obs, "stage/selection", &res.Times.Selection)
-	if err := runSelection(ctx, cfg, ws, inst, lrOptions(ctx, cfg), res); err != nil {
-		return nil, err
+	if err := runSelection(ctx, cfg, ws, inst, res); err != nil {
+		return nil, nil, err
 	}
 	stop(obs.S("mode", cfg.Mode.String()))
 	res.PowerMW = res.Selection.PowerMW
 
-	if !cfg.SkipWDM {
-		stop = startStage(cfg.Obs, "stage/wdm", &res.Times.WDM)
-		if err := res.assignWDMs(ctx, cfg); err != nil {
-			return nil, err
-		}
-		if res.WDMStats.Degraded {
-			res.markDegraded(ctx, cfg, "wdm")
-		}
-		stop(obs.I("wdms_used", res.WDMStats.FinalWDMs))
+	// WDM is reusable only when its exact inputs recur: the identical net
+	// list (every net carried over in place) and the identical choice.
+	var wdmFrom *Result
+	if prev != nil && !delta.wdm && !prev.cfg.SkipWDM && len(prev.nets) == len(next.nets) &&
+		identityMap(candMap) && intsEqual(res.Selection.Choice, prev.res.Selection.Choice) {
+		wdmFrom = prev.res
+		st.WDMReused = true
 	}
-	return res, nil
+	if err := res.wdmStage(ctx, cfg, wdmFrom); err != nil {
+		return nil, nil, err
+	}
+	next.res = res
+	return res, next, nil
+}
+
+// candidates runs the candidate stage into next: baseline trees, crossing
+// environments and co-design candidate sets per hyper net, each carried
+// over from prev when its inputs are unchanged. A net's trees carry over
+// when its group is clean and no tree knob changed; its candidates carry
+// over when, in addition, no candidate knob changed and its crossing
+// environment is byte-identical (contribsMatch). The returned candMap holds
+// the previous index of every net whose candidates carried over, -1 for the
+// rest. The only possible error besides a generation failure is ctx's.
+func (next *sessionState) candidates(ctx context.Context, cfg Config, ws *Workspace, prev *sessionState, delta cfgDelta, groupClean []bool, st *ResolveStats) ([]int, error) {
+	nN := len(next.hnets)
+	// netPrev maps a net of a clean group to its previous index: clean groups
+	// sit at the same group index and ProcessGroup is deterministic, so the
+	// within-group net order carries over verbatim.
+	netPrev := make([]int, nN)
+	next.groupStart = make([]int, len(next.groupHNets))
+	next.trees = make([][]steiner.Tree, nN)
+	i := 0
+	for gi, g := range next.groupHNets {
+		next.groupStart[gi] = i
+		for k := range g {
+			netPrev[i] = -1
+			if groupClean[gi] {
+				netPrev[i] = prev.groupStart[gi] + k
+				if !delta.trees {
+					next.trees[i] = prev.trees[netPrev[i]]
+					st.TreesReused++
+				}
+			}
+			i++
+		}
+	}
+	st.TreesRebuilt = nN - st.TreesReused
+	blStart := time.Now()
+	if err := baselineTrees(ctx, next.hnets, next.trees, cfg, ws.arenaOf()); err != nil {
+		return nil, err
+	}
+	// The baseline-topology sweep is the first half of the candidates stage;
+	// its own histogram separates Steiner construction from the co-design DP
+	// in the serving-side latency breakdown.
+	cfg.Obs.Histogram("stage/baselines").RecordDuration(time.Since(blStart))
+
+	envs, contribs := buildEnvsContrib(next.hnets, next.trees)
+	next.contribs = contribs
+	next.nets = make([]selection.Net, nN)
+	candMap := make([]int, nN)
+	for i := range candMap {
+		candMap[i] = -1
+		if !delta.trees && !delta.cands && contribsMatch(i, netPrev, contribs, prev) {
+			candMap[i] = netPrev[i]
+			next.nets[i] = prev.nets[netPrev[i]]
+			st.CandsReused++
+		}
+	}
+	st.CandsRebuilt = nN - st.CandsReused
+	if err := coDesignNets(ctx, next.hnets, next.trees, envs, next.nets, cfg, ws.arenaOf()); err != nil {
+		return nil, err
+	}
+	return candMap, nil
+}
+
+// contribsMatch reports whether net i's environment contributors map
+// index-for-index onto its previous incarnation's — the condition for the
+// concatenated environment to be identical, given that every mapped net
+// carried its trees over.
+func contribsMatch(i int, netPrev []int, contribs [][]int, prev *sessionState) bool {
+	pi := netPrev[i]
+	if pi < 0 {
+		return false
+	}
+	pc := prev.contribs[pi]
+	if len(contribs[i]) != len(pc) {
+		return false
+	}
+	for k, c := range contribs[i] {
+		if netPrev[c] != pc[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // runSelection runs the configured solution-determination algorithm on inst
 // and fills res.Selection (plus the ILP/LR diagnostics), marking res degraded
-// when a solver hit its budget. lrOpt carries the resolved LR options — the
-// cold path passes lrOptions(ctx, cfg); Session.Resolve may add an opt-in
-// multiplier warm start on top. Shared by both so the selection trajectory is
-// identical by construction.
-func runSelection(ctx context.Context, cfg Config, ws *Workspace, inst *selection.Instance, lrOpt selection.LROptions, res *Result) error {
+// when a solver hit its budget. Config.ILPTimeLimit bounds only the ILP: the
+// LR fallback of rung 1 still runs under the caller's ctx.
+func runSelection(ctx context.Context, cfg Config, ws *Workspace, inst *selection.Instance, res *Result) error {
+	// Config.LR with the flow's context (unless the caller pinned one),
+	// worker count and tracer as defaults.
+	lrOpt := cfg.LR
+	if lrOpt.Ctx == nil {
+		lrOpt.Ctx = ctx
+	}
+	if lrOpt.Workers == 0 {
+		lrOpt.Workers = cfg.Workers
+	}
+	if lrOpt.Obs == nil {
+		lrOpt.Obs = cfg.Obs
+	}
 	switch cfg.Mode {
 	case ModeILP:
+		ilpCtx := ctx
+		if cfg.ILPTimeLimit > 0 {
+			var cancel context.CancelFunc
+			ilpCtx, cancel = context.WithTimeout(ctx, cfg.ILPTimeLimit)
+			defer cancel()
+		}
 		ir, err := selection.SolveILP(inst, selection.ILPOptions{
-			Ctx: ctx, TimeLimit: cfg.ILPTimeLimit, MaxNodes: cfg.ILPMaxNodes,
+			Ctx: ilpCtx, MaxNodes: cfg.ILPMaxNodes,
 			Workers: cfg.Workers, Arena: ws.arenaOf(), Obs: cfg.Obs,
 		})
 		if err != nil {
@@ -382,23 +533,6 @@ func runSelection(ctx context.Context, cfg Config, ws *Workspace, inst *selectio
 	return nil
 }
 
-// lrOptions resolves Config.LR for a flow-level solve: the flow context
-// bounds the solve unless the caller pinned an explicit one, and worker
-// count and tracer default to the flow's.
-func lrOptions(ctx context.Context, cfg Config) selection.LROptions {
-	lrOpt := cfg.LR
-	if lrOpt.Ctx == nil {
-		lrOpt.Ctx = ctx
-	}
-	if lrOpt.Workers == 0 {
-		lrOpt.Workers = cfg.Workers
-	}
-	if lrOpt.Obs == nil {
-		lrOpt.Obs = cfg.Obs
-	}
-	return lrOpt
-}
-
 // foldBPMCounters adds the process-global BPM simulation-cache deltas of
 // this run to the tracer's bpm.cache_hits / bpm.cache_misses counters, and
 // merges the window's uncached-propagation latency delta into the tracer's
@@ -434,7 +568,7 @@ func RunElectricalContext(ctx context.Context, d signal.Design, cfg Config) (*Re
 	_ = ctx // the floor ignores cancellation by design; see doc comment
 	res := &Result{Design: d.Name, Flow: "electrical", Obs: cfg.Obs}
 	stop := startStage(cfg.Obs, "stage/process", &res.Times.Process)
-	hnets, err := process(d, cfg)
+	_, hnets, err := process(d, cfg, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -442,23 +576,8 @@ func RunElectricalContext(ctx context.Context, d signal.Design, cfg Config) (*Re
 	stop(obs.I("hyper_nets", len(hnets)))
 
 	stop = startStage(cfg.Obs, "stage/candidates", &res.Times.Candidates)
-	ws := NewWorkspace()
-	nets := make([]selection.Net, len(hnets))
-	if err := parallel.ForEachScratchContext(context.Background(), ws.arenaOf(), len(hnets), cfg.Workers, func(w int, s *parallel.Scratch, i int) error {
-		var sp obs.Span
-		if cfg.Obs != nil {
-			sp = cfg.Obs.Span("net/electrical", obs.WorkerLane(w), obs.I("net", i))
-		}
-		cand, err := electricalCandidate(hnets[i], cfg, grabScratch(s, cfg.Obs))
-		if err != nil {
-			return err
-		}
-		nets[i] = selection.Net{Bits: hnets[i].BitCount(), Cands: []codesign.Candidate{cand}}
-		if cfg.Obs != nil {
-			sp.End()
-		}
-		return nil
-	}); err != nil {
+	nets, err := electricalNets(hnets, cfg, nil, "net/electrical")
+	if err != nil {
 		return nil, err
 	}
 	res.Nets = nets
@@ -495,36 +614,62 @@ func RunOpticalContext(ctx context.Context, d signal.Design, cfg Config) (*Resul
 	}
 	res := &Result{Design: d.Name, Flow: "optical", Obs: cfg.Obs}
 	stop := startStage(cfg.Obs, "stage/process", &res.Times.Process)
-	hnets, err := process(d, cfg)
+	_, hnets, err := process(d, cfg, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	res.HyperNets = hnets
 	stop(obs.I("hyper_nets", len(hnets)))
 
-	if ctx.Err() != nil {
-		if err := res.degradeToElectricalFloor(ctx, cfg, nil); err != nil {
-			return nil, err
-		}
+	ws := NewWorkspace()
+	floored, err := res.candidateStage(ctx, cfg, ws, func() ([]selection.Net, error) {
+		return opticalNets(ctx, hnets, cfg, ws.arenaOf())
+	})
+	if err != nil {
+		return nil, err
+	}
+	if floored {
 		return res, nil
 	}
 
-	stop = startStage(cfg.Obs, "stage/candidates", &res.Times.Candidates)
-	ws := NewWorkspace()
-	trees, err := baselineTrees(ctx, hnets, cfg, ws.arenaOf())
+	nets := res.Nets
+	inst, err := selection.NewInstance(nets, cfg.Lib)
 	if err != nil {
-		if ctx.Err() == nil {
-			return nil, err
-		}
-		stop(obs.I("nets", 0), obs.S("aborted", "context"))
-		if err := res.degradeToElectricalFloor(ctx, cfg, ws); err != nil {
-			return nil, err
-		}
-		return res, nil
+		return nil, err
 	}
-	envs := buildEnvs(hnets, trees)
+	stop = startStage(cfg.Obs, "stage/selection", &res.Times.Selection)
+	// GLOW semantics: optical wherever feasible (candidate 0), electrical
+	// only on loss violation (Repair demotes the violators).
+	choice := make([]int, len(nets))
+	sel, err := inst.Evaluate(choice)
+	if err != nil {
+		return nil, err
+	}
+	sel, err = inst.Repair(sel)
+	if err != nil {
+		return nil, err
+	}
+	res.Selection = sel
+	res.PowerMW = sel.PowerMW
+	stop(obs.I("violations", sel.Violations))
+
+	if err := res.wdmStage(ctx, cfg, nil); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// opticalNets gives every hyper net GLOW's candidates: the all-optical route
+// on its primary baseline tree when it is feasible, then the electrical
+// fallback. The only possible error besides a generation failure is ctx's.
+func opticalNets(ctx context.Context, hnets []signal.HyperNet, cfg Config, arena *parallel.Arena) ([]selection.Net, error) {
+	trees := make([][]steiner.Tree, len(hnets))
+	if err := baselineTrees(ctx, hnets, trees, cfg, arena); err != nil {
+		return nil, err
+	}
+	envs, _ := buildEnvsContrib(hnets, trees)
 	nets := make([]selection.Net, len(hnets))
-	if err := parallel.ForEachScratchContext(ctx, ws.arenaOf(), len(hnets), cfg.Workers, func(w int, s *parallel.Scratch, i int) error {
+	err := parallel.ForEachScratchContext(ctx, arena, len(hnets), cfg.Workers, func(w int, s *parallel.Scratch, i int) error {
 		var sp obs.Span
 		if cfg.Obs != nil {
 			sp = cfg.Obs.Span("net/optical", obs.WorkerLane(w), obs.I("net", i))
@@ -552,108 +697,77 @@ func RunOpticalContext(ctx context.Context, d signal.Design, cfg Config) (*Resul
 			sp.End(obs.I("cands", len(cands)))
 		}
 		return nil
-	}); err != nil {
-		if ctx.Err() == nil {
-			return nil, err
-		}
-		stop(obs.I("nets", 0), obs.S("aborted", "context"))
-		if err := res.degradeToElectricalFloor(ctx, cfg, ws); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	res.Nets = nets
-	stop(obs.I("nets", len(nets)))
-
-	inst, err := selection.NewInstance(nets, cfg.Lib)
-	if err != nil {
-		return nil, err
-	}
-	stop = startStage(cfg.Obs, "stage/selection", &res.Times.Selection)
-	// GLOW semantics: optical wherever feasible (candidate 0), electrical
-	// only on loss violation (Repair demotes the violators).
-	choice := make([]int, len(nets))
-	sel, err := inst.Evaluate(choice)
-	if err != nil {
-		return nil, err
-	}
-	sel, err = inst.Repair(sel)
-	if err != nil {
-		return nil, err
-	}
-	res.Selection = sel
-	res.PowerMW = sel.PowerMW
-	stop(obs.I("violations", sel.Violations))
-
-	if !cfg.SkipWDM {
-		stop = startStage(cfg.Obs, "stage/wdm", &res.Times.WDM)
-		if err := res.assignWDMs(ctx, cfg); err != nil {
-			return nil, err
-		}
-		if res.WDMStats.Degraded {
-			res.markDegraded(ctx, cfg, "wdm")
-		}
-		stop(obs.I("wdms_used", res.WDMStats.FinalWDMs))
-	}
-	return res, nil
+	})
+	return nets, err
 }
 
-// process runs signal processing; the caller times it via startStage.
-func process(d signal.Design, cfg Config) ([]signal.HyperNet, error) {
+// process validates the inputs and runs signal processing (§3.1) group by
+// group; it is the caller-timed "stage/process". A group gi with clean[gi]
+// set takes its hyper nets from prev[gi] unchanged (ProcessGroup depends only
+// on the group and its index); a nil clean processes every group. It returns
+// the per-group hyper nets and their concatenation in group order, which is
+// exactly signal.Process's output.
+func process(d signal.Design, cfg Config, prev [][]signal.HyperNet, clean []bool) ([][]signal.HyperNet, []signal.HyperNet, error) {
 	if err := cfg.Lib.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := cfg.Elec.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	hnets, err := signal.Process(d, signal.ProcessConfig{
+	if err := d.Validate(); err != nil {
+		return nil, nil, err
+	}
+	procCfg := signal.ProcessConfig{
 		WDMCapacity:         cfg.Lib.WDMCapacity,
 		PinMergeThresholdCM: cfg.PinMergeThresholdCM,
 		Seed:                cfg.Seed,
-		Workers:             cfg.Workers,
+	}
+	groups := make([][]signal.HyperNet, len(d.Groups))
+	err := parallel.ForEach(len(d.Groups), cfg.Workers, func(gi int) error {
+		if clean != nil && clean[gi] {
+			groups[gi] = prev[gi]
+			return nil
+		}
+		hns, err := signal.ProcessGroup(d.Groups[gi], gi, procCfg)
+		groups[gi] = hns
+		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	var hnets []signal.HyperNet
+	for _, g := range groups {
+		hnets = append(hnets, g...)
 	}
 	if len(hnets) == 0 {
-		return nil, fmt.Errorf("operon: design %q produced no hyper nets", d.Name)
+		return nil, nil, fmt.Errorf("operon: design %q produced no hyper nets", d.Name)
 	}
-	return hnets, nil
+	return groups, hnets, nil
 }
 
-// baselineTrees builds the optical baseline topologies per hyper net on the
-// per-worker Steiner workspaces of arena (the returned trees own their
-// memory — workspace scratch never escapes). The only possible error is
-// ctx's: cancellation stops dispatch and surfaces ctx.Err(), on which
-// callers degrade to the electrical floor.
-func baselineTrees(ctx context.Context, hnets []signal.HyperNet, cfg Config, arena *parallel.Arena) ([][]steiner.Tree, error) {
+// baselineTrees fills every nil entry trees[i] with hyper net i's optical
+// baseline topologies, built on the per-worker Steiner workspaces of arena
+// (the trees own their memory — workspace scratch never escapes). The only
+// possible error is ctx's: cancellation stops dispatch and surfaces
+// ctx.Err(), on which callers degrade to the electrical floor.
+func baselineTrees(ctx context.Context, hnets []signal.HyperNet, trees [][]steiner.Tree, cfg Config, arena *parallel.Arena) error {
 	max := cfg.MaxBaselines
 	if max <= 0 {
 		max = 3
 	}
-	trees := make([][]steiner.Tree, len(hnets))
-	err := parallel.ForEachScratchContext(ctx, arena, len(hnets), cfg.Workers, func(w int, s *parallel.Scratch, i int) error {
-		scr := grabScratch(s, cfg.Obs)
-		trees[i] = steiner.BaselinesWS(hnets[i].Terminals(), steiner.Euclidean, max, scr.steiner)
+	todo := missing(len(trees), func(i int) bool { return trees[i] == nil })
+	return parallel.ForEachScratchContext(ctx, arena, len(todo), cfg.Workers, func(w int, s *parallel.Scratch, k int) error {
+		i := todo[k]
+		trees[i] = steiner.BaselinesWS(hnets[i].Terminals(), steiner.Euclidean, max, grabScratch(s, cfg.Obs).steiner)
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return trees, nil
 }
 
-// buildEnvs collects, for every hyper net, the primary-baseline optical
-// segments of the other hyper nets whose bounding boxes overlap — the
-// crossing-estimation environment for the co-design DP.
-func buildEnvs(hnets []signal.HyperNet, trees [][]steiner.Tree) [][]geom.Segment {
-	envs, _ := buildEnvsContrib(hnets, trees)
-	return envs
-}
-
-// buildEnvsContrib is buildEnvs returning, alongside each net's environment,
-// the ascending list of net indices that contributed segments to it. A net's
-// environment is exactly the concatenation of its contributors' primary-tree
+// buildEnvsContrib collects, for every hyper net, the primary-baseline
+// optical segments of the other hyper nets whose bounding boxes overlap — the
+// crossing-estimation environment for the co-design DP — and, alongside, the
+// ascending list of net indices that contributed them. A net's environment
+// is exactly the concatenation of its contributors' primary-tree
 // segments in index order, so two solves whose contributor lists map to each
 // other net-for-net (with identical trees) see byte-identical environments —
 // the invariant incremental re-synthesis uses to decide candidate reuse.
@@ -690,47 +804,69 @@ func buildEnvsContrib(hnets []signal.HyperNet, trees [][]steiner.Tree) ([][]geom
 	return envs, contribs
 }
 
-// buildCoDesignNets generates the full OPERON candidate sets. Cancelling
-// ctx stops dispatch of further nets (in-flight ones finish — the pool's
-// deterministic drain) and returns ctx.Err(); the caller then degrades to
-// the electrical floor.
-func buildCoDesignNets(ctx context.Context, hnets []signal.HyperNet, cfg Config, arena *parallel.Arena) ([]selection.Net, error) {
-	blStart := time.Now()
-	trees, err := baselineTrees(ctx, hnets, cfg, arena)
-	if err != nil {
-		return nil, err
-	}
-	// The baseline-topology sweep is the first half of the candidates
-	// stage; its own histogram separates Steiner construction from the
-	// co-design DP in the serving-side latency breakdown.
-	cfg.Obs.Histogram("stage/baselines").RecordDuration(time.Since(blStart))
-	envs := buildEnvs(hnets, trees)
-	nets := make([]selection.Net, len(hnets))
+// coDesignNets generates the full OPERON candidate set of every net of nets
+// that has none yet. Cancelling ctx stops dispatch of further nets (in-flight
+// ones finish — the pool's deterministic drain) and returns ctx.Err(); the
+// caller then degrades to the electrical floor.
+func coDesignNets(ctx context.Context, hnets []signal.HyperNet, trees [][]steiner.Tree, envs [][]geom.Segment, nets []selection.Net, cfg Config, arena *parallel.Arena) error {
+	todo := missing(len(nets), func(i int) bool { return nets[i].Cands == nil })
 	netHist := cfg.Obs.Histogram("net/candidates")
 	// Candidate generation is the widest fan-out of the flow; each net is
 	// tagged with the worker lane that produced it so the trace shows the
 	// pool's parallel tracks. The lane feeds telemetry only — results stay
 	// bit-identical across worker counts, with or without arena reuse.
-	err = parallel.ForEachScratchContext(ctx, arena, len(hnets), cfg.Workers, func(w int, s *parallel.Scratch, i int) error {
+	return parallel.ForEachScratchContext(ctx, arena, len(todo), cfg.Workers, func(w int, s *parallel.Scratch, k int) error {
+		i := todo[k]
 		var sp obs.Span
 		if cfg.Obs != nil {
 			sp = cfg.Obs.Span("net/candidates", obs.WorkerLane(w), obs.I("net", i))
 		}
-		scr := grabScratch(s, cfg.Obs)
-		net, err := generateNetCandidates(i, hnets[i], trees[i], envs[i], cfg, scr)
+		net, err := generateNetCandidates(i, hnets[i], trees[i], envs[i], cfg, grabScratch(s, cfg.Obs))
 		if err != nil {
 			return err
 		}
 		nets[i] = net
 		if cfg.Obs != nil {
-			netHist.RecordDuration(sp.End(obs.I("cands", len(nets[i].Cands))))
+			netHist.RecordDuration(sp.End(obs.I("cands", len(net.Cands))))
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+// missing lists, ascending, the indices in [0,n) for which absent holds.
+func missing(n int, absent func(int) bool) []int {
+	var todo []int
+	for i := 0; i < n; i++ {
+		if absent(i) {
+			todo = append(todo, i)
+		}
 	}
-	return nets, nil
+	return todo
+}
+
+// electricalNets routes every hyper net with its all-electrical RSMT fallback
+// as its only candidate, one span named span per net. It ignores
+// cancellation by design — the electrical routing is the degradation floor —
+// so the pool runs under context.Background(). A nil arena means throwaway
+// scratch.
+func electricalNets(hnets []signal.HyperNet, cfg Config, arena *parallel.Arena, span string) ([]selection.Net, error) {
+	nets := make([]selection.Net, len(hnets))
+	err := parallel.ForEachScratchContext(context.Background(), arena, len(hnets), cfg.Workers, func(w int, s *parallel.Scratch, i int) error {
+		var sp obs.Span
+		if cfg.Obs != nil {
+			sp = cfg.Obs.Span(span, obs.WorkerLane(w), obs.I("net", i))
+		}
+		cand, err := electricalCandidate(hnets[i], cfg, grabScratch(s, cfg.Obs))
+		if err != nil {
+			return err
+		}
+		nets[i] = selection.Net{Bits: hnets[i].BitCount(), Cands: []codesign.Candidate{cand}}
+		if cfg.Obs != nil {
+			sp.End()
+		}
+		return nil
+	})
+	return nets, err
 }
 
 // generateNetCandidates builds hyper net i's merged candidate list from its
@@ -852,6 +988,30 @@ func extractConnections(nets []selection.Net, choice []int) []wdm.Connection {
 		}
 	}
 	return conns
+}
+
+// wdmStage runs the timed "stage/wdm" unless cfg.SkipWDM. With a non-nil
+// from — a result whose nets and choice are identical to r's — it takes
+// from's placement and assignment verbatim; otherwise it runs the §4
+// pipeline. A WDM assignment cut short marks the run degraded.
+func (r *Result) wdmStage(ctx context.Context, cfg Config, from *Result) error {
+	if cfg.SkipWDM {
+		return nil
+	}
+	stop := startStage(cfg.Obs, "stage/wdm", &r.Times.WDM)
+	if from != nil {
+		r.Connections = from.Connections
+		r.Placement = from.Placement
+		r.Assignment = from.Assignment
+		r.WDMStats = from.WDMStats
+	} else if err := r.assignWDMs(ctx, cfg); err != nil {
+		return err
+	}
+	if r.WDMStats.Degraded {
+		r.markDegraded(ctx, cfg, "wdm")
+	}
+	stop(obs.I("wdms_used", r.WDMStats.FinalWDMs))
+	return nil
 }
 
 // assignWDMs extracts the optical connections of the selection and runs

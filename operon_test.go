@@ -1,6 +1,7 @@
 package operon
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -230,6 +231,35 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	cfg.Elec.VoltageV = 0
 	if _, err := Run(d, cfg); err == nil {
 		t.Error("invalid electrical model accepted")
+	}
+}
+
+// TestValidationParity checks that a cold run and a fresh session's first
+// Resolve reject every invalid input with the same error text: both go
+// through the one validation step of the solve pipeline.
+func TestValidationParity(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*signal.Design, *Config)
+	}{
+		{"no groups", func(d *signal.Design, _ *Config) { d.Groups = nil }},
+		{"bit without sinks", func(d *signal.Design, _ *Config) { d.Groups[0].Bits[0].Sinks = nil }},
+		{"zero WDM capacity", func(_ *signal.Design, c *Config) { c.Lib.WDMCapacity = 0 }},
+		{"invalid Lib", func(_ *signal.Design, c *Config) { c.Lib.MaxLossDB = -1 }},
+		{"invalid Elec", func(_ *signal.Design, c *Config) { c.Elec.VoltageV = 0 }},
+	}
+	for _, tc := range cases {
+		d, cfg := smallDesign(t), DefaultConfig()
+		tc.mutate(&d, &cfg)
+		_, coldErr := RunContext(context.Background(), d, cfg)
+		_, _, sessErr := NewSession(d, cfg).Resolve(context.Background())
+		if coldErr == nil || sessErr == nil {
+			t.Errorf("%s: invalid input accepted (cold: %v, session: %v)", tc.name, coldErr, sessErr)
+			continue
+		}
+		if coldErr.Error() != sessErr.Error() {
+			t.Errorf("%s: cold error %q, session error %q", tc.name, coldErr, sessErr)
+		}
 	}
 }
 

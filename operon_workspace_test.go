@@ -71,9 +71,12 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	checkNoGoroutineLeak(t, before)
 }
 
-// TestWorkspaceReuseCounters pins the observability contract: a second run
-// on the same workspace must reuse every worker scratch it touches — the
-// ws.worker.create counter stays flat while ws.worker.reuse grows.
+// TestWorkspaceReuseCounters pins the observability contract of a shared
+// workspace: across repeated runs the pool never creates more worker
+// scratches than it has workers, and every run after the first reuses
+// scratch. The pool hands out items work-stealing style, so one run need not
+// touch every worker slot, and a later run may create a slot's scratch for
+// the first time; only the total is bounded.
 func TestWorkspaceReuseCounters(t *testing.T) {
 	d := determinismCases(t)[0]
 	cfg := DefaultConfig()
@@ -81,21 +84,23 @@ func TestWorkspaceReuseCounters(t *testing.T) {
 	cfg.Obs = obs.New(nil)
 
 	ws := NewWorkspace()
-	if _, err := RunContextWith(context.Background(), d, cfg, ws); err != nil {
-		t.Fatal(err)
+	var reused int64
+	for run := 0; run < 3; run++ {
+		if _, err := RunContextWith(context.Background(), d, cfg, ws); err != nil {
+			t.Fatal(err)
+		}
+		r := counterValue(t, cfg.Obs, "ws.worker.reuse")
+		if run > 0 && r <= reused {
+			t.Errorf("run %d on the same workspace reported no scratch reuse", run)
+		}
+		reused = r
 	}
 	created := counterValue(t, cfg.Obs, "ws.worker.create")
 	if created == 0 {
-		t.Fatal("first run created no worker scratch — grabScratch is not wired in")
+		t.Fatal("no worker scratch created — grabScratch is not wired in")
 	}
-	if _, err := RunContextWith(context.Background(), d, cfg, ws); err != nil {
-		t.Fatal(err)
-	}
-	if c := counterValue(t, cfg.Obs, "ws.worker.create"); c != created {
-		t.Errorf("second run on the same workspace created %d new scratches, want 0", c-created)
-	}
-	if r := counterValue(t, cfg.Obs, "ws.worker.reuse"); r == 0 {
-		t.Error("second run reported no scratch reuse")
+	if created > int64(cfg.Workers) {
+		t.Errorf("three runs on one workspace created %d worker scratches, want at most %d", created, cfg.Workers)
 	}
 }
 

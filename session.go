@@ -5,16 +5,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"operon/internal/benchgen"
 	"operon/internal/geom"
-	"operon/internal/obs"
-	"operon/internal/optics/bpm"
-	"operon/internal/parallel"
-	"operon/internal/selection"
 	"operon/internal/signal"
-	"operon/internal/steiner"
 )
 
 // Session supports incremental (ECO) re-synthesis: it wraps a Workspace, a
@@ -28,38 +22,19 @@ import (
 // reused verbatim by construction.
 //
 // Correctness contract: Resolve is bit-identical to a cold RunContext on the
-// same design and config — reuse is restricted to stage outputs whose inputs
-// are provably identical, so the solver trajectory cannot diverge (verified
-// by the differential suite in session_test.go). The one exception is the
-// opt-in SetWarmDuals mode, which seeds the Lagrangian multipliers from the
-// previous solve's final duals and deliberately trades bit-identity for
-// faster convergence on large edits.
+// same design and config. Both run the same stage pipeline; a cold run is a
+// solve with no previous state, and reuse is restricted to stage outputs
+// whose inputs are provably identical, so the solver trajectory cannot
+// diverge (verified by the differential suite in session_test.go).
 //
 // A Session serialises its own methods; distinct sessions are independent
 // (each owns its Workspace) and may resolve concurrently.
 type Session struct {
-	mu        sync.Mutex
-	ws        *Workspace
-	design    signal.Design
-	cfg       Config
-	warmDuals bool
-	last      *sessionState
-}
-
-// sessionState is the committed snapshot of the last successful
-// (non-degraded) solve — everything a later Resolve may reuse.
-type sessionState struct {
-	design     signal.Design // deep copy, immune to later edits
-	cfg        Config
-	groupHNets [][]signal.HyperNet
-	groupStart []int // first net index of each group in the flat net order
-	hnets      []signal.HyperNet
-	trees      [][]steiner.Tree
-	contribs   [][]int // per net, ascending env-contributor net indices
-	nets       []selection.Net
-	inst       *selection.Instance
-	res        *Result
-	lambda     []float64 // final LR duals, kept only under SetWarmDuals
+	mu     sync.Mutex
+	ws     *Workspace
+	design signal.Design
+	cfg    Config
+	last   *sessionState // the last non-degraded solve; its design is a deep copy
 }
 
 // NewSession starts an editing session on a deep copy of d: later mutations
@@ -67,18 +42,6 @@ type sessionState struct {
 // session owns a fresh Workspace; the first Resolve is a cold solve.
 func NewSession(d signal.Design, cfg Config) *Session {
 	return &Session{ws: NewWorkspace(), design: copyDesign(d), cfg: cfg}
-}
-
-// SetWarmDuals toggles the opt-in Lagrangian warm start: when on, Resolve
-// records the final LR multipliers of each solve and seeds the next solve's
-// multipliers from them (remapped onto surviving nets). Warm-started LR
-// follows a different dual trajectory than a cold solve, so results are no
-// longer guaranteed bit-identical to RunContext — still feasible, typically
-// equal-or-better after fewer iterations. Off by default.
-func (s *Session) SetWarmDuals(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.warmDuals = on
 }
 
 // Design returns a deep copy of the session's pending design (the last
@@ -349,29 +312,62 @@ type ResolveStats struct {
 // Resolve re-solves the session's pending design under ctx, re-running only
 // the stages whose inputs changed since the last committed solve (see the
 // type doc for the reuse rules and DESIGN.md §12 for the reuse matrix). The
-// result is bit-identical to RunContext(ctx, s.Design(), s.Config()) unless
-// SetWarmDuals is on. Degraded results (ctx expired mid-solve) are returned
-// but not committed: the next Resolve diffs against the last good state, so
-// a cancelled resolve never poisons the session.
+// result is bit-identical to RunContext(ctx, s.Design(), s.Config()).
+// Degraded results (ctx expired mid-solve) are returned but not committed:
+// the next Resolve diffs against the last good state, so a cancelled resolve
+// never poisons the session.
 func (s *Session) Resolve(ctx context.Context) (*Result, ResolveStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var st ResolveStats
-	res, next, err := s.solve(ctx, &st)
+	if res := s.fullReuse(&st); res != nil {
+		s.recordStats(st)
+		return res, st, nil
+	}
+	res, next, err := solve(ctx, s.design, s.cfg, s.ws, s.last, &st)
 	if err != nil {
 		return nil, st, err
 	}
 	s.recordStats(st)
-	if next != nil {
+	if !res.Degraded {
+		next.design = copyDesign(s.design)
 		s.last = next
 	}
 	return res, st, nil
 }
 
-// recordStats mirrors ResolveStats onto the session's tracer as
+// fullReuse returns the committed result, without running any stage, when
+// neither the design nor any result-relevant config knob changed since the
+// last committed solve; nil otherwise. (A cold run under an expired ctx would
+// degrade; returning the complete cached result is strictly better and still
+// matches an un-expired cold run bit-for-bit.) A pinned LR context vetoes
+// the shortcut: it can expire between solves, so such solves are not pure
+// functions of (design, config).
+func (s *Session) fullReuse(st *ResolveStats) *Result {
+	prev := s.last
+	if prev == nil || s.cfg.LR.Ctx != nil || diffConfig(prev.cfg, s.cfg).any() ||
+		len(s.design.Groups) != len(prev.design.Groups) {
+		return nil
+	}
+	for gi, g := range s.design.Groups {
+		if !groupsEqual(g, prev.design.Groups[gi]) {
+			return nil
+		}
+	}
+	*st = ResolveStats{
+		FullReuse:    true,
+		GroupsReused: len(s.design.Groups),
+		TreesReused:  len(prev.hnets),
+		CandsReused:  len(prev.hnets),
+		WDMReused:    !s.cfg.SkipWDM,
+	}
+	out := *prev.res
+	out.Times = StageTimes{}
+	out.Obs = s.cfg.Obs
+	return &out
+}
+
+// recordStats publishes ResolveStats on the session's tracer as
 // ws.session.* counters, so serving and bench snapshots expose reuse rates.
 func (s *Session) recordStats(st ResolveStats) {
 	t := s.cfg.Obs
@@ -391,329 +387,6 @@ func (s *Session) recordStats(st ResolveStats) {
 	t.Counter("ws.session.reuse/cands").Add(int64(st.CandsReused))
 	t.Counter("ws.session.dirty/cands").Add(int64(st.CandsRebuilt))
 	t.Counter("ws.session.reuse/crosscache").Add(int64(st.CrossCacheSeeded))
-}
-
-// solve is the incremental twin of RunContextWith: same stages, same shared
-// helpers, same degradation ladder — plus a reuse decision ahead of each
-// stage. It returns the committed state for the solve, or nil when the
-// result must not be committed (degraded run).
-func (s *Session) solve(ctx context.Context, st *ResolveStats) (*Result, *sessionState, error) {
-	cfg := s.cfg
-	d := s.design
-	prev := s.last
-
-	// Mirror process()'s validation order and messages exactly.
-	if err := cfg.Lib.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := cfg.Elec.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := d.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if cfg.Lib.WDMCapacity <= 0 {
-		return nil, nil, fmt.Errorf("signal: WDM capacity %d must be positive", cfg.Lib.WDMCapacity)
-	}
-
-	var delta cfgDelta
-	if prev != nil {
-		delta = diffConfig(prev.cfg, cfg)
-	} else {
-		st.Cold = true
-	}
-
-	// Group-level dirty set, by content: group gi is clean iff the previous
-	// committed design had an equal group at the same index (the clustering
-	// seed is Seed+index, so position matters as much as content).
-	nG := len(d.Groups)
-	groupClean := make([]bool, nG)
-	allClean := prev != nil && !delta.proc && nG == len(prev.design.Groups)
-	if prev != nil && !delta.proc {
-		for gi := 0; gi < nG; gi++ {
-			if gi < len(prev.design.Groups) && groupsEqual(d.Groups[gi], prev.design.Groups[gi]) {
-				groupClean[gi] = true
-			} else {
-				allClean = false
-			}
-		}
-	}
-
-	// Nothing dirty at all: hand back the committed result without running
-	// any stage. (A cold run under an expired ctx would degrade; returning
-	// the complete cached result is strictly better and still matches an
-	// un-expired cold run bit-for-bit.)
-	if allClean && !delta.any() && fullReuseSafe(cfg) {
-		st.FullReuse = true
-		st.GroupsReused = nG
-		st.TreesReused = len(prev.hnets)
-		st.CandsReused = len(prev.hnets)
-		st.WDMReused = !cfg.SkipWDM
-		out := *prev.res
-		out.Times = StageTimes{}
-		out.Obs = cfg.Obs
-		return &out, prev, nil
-	}
-
-	res := &Result{Design: d.Name, Flow: "operon-" + cfg.Mode.String(), Obs: cfg.Obs}
-	bpmHits0, bpmMisses0 := bpm.CacheCounters()
-	var bpmSim0 obs.HistogramSnapshot
-	if cfg.Obs != nil {
-		bpmSim0 = bpm.SimDurations()
-	}
-	defer res.foldBPMCounters(cfg, bpmHits0, bpmMisses0, bpmSim0)
-
-	// Stage 1: signal processing, per group, reusing clean groups' nets.
-	stop := startStage(cfg.Obs, "stage/process", &res.Times.Process)
-	procCfg := signal.ProcessConfig{
-		WDMCapacity:         cfg.Lib.WDMCapacity,
-		PinMergeThresholdCM: cfg.PinMergeThresholdCM,
-		Seed:                cfg.Seed,
-	}
-	groupHNets := make([][]signal.HyperNet, nG)
-	err := parallel.ForEach(nG, cfg.Workers, func(gi int) error {
-		if groupClean[gi] {
-			groupHNets[gi] = prev.groupHNets[gi]
-			return nil
-		}
-		hns, err := signal.ProcessGroup(d.Groups[gi], gi, procCfg)
-		if err != nil {
-			return err
-		}
-		groupHNets[gi] = hns
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	groupStart := make([]int, nG)
-	var hnets []signal.HyperNet
-	for gi, g := range groupHNets {
-		groupStart[gi] = len(hnets)
-		hnets = append(hnets, g...)
-	}
-	if len(hnets) == 0 {
-		return nil, nil, fmt.Errorf("operon: design %q produced no hyper nets", d.Name)
-	}
-	res.HyperNets = hnets
-	stop(obs.I("hyper_nets", len(hnets)))
-	for gi := range groupClean {
-		if groupClean[gi] {
-			st.GroupsReused++
-		} else {
-			st.GroupsRebuilt++
-		}
-	}
-
-	if ctx.Err() != nil {
-		if err := res.degradeToElectricalFloor(ctx, cfg, s.ws); err != nil {
-			return nil, nil, err
-		}
-		return res, nil, nil
-	}
-
-	// Stage 2: baseline trees and candidate sets, per net. netPrev maps a
-	// net in a clean group to its previous index (clean groups sit at the
-	// same group index and ProcessGroup is deterministic, so within-group
-	// net order carries over verbatim).
-	stop = startStage(cfg.Obs, "stage/candidates", &res.Times.Candidates)
-	nN := len(hnets)
-	netGroup := make([]int, nN)
-	for gi := range groupHNets {
-		for k := range groupHNets[gi] {
-			netGroup[groupStart[gi]+k] = gi
-		}
-	}
-	netPrev := make([]int, nN)
-	treeOK := make([]bool, nN)
-	for i := 0; i < nN; i++ {
-		gi := netGroup[i]
-		if groupClean[gi] {
-			netPrev[i] = prev.groupStart[gi] + (i - groupStart[gi])
-			treeOK[i] = !delta.trees
-		} else {
-			netPrev[i] = -1
-		}
-	}
-
-	blStart := time.Now()
-	maxBl := cfg.MaxBaselines
-	if maxBl <= 0 {
-		maxBl = 3
-	}
-	trees := make([][]steiner.Tree, nN)
-	var rebuildTrees []int
-	for i := 0; i < nN; i++ {
-		if treeOK[i] {
-			trees[i] = prev.trees[netPrev[i]]
-			st.TreesReused++
-		} else {
-			rebuildTrees = append(rebuildTrees, i)
-			st.TreesRebuilt++
-		}
-	}
-	err = parallel.ForEachScratchContext(ctx, s.ws.arenaOf(), len(rebuildTrees), cfg.Workers, func(w int, sc *parallel.Scratch, k int) error {
-		i := rebuildTrees[k]
-		scr := grabScratch(sc, cfg.Obs)
-		trees[i] = steiner.BaselinesWS(hnets[i].Terminals(), steiner.Euclidean, maxBl, scr.steiner)
-		return nil
-	})
-	if err != nil {
-		stop(obs.I("nets", 0), obs.S("aborted", "context"))
-		if err := res.degradeToElectricalFloor(ctx, cfg, s.ws); err != nil {
-			return nil, nil, err
-		}
-		return res, nil, nil
-	}
-	cfg.Obs.Histogram("stage/baselines").RecordDuration(time.Since(blStart))
-
-	// A net's candidates are reusable when its own trees carried over, no
-	// candidate-relevant knob changed, and its crossing environment is
-	// byte-identical: same contributors (mapped index-for-index onto the
-	// previous solve) each with carried-over trees.
-	envs, contribs := buildEnvsContrib(hnets, trees)
-	candOK := make([]bool, nN)
-	for i := 0; i < nN; i++ {
-		candOK[i] = treeOK[i] && !delta.cands && contribsMatch(i, netPrev, treeOK, contribs, prev)
-	}
-
-	nets := make([]selection.Net, nN)
-	var rebuildNets []int
-	for i := 0; i < nN; i++ {
-		if candOK[i] {
-			nets[i] = prev.nets[netPrev[i]]
-			st.CandsReused++
-		} else {
-			rebuildNets = append(rebuildNets, i)
-			st.CandsRebuilt++
-		}
-	}
-	netHist := cfg.Obs.Histogram("net/candidates")
-	err = parallel.ForEachScratchContext(ctx, s.ws.arenaOf(), len(rebuildNets), cfg.Workers, func(w int, sc *parallel.Scratch, k int) error {
-		i := rebuildNets[k]
-		var sp obs.Span
-		if cfg.Obs != nil {
-			sp = cfg.Obs.Span("net/candidates", obs.WorkerLane(w), obs.I("net", i))
-		}
-		scr := grabScratch(sc, cfg.Obs)
-		net, err := generateNetCandidates(i, hnets[i], trees[i], envs[i], cfg, scr)
-		if err != nil {
-			return err
-		}
-		nets[i] = net
-		if cfg.Obs != nil {
-			netHist.RecordDuration(sp.End(obs.I("cands", len(net.Cands))))
-		}
-		return nil
-	})
-	if err != nil {
-		if ctx.Err() != nil {
-			stop(obs.I("nets", 0), obs.S("aborted", "context"))
-			if err := res.degradeToElectricalFloor(ctx, cfg, s.ws); err != nil {
-				return nil, nil, err
-			}
-			return res, nil, nil
-		}
-		return nil, nil, err
-	}
-	res.Nets = nets
-	stop(obs.I("nets", len(nets)))
-
-	// Stage 3: selection. The instance is rebuilt (its index bookkeeping is
-	// cheap) but seeded with every crossing-loss memo entry whose two nets
-	// both carried their candidates over — a pure memo, so seeding cannot
-	// change results.
-	inst, err := selection.NewInstance(nets, cfg.Lib)
-	if err != nil {
-		return nil, nil, err
-	}
-	candMap := make([]int, nN)
-	for i := 0; i < nN; i++ {
-		if candOK[i] {
-			candMap[i] = netPrev[i]
-		} else {
-			candMap[i] = -1
-		}
-	}
-	if prev != nil && prev.inst != nil {
-		st.CrossCacheSeeded = inst.SeedCrossCache(prev.inst, candMap)
-	}
-	stop = startStage(cfg.Obs, "stage/selection", &res.Times.Selection)
-	lrOpt := lrOptions(ctx, cfg)
-	if s.warmDuals {
-		lrOpt.ReturnLambda = true
-		if prev != nil && prev.lambda != nil {
-			if warm := selection.RemapLambda(prev.inst, prev.lambda, inst, candMap); warm != nil {
-				lrOpt.WarmStart = warm
-			}
-		}
-	}
-	if err := runSelection(ctx, cfg, s.ws, inst, lrOpt, res); err != nil {
-		return nil, nil, err
-	}
-	stop(obs.S("mode", cfg.Mode.String()))
-	res.PowerMW = res.Selection.PowerMW
-
-	// Stage 4: WDM. Reusable only when its exact inputs recurred: identical
-	// net list (every net carried over in place) and identical choice.
-	if !cfg.SkipWDM {
-		stop = startStage(cfg.Obs, "stage/wdm", &res.Times.WDM)
-		if prev != nil && !delta.wdm && !prev.cfg.SkipWDM && prev.res != nil &&
-			identityMap(candMap) && len(prev.nets) == nN &&
-			intsEqual(res.Selection.Choice, prev.res.Selection.Choice) {
-			st.WDMReused = true
-			res.Connections = prev.res.Connections
-			res.Placement = prev.res.Placement
-			res.Assignment = prev.res.Assignment
-			res.WDMStats = prev.res.WDMStats
-		} else if err := res.assignWDMs(ctx, cfg); err != nil {
-			return nil, nil, err
-		}
-		if res.WDMStats.Degraded {
-			res.markDegraded(ctx, cfg, "wdm")
-		}
-		stop(obs.I("wdms_used", res.WDMStats.FinalWDMs))
-	}
-
-	if res.Degraded {
-		return res, nil, nil
-	}
-	next := &sessionState{
-		design:     copyDesign(d),
-		cfg:        cfg,
-		groupHNets: groupHNets,
-		groupStart: groupStart,
-		hnets:      hnets,
-		trees:      trees,
-		contribs:   contribs,
-		nets:       nets,
-		inst:       inst,
-		res:        res,
-	}
-	if s.warmDuals && res.LR != nil {
-		next.lambda = res.LR.Lambda
-	}
-	return res, next, nil
-}
-
-// contribsMatch reports whether net i's environment contributors map
-// index-for-index onto its previous incarnation's, each with carried-over
-// trees — the condition for the concatenated environment to be identical.
-func contribsMatch(i int, netPrev []int, treeOK []bool, contribs [][]int, prev *sessionState) bool {
-	pi := netPrev[i]
-	if pi < 0 || prev == nil {
-		return false
-	}
-	pc := prev.contribs[pi]
-	if len(contribs[i]) != len(pc) {
-		return false
-	}
-	for k, c := range contribs[i] {
-		if !treeOK[c] || netPrev[c] != pc[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // cfgDelta classifies a config change by the stages it invalidates.
@@ -757,14 +430,6 @@ func diffConfig(a, b Config) cfgDelta {
 		d.wdm = true
 	}
 	return d
-}
-
-// fullReuseSafe vetoes the full-reuse shortcut for configurations whose
-// solves are not pure functions of (design, config): a pinned LR context
-// can expire between solves and a caller-provided warm start already gave
-// up cold-identity.
-func fullReuseSafe(cfg Config) bool {
-	return cfg.LR.Ctx == nil && len(cfg.LR.WarmStart) == 0
 }
 
 // groupsEqual compares two signal groups by content.

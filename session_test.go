@@ -396,37 +396,6 @@ func TestSessionDegradedNotCommitted(t *testing.T) {
 	requireIdentical(t, "after degraded resolve", got, want)
 }
 
-// TestSessionWarmDualsFeasible checks the opt-in warm-dual mode: results
-// need not match cold, but must stay feasible and commit correctly.
-func TestSessionWarmDualsFeasible(t *testing.T) {
-	d := ecoDesign(t, 3, 10, 91)
-	s := NewSession(d, DefaultConfig())
-	s.SetWarmDuals(true)
-	if _, _, err := s.Resolve(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 2; round++ {
-		ops := benchgen.MoveScript(s.Design(), 2, int64(900+round))
-		edits, err := EditsFromOps(ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Apply(edits...); err != nil {
-			t.Fatal(err)
-		}
-		res, _, err := s.Resolve(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Selection.Violations != 0 {
-			t.Fatalf("warm-dual resolve round %d: %d violations", round, res.Selection.Violations)
-		}
-		if res.LR == nil || res.LR.Lambda == nil {
-			t.Fatalf("warm-dual resolve round %d: missing returned duals", round)
-		}
-	}
-}
-
 // TestSessionApplyAtomic checks that a script failing mid-way applies none
 // of its edits.
 func TestSessionApplyAtomic(t *testing.T) {
