@@ -24,7 +24,7 @@
 // LOAD_*.json baseline, exiting non-zero when latency or error SLOs
 // regress beyond the (deliberately generous, CI-noise-tolerant)
 // thresholds. In-process runs also lint the server's /metrics Prometheus
-// exposition before shutting down.
+// exposition and require jobs_tracked == 0 before shutting down.
 //
 // Usage:
 //
@@ -161,9 +161,19 @@ func main() {
 	}
 }
 
+// Connection timeouts of the in-process listener: request headers must
+// arrive within readHeaderTimeout, and idle keep-alive connections close
+// after idleTimeout. No write timeout: a synchronous solve may outlast any
+// fixed value.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // bootInProcess starts the real serving stack on an ephemeral listener and
-// returns its base URL plus a shutdown hook that also lints the /metrics
-// Prometheus exposition before tearing the server down.
+// returns its base URL plus a shutdown hook that, before tearing the server
+// down, lints the /metrics Prometheus exposition and checks that no
+// answered job is still registered (jobs_tracked == 0).
 func bootInProcess(queueLen, concurrency int) (string, func() error, error) {
 	cfg := operon.DefaultConfig()
 	srv := serve.New(serve.Options{
@@ -176,12 +186,19 @@ func bootInProcess(queueLen, concurrency int) (string, func() error, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
 	shutdown := func() error {
 		if err := lintMetrics(base); err != nil {
+			return err
+		}
+		if err := checkJobsTracked(base); err != nil {
 			return err
 		}
 		srv.Abort()

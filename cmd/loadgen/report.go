@@ -300,6 +300,31 @@ func compareSLO(base, cur *Report, slo SLO) []string {
 	return v
 }
 
+// checkJobsTracked fails when the server's /metrics.json reports a non-zero
+// jobs_tracked gauge after the run. No loadgen mix sends async requests and
+// every client waits for its answer, so a job still registered then is a
+// job table that keeps answered requests alive.
+func checkJobsTracked(base string) error {
+	resp, err := http.Get(base + "/metrics.json")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	var snap obs.RegistrySnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		return fmt.Errorf("decode /metrics.json: %w", err)
+	}
+	for _, g := range snap.Gauges {
+		if g.Name == "jobs_tracked" {
+			if g.Value > 0 {
+				return fmt.Errorf("jobs_tracked = %g after the run, want 0: answered requests are still held", g.Value)
+			}
+			return nil
+		}
+	}
+	return fmt.Errorf("/metrics.json has no jobs_tracked gauge")
+}
+
 // lintMetrics fetches /metrics from base and validates it line by line
 // against the Prometheus text exposition format.
 func lintMetrics(base string) error {

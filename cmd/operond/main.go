@@ -54,6 +54,16 @@ import (
 	"operon/internal/serve"
 )
 
+// Connection timeouts of every listener. A client must finish its request
+// headers within readHeaderTimeout, and an idle keep-alive connection is
+// closed after idleTimeout. There is deliberately no write timeout: a
+// synchronous solve can legitimately outlast any fixed value, and its budget
+// is the request's own timeout_ms.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("operond: ")
@@ -112,7 +122,12 @@ func main() {
 		return
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -166,7 +181,11 @@ func runSmoke(srv *serve.Server) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	base := "http://" + ln.Addr().String()

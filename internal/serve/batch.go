@@ -98,6 +98,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		<-j.done
+		s.DropJob(j) // batch items never expose their ID
 		v := s.jobView(j)
 		if v.State == JobFailed {
 			resp.Results[i].Error = v.Error

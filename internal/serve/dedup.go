@@ -25,6 +25,9 @@ import (
 //	                             budget re-admits (promotion: one becomes
 //	                             the next leader), the rest fan the
 //	                             degraded copy
+//	leader panicked ───────────► release flight; shadows promote as for a
+//	                             degraded leader, failing alike only
+//	                             without budget or a queue slot
 //	leader failed ─────────────► release flight, shadows fail alike
 //	shadow budget expires ─────► detach: solve inline under an already-
 //	                             expired deadline → degradation-ladder
@@ -183,8 +186,7 @@ func (s *Server) admit(inst instance, reqID string, rctx context.Context, block 
 		resp.TimeoutMS = inst.timeout.Milliseconds()
 		resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 		s.hCacheHit.RecordDuration(time.Since(start))
-		s.setState(j, JobDone, &resp, "")
-		close(j.done)
+		s.finish(j, &resp, "", 0)
 		return j, 0, nil
 	}
 	j := s.newJobLocked(inst, reqID)
@@ -209,29 +211,19 @@ func (s *Server) admit(inst instance, reqID string, rctx context.Context, block 
 	}
 	s.mu.Unlock()
 	s.tracer.Counter("http.cache_misses").Inc()
+	// A leader that never reaches a worker leaves the flight table and fails,
+	// so joiners that attached while the enqueue waited fail alike instead of
+	// hanging.
 	select {
 	case s.queue <- j:
 	case <-rctx.Done():
-		s.failFlight(j, http.StatusRequestTimeout, "client cancelled before the solve was scheduled")
+		s.releaseFlight(j)
+		s.finish(j, nil, "client cancelled before the solve was scheduled", http.StatusRequestTimeout)
 	case <-s.baseCtx.Done():
-		s.failFlight(j, http.StatusServiceUnavailable, "server draining")
+		s.releaseFlight(j)
+		s.finish(j, nil, "server draining", http.StatusServiceUnavailable)
 	}
 	return j, 0, nil
-}
-
-// failFlight fails a leader that never reached a worker: it is removed from
-// the flight table and published as failed, so its joiners (which may have
-// attached while a blocking enqueue waited) fail alike instead of hanging.
-func (s *Server) failFlight(j *Job, status int, msg string) {
-	s.mu.Lock()
-	if s.flights[j.fp] == j {
-		delete(s.flights, j.fp)
-	}
-	j.State = JobFailed
-	j.Error = msg
-	j.failStatus = status
-	s.mu.Unlock()
-	close(j.done)
 }
 
 // completeShadow resolves one joiner against its leader's outcome. deadline
@@ -241,7 +233,10 @@ func (s *Server) failFlight(j *Job, status int, msg string) {
 // leader that finishes degraded (its budget or a shutdown cut it short, a
 // timing artifact this joiner need not inherit) triggers promotion: the
 // shadow re-admits under its remaining budget, becoming the next leader if
-// no one else has.
+// no one else has. A leader whose solve panicked promotes its joiners the
+// same way — the panic is a fault of that one solve, and a coalesced
+// neighbour must not inherit it — so each joiner fares as if it had come
+// alone.
 func (s *Server) completeShadow(sh *Job, leader *Job, deadline time.Time) {
 	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
@@ -252,9 +247,13 @@ func (s *Server) completeShadow(sh *Job, leader *Job, deadline time.Time) {
 		case lv.State == JobDone && !lv.Result.Degraded:
 			s.fanOut(sh, lv.Result)
 		case lv.State == JobDone:
-			s.promoteOrFan(sh, leader, lv.Result, deadline)
+			s.promote(sh, leader, deadline, func() { s.fanOut(sh, lv.Result) })
+		case leader.panicked:
+			s.promote(sh, leader, deadline, func() {
+				s.finish(sh, nil, lv.Error, http.StatusInternalServerError)
+			})
 		default:
-			s.failShadow(sh, lv.Error, s.failStatusOf(leader))
+			s.finish(sh, nil, lv.Error, s.failStatusOf(leader))
 		}
 	case <-timer.C:
 		s.detach(sh)
@@ -270,29 +269,19 @@ func (s *Server) fanOut(sh *Job, src *SolveResponse) {
 	resp.TimeoutMS = sh.timeout.Milliseconds()
 	resp.QueueMS = 0
 	resp.ElapsedMS = float64(time.Since(sh.enqueued)) / float64(time.Millisecond)
-	s.setState(sh, JobDone, &resp, "")
 	s.hE2E.RecordDuration(time.Since(sh.enqueued))
-	close(sh.done)
+	s.finish(sh, &resp, "", 0)
 }
 
-// failShadow propagates a leader failure to a joiner.
-func (s *Server) failShadow(sh *Job, msg string, status int) {
-	s.mu.Lock()
-	sh.State = JobFailed
-	sh.Error = msg
-	sh.failStatus = status
-	s.mu.Unlock()
-	close(sh.done)
-}
-
-// promoteOrFan handles a degraded leader: a shadow with remaining budget
-// re-enters the dedup layer (joining a newer flight, hitting the cache, or
-// becoming the next leader itself — "leader cancellation promotes a
-// surviving joiner"); one without budget accepts the degraded copy.
-func (s *Server) promoteOrFan(sh *Job, old *Job, degraded *SolveResponse, deadline time.Time) {
+// promote handles a degraded or panicked leader: a shadow with remaining
+// budget re-enters the dedup layer (joining a newer flight, hitting the
+// cache, or becoming the next leader itself — "leader cancellation promotes
+// a surviving joiner"); one without budget, or without a queue slot, takes
+// the fallback outcome (the degraded copy, or the leader's failure).
+func (s *Server) promote(sh *Job, old *Job, deadline time.Time, fallback func()) {
 	remaining := time.Until(deadline)
 	if remaining <= 0 {
-		s.fanOut(sh, degraded)
+		fallback()
 		return
 	}
 	s.mu.Lock()
@@ -308,9 +297,8 @@ func (s *Server) promoteOrFan(sh *Job, old *Job, degraded *SolveResponse, deadli
 		resp.Cached = true
 		resp.RequestID = sh.reqID
 		resp.TimeoutMS = sh.timeout.Milliseconds()
-		s.setState(sh, JobDone, &resp, "")
 		s.hE2E.RecordDuration(time.Since(sh.enqueued))
-		close(sh.done)
+		s.finish(sh, &resp, "", 0)
 		return
 	}
 	// Become the next leader under the remaining budget.
@@ -325,7 +313,7 @@ func (s *Server) promoteOrFan(sh *Job, old *Job, degraded *SolveResponse, deadli
 		delete(s.flights, sh.fp)
 		sh.dedup = false
 		s.mu.Unlock()
-		s.fanOut(sh, degraded) // queue full: the degraded copy is the answer
+		fallback() // queue full
 	}
 }
 
@@ -333,26 +321,25 @@ func (s *Server) promoteOrFan(sh *Job, old *Job, degraded *SolveResponse, deadli
 // finished: the solve executes inline under an already-expired deadline,
 // which the degradation ladder turns into the electrical floor — the
 // same response a solo request with this budget would have produced. The
-// leader is untouched.
+// leader is untouched, and a panic here fails only this shadow.
 func (s *Server) detach(sh *Job) {
 	s.tracer.Counter("http.coalesce_detach").Inc()
-	s.setState(sh, JobRunning, nil, "")
+	s.setRunning(sh)
 	ctx, cancel := context.WithDeadline(s.baseCtx, time.Now())
 	defer cancel()
 	s.inflight.Add(1)
 	start := time.Now()
-	res, err := s.solve(ctx, sh.design, sh.cfg, nil)
+	res, err := s.solveContained(ctx, sh, nil)
 	s.inflight.Add(-1)
 	if err != nil {
 		s.tracer.Counter("http.solve_errors").Inc()
-		s.failShadow(sh, err.Error(), http.StatusInternalServerError)
+		s.finish(sh, nil, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	if res.Degraded {
 		s.tracer.Counter("http.degraded").Inc()
 	}
 	resp := s.responseOf(res, sh, 0, time.Since(start))
-	s.setState(sh, JobDone, resp, "")
 	s.hE2E.RecordDuration(time.Since(sh.enqueued))
-	close(sh.done)
+	s.finish(sh, resp, "", 0)
 }

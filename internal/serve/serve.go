@@ -21,6 +21,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -114,10 +115,13 @@ type Job struct {
 	// fp is the content address of the instance; dedup marks jobs tracked
 	// in the flight table (leaders). Shadow jobs (joiners) carry fp but are
 	// never flight leaders until promoted. failStatus, when non-zero, is
-	// the HTTP status a failure should map to (default 500).
+	// the HTTP status a failure should map to (default 500). panicked marks
+	// a failure that was a contained solver panic; it is written before
+	// done closes and read only after.
 	fp         [32]byte
 	dedup      bool
 	failStatus int
+	panicked   bool
 }
 
 // SolveFunc is the solver the job workers invoke; tests inject a stub here
@@ -293,13 +297,37 @@ func (s *Server) Shutdown() {
 // per-worker solver scratch inside the flow is reused across requests and
 // steady-state serving stops allocating candidate-generation buffers.
 // Workspaces are never shared between slots, so concurrent solves stay
-// isolated.
+// isolated. A panicking solve fails only its own job (solveContained), and
+// the worker keeps serving with the same workspace: results never depend on
+// what a previous solve left in its scratch (see operon.Workspace).
 func (s *Server) worker() {
 	defer s.wg.Done()
 	ws := operon.NewWorkspace()
 	for j := range s.queue {
 		s.runJob(j, ws)
 	}
+}
+
+// solveContained runs the solver on a job's instance and turns a panic into
+// an error: it marks the job panicked, bumps http.solve_panics and puts the
+// stack into the slog error record, and the caller then fails the job (500)
+// through its usual error path — flight release and waiter wake-up
+// included — so one bad solve never takes down the process.
+func (s *Server) solveContained(ctx context.Context, j *Job, ws *operon.Workspace) (res *operon.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			j.panicked = true
+			s.tracer.Counter("http.solve_panics").Inc()
+			s.log.Error("solve panicked",
+				"request_id", j.reqID,
+				"job_id", j.ID,
+				"panic", fmt.Sprint(p),
+				"stack", string(debug.Stack()),
+			)
+			res, err = nil, fmt.Errorf("solve panicked: %v", p)
+		}
+	}()
+	return s.solve(ctx, j.design, j.cfg, ws)
 }
 
 // runJob executes one queued solve under the job's deadline, parented to
@@ -312,7 +340,7 @@ func (s *Server) runJob(j *Job, ws *operon.Workspace) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
-	s.setState(j, JobRunning, nil, "")
+	s.setRunning(j)
 	ctx, cancel := context.WithTimeout(s.baseCtx, j.timeout)
 	defer cancel()
 	// The span joins traces to logs through the request id; with the
@@ -321,7 +349,7 @@ func (s *Server) runJob(j *Job, ws *operon.Workspace) {
 	sp := s.tracer.Span("request/solve", obs.LaneFlow, obs.S("request_id", j.reqID))
 	s.tracer.Counter("http.solves_run").Inc()
 	start := time.Now()
-	res, err := s.solve(ctx, j.design, j.cfg, ws)
+	res, err := s.solveContained(ctx, j, ws)
 	solveDur := time.Since(start)
 	s.hSolve.RecordDuration(solveDur)
 
@@ -338,36 +366,36 @@ func (s *Server) runJob(j *Job, ws *operon.Workspace) {
 	if err != nil {
 		sp.End(obs.S("error", err.Error()))
 		s.tracer.Counter("http.solve_errors").Inc()
-		s.setState(j, JobFailed, nil, err.Error())
 		s.releaseFlight(j)
 		s.log.Error("solve failed", append(logAttrs, "error", err.Error())...)
-	} else {
-		sp.End(obs.S("stop_reason", string(res.StopReason)), obs.I("degraded", boolInt(res.Degraded)))
-		if res.Degraded {
-			s.tracer.Counter("http.degraded").Inc()
-		}
-		resp := s.responseOf(res, j, queueWait, solveDur)
-		// Publish order matters: a non-degraded result enters the cache
-		// BEFORE the flight key is released, so a request that misses the
-		// flight table is guaranteed to hit the cache. Degraded results are
-		// timing artifacts of this request's budget, never cached.
-		if !res.Degraded {
-			s.cachePut(j.fp, resp)
-		}
-		s.setState(j, JobDone, resp, "")
-		s.releaseFlight(j)
-		s.log.Info("solve done", append(logAttrs,
-			"degraded", res.Degraded,
-			"stop_reason", string(res.StopReason),
-			"power_mw", res.PowerMW,
-		)...)
+		s.hE2E.RecordDuration(time.Since(j.enqueued))
+		s.finish(j, nil, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	sp.End(obs.S("stop_reason", string(res.StopReason)), obs.I("degraded", boolInt(res.Degraded)))
+	if res.Degraded {
+		s.tracer.Counter("http.degraded").Inc()
+	}
+	resp := s.responseOf(res, j, queueWait, solveDur)
+	// Publish order matters: a non-degraded result enters the cache
+	// BEFORE the flight key is released, so a request that misses the
+	// flight table is guaranteed to hit the cache. Degraded results are
+	// timing artifacts of this request's budget, never cached.
+	if !res.Degraded {
+		s.cachePut(j.fp, resp)
+	}
+	s.releaseFlight(j)
+	s.log.Info("solve done", append(logAttrs,
+		"degraded", res.Degraded,
+		"stop_reason", string(res.StopReason),
+		"power_mw", res.PowerMW,
+	)...)
 	s.hE2E.RecordDuration(time.Since(j.enqueued))
-	close(j.done)
+	s.finish(j, resp, "", 0)
 }
 
 // releaseFlight removes a leader from the flight table; joiners attached to
-// it are woken afterwards by close(j.done). The guard keeps a promoted
+// it are woken afterwards by finish. The guard keeps a promoted
 // successor's entry intact.
 func (s *Server) releaseFlight(j *Job) {
 	if !j.dedup {
@@ -406,13 +434,31 @@ func (s *Server) responseOf(res *operon.Result, j *Job, queueWait, elapsed time.
 	}
 }
 
-// setState publishes a job transition under the server lock.
-func (s *Server) setState(j *Job, st JobState, resp *SolveResponse, errMsg string) {
+// setRunning publishes the queued -> running transition under the server
+// lock.
+func (s *Server) setRunning(j *Job) {
 	s.mu.Lock()
-	j.State = st
+	j.State = JobRunning
+	s.mu.Unlock()
+}
+
+// finish is the one terminal transition of every job: under the server lock
+// it publishes the outcome — done with resp, or failed with errMsg and the
+// HTTP status the failure maps to (0 = 500) — and releases the job's design,
+// which nothing reads once the job is finished and which a pollable entry
+// must not pin; then it wakes every waiter by closing done.
+func (s *Server) finish(j *Job, resp *SolveResponse, errMsg string, status int) {
+	s.mu.Lock()
+	j.State = JobDone
+	if resp == nil {
+		j.State = JobFailed
+	}
 	j.Result = resp
 	j.Error = errMsg
+	j.failStatus = status
+	j.design = signal.Design{}
 	s.mu.Unlock()
+	close(j.done)
 }
 
 // jobView returns a consistent copy of a job for serialisation.
@@ -428,7 +474,7 @@ func (s *Server) jobView(j *Job) Job {
 //	                    identical instances coalesce and hit the result cache
 //	POST /solve/batch   run an array of solves in one scheduler pass with
 //	                    within-batch dedup; positional results
-//	GET  /jobs/{id}     poll an async job
+//	GET  /jobs/{id}     poll an async job (or a sync one whose client left)
 //	POST /sessions      create a sticky editing session (runs the cold solve)
 //	POST /sessions/{id}/edit  apply an edit script, re-solve incrementally
 //	GET  /sessions/{id}       session metadata + resolve latency quantiles
@@ -606,6 +652,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusRequestTimeout, "client cancelled; poll /jobs/%s", j.ID)
 		return
 	}
+	// The answer goes to this caller only, so no one can poll for it.
+	s.DropJob(j)
 	v := s.jobView(j)
 	if v.State == JobFailed {
 		writeJSONError(w, s.failStatusOf(j), "%s", v.Error)
@@ -698,11 +746,20 @@ func (s *Server) failStatusOf(j *Job) int {
 // Timeout returns the budget resolved for the job (after default/clamp).
 func (j *Job) Timeout() time.Duration { return j.timeout }
 
-// DropJob unregisters a job that never made it into the queue.
+// DropJob unregisters a job: its ID stops resolving on GET /jobs/{id}.
+// Anyone already holding the *Job (a waiting handler, a coalesced joiner)
+// is unaffected.
 func (s *Server) DropJob(j *Job) {
 	s.mu.Lock()
 	delete(s.jobs, j.ID)
 	s.mu.Unlock()
+}
+
+// jobCount backs the jobs_tracked gauge.
+func (s *Server) jobCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.jobs)
 }
 
 // resolveDesign materialises the request's input design.
@@ -737,7 +794,8 @@ func ParseMode(mode string) (operon.Mode, error) {
 	}
 }
 
-// handleJob serves GET /jobs/{id}.
+// handleJob serves GET /jobs/{id}. Only async jobs and sync jobs whose
+// client went away are registered once finished; every other ID is 404.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSONError(w, http.StatusMethodNotAllowed, "GET only")

@@ -40,6 +40,8 @@ func newRegistry(s *Server) *obs.Registry {
 		func() float64 { return float64(s.sessionCount()) })
 	reg.Gauge("cache_entries", "Live entries in the content-addressed result cache.",
 		func() float64 { return float64(s.cacheEntryCount()) })
+	reg.Gauge("jobs_tracked", "Jobs pollable on /jobs/{id} or still queued or running.",
+		func() float64 { return float64(s.jobCount()) })
 	obs.RuntimeGauges(reg)
 	return reg
 }
