@@ -4,8 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"operon/internal/lp"
 	"operon/internal/obs"
@@ -60,16 +62,22 @@ func ilpEvents(col *obs.Collector) [][]obs.Attr {
 // to the serial Workers=1 run. Runs under -race in make check.
 func TestParallelILPDeterministic(t *testing.T) {
 	arena := parallel.NewArena()
-	problems := []Problem{
-		branchyILP(18, 11),
-		branchyILP(14, 7),
+	type row struct {
+		p        Problem
+		maxNodes int
+	}
+	problems := []row{
+		{branchyILP(18, 11), 3000},
+		{branchyILP(14, 7), 3000},
+		// The branchy knapsack the parallel-speedup benchmark times.
+		{branchyILP(20, 11), 4000},
 	}
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 6; trial++ {
-		problems = append(problems, randomILP(rng))
+		problems = append(problems, row{randomILP(rng), 3000})
 	}
 
-	for pi, p := range problems {
+	for pi, pr := range problems {
 		type outcome struct {
 			res      Result
 			counters []obs.CounterValue
@@ -79,8 +87,8 @@ func TestParallelILPDeterministic(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			col := &obs.Collector{}
 			tr := obs.New(col)
-			r, err := Solve(p, Options{
-				MaxNodes: 3000,
+			r, err := Solve(pr.p, Options{
+				MaxNodes: pr.maxNodes,
 				Workers:  workers,
 				Arena:    arena,
 				Obs:      tr,
@@ -141,5 +149,64 @@ func TestParallelILPMatchesBruteForce(t *testing.T) {
 		if math.Abs(r.Objective-want) > 1e-5 {
 			t.Fatalf("trial %d: objective %v, want %v", trial, r.Objective, want)
 		}
+	}
+}
+
+// branchySpeedupProblem is the branchy knapsack of the allocation pin and
+// the parallel-speedup gate; TestParallelILPDeterministic covers its tree.
+func branchySpeedupProblem() (Problem, Options) {
+	return branchyILP(20, 11), Options{MaxNodes: 4000, Arena: parallel.NewArena()}
+}
+
+// maxBranchyAllocs is the allocation ceiling of one sequential solve of
+// the branchy knapsack (about 11,350 measured, plus 10% headroom).
+const maxBranchyAllocs = 12500
+
+// TestBranchyAllocs pins the sequential branch and bound's allocation
+// profile. Workers=1 keeps the count independent of the host's CPUs.
+func TestBranchyAllocs(t *testing.T) {
+	p, opt := branchySpeedupProblem()
+	opt.Workers = 1
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Solve(p, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("branchy knapsack: %.0f allocs per solve", allocs)
+	if allocs > maxBranchyAllocs {
+		t.Fatalf("branchy knapsack allocates %.0f per solve, ceiling %d", allocs, maxBranchyAllocs)
+	}
+}
+
+// minParallelSpeedup is the factor by which Workers=4 must beat Workers=1
+// on the branchy knapsack when more than one CPU is available.
+const minParallelSpeedup = 1.05
+
+// BenchmarkParallelSpeedup times the branchy knapsack at Workers=1 and
+// Workers=4 in alternating order and fails below minParallelSpeedup. With
+// GOMAXPROCS=1 it skips: the pair would measure pool overhead, not
+// parallelism. Run with `make bench-speedup`.
+func BenchmarkParallelSpeedup(b *testing.B) {
+	if runtime.GOMAXPROCS(0) == 1 {
+		b.Skip("GOMAXPROCS=1: parallel speedup is not measurable")
+	}
+	p, opt := branchySpeedupProblem()
+	workers := [2]int{1, 4}
+	var elapsed [2]time.Duration
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < 2; k++ {
+			side := (i + k) % 2
+			opt.Workers = workers[side]
+			start := time.Now()
+			if _, err := Solve(p, opt); err != nil {
+				b.Fatal(err)
+			}
+			elapsed[side] += time.Since(start)
+		}
+	}
+	speedup := float64(elapsed[0]) / float64(elapsed[1])
+	b.ReportMetric(speedup, "speedup")
+	if speedup < minParallelSpeedup {
+		b.Fatalf("workers4 vs workers1 speedup %.2fx < %.2fx", speedup, minParallelSpeedup)
 	}
 }

@@ -355,3 +355,28 @@ func TestRevisedSelectionShapedOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectionShapedAllocs pins the allocation profile of both engines on
+// the selection-shaped relaxation. Each ceiling is the measured count plus
+// about 10% headroom.
+func TestSelectionShapedAllocs(t *testing.T) {
+	p := selectionShaped(12, 4, 29)
+	for _, tc := range []struct {
+		name  string
+		solve func(Problem) (Solution, error)
+		max   float64
+	}{
+		{"revised", Solve, 580},    // 523 measured
+		{"dense", SolveDense, 540}, // 491 measured
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if s, err := tc.solve(p); err != nil || s.Status != Optimal {
+				t.Fatalf("%s: status %v, err %v", tc.name, s.Status, err)
+			}
+		})
+		t.Logf("%s: %.0f allocs per solve", tc.name, allocs)
+		if allocs > tc.max {
+			t.Errorf("%s engine allocates %.0f per solve, ceiling %.0f", tc.name, allocs, tc.max)
+		}
+	}
+}

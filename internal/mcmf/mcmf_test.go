@@ -307,35 +307,72 @@ func BenchmarkMaxFlowWDMNetwork(b *testing.B) {
 	}
 }
 
-// BenchmarkMCMF pins the allocation profile of a full build-and-solve on a
-// WDM-assignment-shaped network: the CSR adjacency and the reused Dijkstra
-// queue keep allocs/op flat in the number of augmentations.
-func BenchmarkMCMF(b *testing.B) {
+// wdmShapedNetwork is a WDM-assignment-shaped flow network: 200
+// connections, 60 WDMs, four candidate arcs per connection.
+type wdmShapedNetwork struct {
+	nodes, src, snk int
+	arcs            []wdmShapedArc
+}
+
+type wdmShapedArc struct {
+	u, v, cap int
+	cost      int64
+}
+
+func newWDMShapedNetwork() wdmShapedNetwork {
 	rng := rand.New(rand.NewSource(17))
-	type arcSpec struct {
-		u, v, cap int
-		cost      int64
-	}
-	var arcs []arcSpec
 	nConn, nWDM := 200, 60
-	src, snk := 0, nConn+nWDM+1
+	n := wdmShapedNetwork{nodes: nConn + nWDM + 2, snk: nConn + nWDM + 1}
+	add := func(u, v, cap int, cost int64) {
+		n.arcs = append(n.arcs, wdmShapedArc{u, v, cap, cost})
+	}
 	for c := 0; c < nConn; c++ {
-		arcs = append(arcs, arcSpec{src, 1 + c, 2 + rng.Intn(20), 0})
+		add(n.src, 1+c, 2+rng.Intn(20), 0)
 		for w := 0; w < 4; w++ {
-			arcs = append(arcs, arcSpec{1 + c, 1 + nConn + rng.Intn(nWDM), 32, int64(rng.Intn(1000))})
+			add(1+c, 1+nConn+rng.Intn(nWDM), 32, int64(rng.Intn(1000)))
 		}
 	}
 	for w := 0; w < nWDM; w++ {
-		arcs = append(arcs, arcSpec{1 + nConn + w, snk, 32, int64(1+w) * 5000})
+		add(1+nConn+w, n.snk, 32, int64(1+w)*5000)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := NewWithEdgeHint(nConn+nWDM+2, len(arcs))
-		for _, a := range arcs {
-			g.AddEdge(a.u, a.v, a.cap, a.cost)
+	return n
+}
+
+// buildAndSolve is one full build-and-solve of the network.
+func (n wdmShapedNetwork) buildAndSolve() error {
+	g := NewWithEdgeHint(n.nodes, len(n.arcs))
+	for _, a := range n.arcs {
+		g.AddEdge(a.u, a.v, a.cap, a.cost)
+	}
+	_, err := g.MaxFlow(n.src, n.snk)
+	return err
+}
+
+// maxBuildAndSolveAllocs is the allocation ceiling of one build-and-solve
+// of the WDM-shaped network: the CSR adjacency and the reused Dijkstra
+// queue keep it flat in the number of augmentations (10 measured).
+const maxBuildAndSolveAllocs = 12
+
+// TestBuildAndSolveAllocs pins the allocation profile BenchmarkMCMF times.
+func TestBuildAndSolveAllocs(t *testing.T) {
+	n := newWDMShapedNetwork()
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := n.buildAndSolve(); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := g.MaxFlow(src, snk); err != nil {
+	})
+	t.Logf("%.0f allocs per build-and-solve", allocs)
+	if allocs > maxBuildAndSolveAllocs {
+		t.Fatalf("build-and-solve allocates %.0f, ceiling %d", allocs, maxBuildAndSolveAllocs)
+	}
+}
+
+// BenchmarkMCMF times a full build-and-solve of the WDM-shaped network.
+func BenchmarkMCMF(b *testing.B) {
+	n := newWDMShapedNetwork()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := n.buildAndSolve(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,8 +6,7 @@
 // implementations ship with the package:
 //
 //   - Nop discards everything (counters still accumulate and can be
-//     snapshotted — cmd/bench uses this to regress-check solver behaviour
-//     without paying for span recording);
+//     snapshotted without paying for span recording);
 //   - Collector retains spans/events/counters in memory for queries;
 //   - ChromeWriter streams Chrome trace-event JSON loadable by
 //     chrome://tracing and Perfetto, with worker-pool lanes rendered as
@@ -16,8 +15,8 @@
 // The entire API is nil-safe: a nil *Tracer (the Config.Obs default) makes
 // every Span/Event/Counter call a no-op without allocation, so the
 // instrumented hot paths cost nearly nothing when observability is off —
-// the package benchmarks pin the per-call overhead, and the end-to-end
-// budget (< 2% on the ILP benchmark) is tracked via cmd/bench.
+// the package benchmarks pin the per-call overhead, and the root package's
+// BenchmarkObsOverhead measures the end-to-end cost (budget < 2%).
 package obs
 
 import (

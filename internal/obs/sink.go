@@ -53,7 +53,7 @@ type Sink interface {
 
 // Nop is the discard sink: spans and events vanish, and only the tracer's
 // own counter registry accumulates state. It is the cheapest way to collect
-// a counter snapshot (cmd/bench) without retaining the trace.
+// a counter snapshot without retaining the trace.
 type Nop struct{}
 
 // Span implements Sink.

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 )
 
 // Config sets the numerical and material parameters.
@@ -506,7 +505,6 @@ func SimulateUncached(cfg Config, stages int) (Result, error) {
 // propagation polls ctx once per Crank–Nicolson step and returns ctx.Err()
 // on cancellation.
 func SimulateUncachedContext(ctx context.Context, cfg Config, stages int) (Result, error) {
-	start := time.Now()
 	cas, err := NewCascade(cfg, stages)
 	if err != nil {
 		return Result{}, err
@@ -532,6 +530,5 @@ func SimulateUncachedContext(ctx context.Context, cfg Config, stages int) (Resul
 			res.PerArmLossDB = append(res.PerArmLossDB, math.Inf(1))
 		}
 	}
-	recordSimDuration(start)
 	return res, nil
 }

@@ -3,10 +3,6 @@ package bpm
 import (
 	"context"
 	"sync"
-	"sync/atomic"
-	"time"
-
-	"operon/internal/obs"
 )
 
 // The FD-BPM solve is by far the most expensive leaf computation in the
@@ -26,41 +22,7 @@ type simKey struct {
 var (
 	simMu    sync.Mutex
 	simCache = map[simKey]Result{}
-
-	// Hit/miss tallies are process-global like the cache itself; they are
-	// read by CacheCounters and folded into obs counter snapshots by
-	// callers that want per-run deltas.
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-
-	// simDurations tallies the wall-clock of every successful uncached
-	// propagation into a process-global latency histogram. Like the
-	// hit/miss counters it is cumulative; flow runs snapshot before and
-	// after and fold the Sub delta into their own tracer, so the FD-BPM
-	// tail is attributable per run even though the solver has no tracer
-	// handle of its own.
-	simDurations = obs.NewHistogram("bpm/simulate", nil)
 )
-
-// CacheCounters returns the cumulative simulation-cache hit and miss counts
-// for this process. Callers wanting per-run numbers snapshot before and
-// after and subtract.
-func CacheCounters() (hits, misses int64) {
-	return cacheHits.Load(), cacheMisses.Load()
-}
-
-// SimDurations snapshots the process-global histogram of uncached FD-BPM
-// propagation wall-clocks. Callers wanting per-run distributions snapshot
-// before and after and Sub.
-func SimDurations() obs.HistogramSnapshot {
-	return simDurations.Snapshot()
-}
-
-// recordSimDuration feeds the global propagation histogram; kept out of
-// line so both the cached and uncached entry points tally identically.
-func recordSimDuration(start time.Time) {
-	simDurations.RecordDuration(time.Since(start))
-}
 
 // simCached returns the memoised result for (cfg, stages), running
 // SimulateUncachedContext on the first request. Concurrent first requests
@@ -75,10 +37,8 @@ func simCached(ctx context.Context, cfg Config, stages int) (Result, error) {
 	res, ok := simCache[key]
 	simMu.Unlock()
 	if ok {
-		cacheHits.Add(1)
 		return res, nil
 	}
-	cacheMisses.Add(1)
 	res, err := SimulateUncachedContext(ctx, cfg, stages)
 	if err != nil {
 		return Result{}, err

@@ -841,7 +841,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleMetricsJSON serves GET /metrics.json: the same registry snapshot
 // as JSON. The "counters" key keeps the pre-Prometheus wire shape, so
-// existing consumers (cmd/bench tooling, the smoke tests) parse it
+// existing consumers (loadgen, the smoke tests) parse it
 // unchanged; gauges and histograms ride alongside.
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.reg.Snapshot())

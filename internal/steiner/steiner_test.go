@@ -427,14 +427,19 @@ func TestSubdivideChunkCount(t *testing.T) {
 	}
 }
 
-func BenchmarkBI1SEuclidean(b *testing.B) {
-	pts := randTerminals(8, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr := BI1S(pts, Euclidean, BI1SConfig{})
-		if len(tr.Nodes) == 0 {
-			b.Fatal("empty tree")
-		}
+// BenchmarkBI1S times the incremental BI1S on the 24 terminals
+// TestBI1SAllocs pins, in both metrics.
+func BenchmarkBI1S(b *testing.B) {
+	pts := randTerminals(24, 11)
+	for _, metric := range []Metric{Rectilinear, Euclidean} {
+		b.Run(metric.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := BI1S(pts, metric, BI1SConfig{}).Validate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -444,6 +449,26 @@ func BenchmarkRSMT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if RSMTLength(pts) <= 0 {
 			b.Fatal("zero RSMT")
+		}
+	}
+}
+
+// TestBI1SAllocs pins the allocation profile of the incremental BI1S on 24
+// terminals in both metrics. Each ceiling is the measured count plus about
+// 10% headroom.
+func TestBI1SAllocs(t *testing.T) {
+	pts := randTerminals(24, 11)
+	for _, tc := range []struct {
+		metric Metric
+		max    float64
+	}{
+		{Rectilinear, 97}, // 88 measured
+		{Euclidean, 85},   // 77 measured
+	} {
+		allocs := testing.AllocsPerRun(20, func() { BI1S(pts, tc.metric, BI1SConfig{}) })
+		t.Logf("%v: %.0f allocs per tree", tc.metric, allocs)
+		if allocs > tc.max {
+			t.Errorf("BI1S %v allocates %.0f per tree, ceiling %.0f", tc.metric, allocs, tc.max)
 		}
 	}
 }

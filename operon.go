@@ -32,7 +32,6 @@ import (
 	"operon/internal/geom"
 	"operon/internal/obs"
 	"operon/internal/optics"
-	"operon/internal/optics/bpm"
 	"operon/internal/parallel"
 	"operon/internal/power"
 	"operon/internal/selection"
@@ -110,8 +109,8 @@ type Config struct {
 	Workers int
 	// Obs, when non-nil, receives the flow's spans, events, and counters:
 	// stage spans ("stage/process", ...), per-hyper-net candidate spans on
-	// worker lanes, LR iterate events, ILP node events, and the LP/MCMF/BPM
-	// behaviour counters. Nil (the default) compiles the whole
+	// worker lanes, LR iterate events, ILP node events, and the LP/ILP/MCMF/
+	// WDM behaviour counters. Nil (the default) compiles the whole
 	// instrumentation path down to nil checks — see BenchmarkObsOverhead.
 	Obs *obs.Tracer
 }
@@ -305,12 +304,6 @@ func solve(ctx context.Context, d signal.Design, cfg Config, ws *Workspace, prev
 		delta = diffConfig(prev.cfg, cfg)
 	}
 	res := &Result{Design: d.Name, Flow: "operon-" + cfg.Mode.String(), Obs: cfg.Obs}
-	bpmHits0, bpmMisses0 := bpm.CacheCounters()
-	var bpmSim0 obs.HistogramSnapshot
-	if cfg.Obs != nil {
-		bpmSim0 = bpm.SimDurations()
-	}
-	defer res.foldBPMCounters(cfg, bpmHits0, bpmMisses0, bpmSim0)
 
 	// Group gi is clean iff prev had an equal group at the same index (the
 	// clustering seed is Seed+index, so position matters as much as content).
@@ -531,25 +524,6 @@ func runSelection(ctx context.Context, cfg Config, ws *Workspace, inst *selectio
 		}
 	}
 	return nil
-}
-
-// foldBPMCounters adds the process-global BPM simulation-cache deltas of
-// this run to the tracer's bpm.cache_hits / bpm.cache_misses counters, and
-// merges the window's uncached-propagation latency delta into the tracer's
-// bpm/simulate histogram. The cache is process-wide, so concurrent
-// instrumented runs each fold in whatever traffic happened during their
-// window.
-func (r *Result) foldBPMCounters(cfg Config, hits0, misses0 int64, sim0 obs.HistogramSnapshot) {
-	if cfg.Obs == nil {
-		return
-	}
-	hits, misses := bpm.CacheCounters()
-	cfg.Obs.Counter("bpm.cache_hits").Add(hits - hits0)
-	cfg.Obs.Counter("bpm.cache_misses").Add(misses - misses0)
-	if delta := bpm.SimDurations().Sub(sim0); delta.Count > 0 {
-		// Same fixed default bounds on both sides, so the merge never fails.
-		_ = cfg.Obs.Histogram("bpm/simulate").Merge(delta)
-	}
 }
 
 // RunElectrical is the Streak-style baseline [14]: every hyper net is
