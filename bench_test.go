@@ -290,8 +290,8 @@ func ecoEditRow(skipWDM, allGroups bool) func(testing.TB, operon.Config) func() 
 	return func(tb testing.TB, cfg operon.Config) func() error {
 		d := design(tb, "I3")
 		cfg.SkipWDM = skipWDM
-		sess := operon.NewSession(d, cfg)
-		if _, _, err := sess.Resolve(context.Background()); err != nil {
+		sess, ws := operon.NewSession(d, cfg), operon.NewWorkspace()
+		if _, _, err := sess.Resolve(context.Background(), ws); err != nil {
 			tb.Fatal(err)
 		}
 		groups := 1
@@ -312,7 +312,7 @@ func ecoEditRow(skipWDM, allGroups bool) func(testing.TB, operon.Config) func() 
 			if _, err := sess.Apply(edits...); err != nil {
 				return err
 			}
-			_, _, err := sess.Resolve(context.Background())
+			_, _, err := sess.Resolve(context.Background(), ws)
 			return err
 		}
 	}

@@ -28,6 +28,8 @@ const ecoBench = "I3"
 // triple replays byte-identical edit traffic. The report counts every HTTP
 // request (creates, edits, deletes); the latency histogram covers the 200s,
 // which makes the cold-create vs warm-edit split visible in the quantiles.
+// Session solves are queued jobs, so a full queue answers 429; that ends
+// the session's script and counts as an error as well as a 429.
 func replayEco(base string, n, sessions int, seed int64) (*Report, error) {
 	if sessions < 1 {
 		sessions = 1
@@ -79,6 +81,7 @@ func replayEco(base string, n, sessions int, seed int64) (*Report, error) {
 			return &sr, true
 		case http.StatusTooManyRequests:
 			tooMany.Add(1)
+			errs.Add(1)
 		default:
 			errs.Add(1)
 		}

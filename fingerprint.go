@@ -44,9 +44,11 @@ import (
 //	  SkipWDM                   drops the whole §4 stage
 //
 //	Config — non-semantic (excluded; results are bit-identical across them):
-//	  Workers, LR.Workers       worker-pool sizes (determinism contract)
-//	  Obs, LR.Obs               telemetry sinks
-//	  LR.Ctx                    execution context (a budget, not content)
+//	  Workers                   worker-pool size (determinism contract)
+//	  Obs                       telemetry sink
+//	  LR.Workers, LR.Obs, LR.Ctx
+//	                            ignored by the flow, which runs the LR under
+//	                            its own Workers, Obs and context
 //
 // fingerprint_test.go walks Config and LROptions by reflection and fails
 // when a new field is added without being classified above, so the split

@@ -54,8 +54,8 @@ func ECO(caseName string) ([]ECORow, error) {
 	cfg := operon.DefaultConfig()
 	cfg.SkipWDM = true
 
-	sess := operon.NewSession(design, cfg)
-	if _, _, err := sess.Resolve(context.Background()); err != nil {
+	sess, ws := operon.NewSession(design, cfg), operon.NewWorkspace()
+	if _, _, err := sess.Resolve(context.Background(), ws); err != nil {
 		return nil, fmt.Errorf("eco %s: cold solve: %w", caseName, err)
 	}
 	nG := len(design.Groups)
@@ -77,7 +77,7 @@ func ECO(caseName string) ([]ECORow, error) {
 			return nil, fmt.Errorf("eco %s: apply %d edits: %w", caseName, k, err)
 		}
 		start := time.Now()
-		_, stats, err := sess.Resolve(context.Background())
+		_, stats, err := sess.Resolve(context.Background(), ws)
 		if err != nil {
 			return nil, fmt.Errorf("eco %s: resolve %d edits: %w", caseName, k, err)
 		}

@@ -14,20 +14,6 @@ type Basis struct {
 	AtUpper []bool
 }
 
-// clone deep-copies the snapshot so callers can retain it across solves.
-func (b *Basis) clone() *Basis {
-	if b == nil {
-		return nil
-	}
-	c := &Basis{
-		Basic:   make([]int32, len(b.Basic)),
-		AtUpper: make([]bool, len(b.AtUpper)),
-	}
-	copy(c.Basic, b.Basic)
-	copy(c.AtUpper, b.AtUpper)
-	return c
-}
-
 // etaFile is a product-form representation of the basis inverse:
 // B = E_1·E_2·…·E_k where each E is the identity with one column replaced
 // by a pivot direction d = B'⁻¹·A_enter. FTRAN applies the inverses in

@@ -182,12 +182,6 @@ func (s *BoundedSolver) SolveBounds(lo, up []float64, warm *Basis, opt Options) 
 	return sol, out, nil
 }
 
-// SolveInto solves with the Problem's default bounds into reusable outputs;
-// it is SolveBoundsInto with nil bound overrides.
-func (s *BoundedSolver) SolveInto(warm *Basis, opt Options, sol *Solution, out *Basis) error {
-	return s.SolveBoundsInto(nil, nil, warm, opt, sol, out)
-}
-
 // SolveBoundsInto is the reusable-workspace form of SolveBounds: the
 // solution is written into sol (reusing sol.X's capacity) and the basis
 // snapshot into out (reusing its slices), so a steady-state caller holding

@@ -63,9 +63,6 @@ func NewWithEdgeHint(n, edgeHint int) *Graph {
 	return g
 }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return g.n }
-
 // AddEdge adds a directed arc u→v with the given capacity and per-unit
 // cost, returning an edge handle for Flow. Costs are integers so that the
 // successive-shortest-path arithmetic is exact — callers quantise real

@@ -6,14 +6,33 @@
 // callers write results by item index (never by completion order), and on
 // failure ForEach always returns the error of the lowest-indexed failing
 // item — exactly what a sequential loop would have returned — while
-// cancelling all not-yet-dispatched work.
+// cancelling all not-yet-dispatched work. A panic in fn fails its item the
+// same way, and is re-raised on the calling goroutine as a *Panic once the
+// pool has drained, where a recover (operond's solveContained) contains it.
 package parallel
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 )
+
+// Panic is the value the pool re-panics with when fn panicked: the item
+// index (the lowest panicking or failing one, as for errors), the original
+// panic value, and the stack of the goroutine fn panicked on.
+type Panic struct {
+	Index int
+	Value any
+	Stack []byte
+}
+
+// Error reports the index and value, then the worker's stack, so an
+// unrecovered re-panic still shows where fn failed.
+func (p *Panic) Error() string {
+	return fmt.Sprintf("parallel: item %d panicked: %v\n\n%s", p.Index, p.Value, p.Stack)
+}
 
 // Workers resolves a worker-count knob: non-positive means one worker per
 // CPU, and the count is clamped to the item count n.
@@ -43,15 +62,6 @@ func ForEach(n, workers int, fn func(int) error) error {
 // hold unchanged: the worker index must only feed telemetry, never results.
 func ForEachWorker(n, workers int, fn func(worker, i int) error) error {
 	return forEach(context.Background(), n, workers, fn)
-}
-
-// ForEachWorkerContext is ForEachWorker bounded by a context, with the
-// cancellation and drain semantics of ForEachContext: cancelling ctx stops
-// dispatch of new items, in-flight calls run to completion (the
-// deterministic drain — no fn invocation is ever abandoned halfway), and
-// ctx.Err() is returned unless an item error takes precedence.
-func ForEachWorkerContext(ctx context.Context, n, workers int, fn func(worker, i int) error) error {
-	return forEach(ctx, n, workers, fn)
 }
 
 // Scratch is a per-worker scratch arena: a keyed bag of reusable buffers a
@@ -105,9 +115,10 @@ func (a *Arena) grab(w int) []*Scratch {
 	return a.scratches[:w]
 }
 
-// ForEachScratchContext is ForEachWorkerContext with a per-worker *Scratch
-// from the arena passed to fn alongside the worker index. Worker w always
-// receives arena slot w, so buffers cached in a Scratch are reused across
+// ForEachScratchContext is ForEachWorker bounded by a context, with the
+// cancellation and drain semantics of ForEachContext, and with a
+// per-worker *Scratch from the arena passed to fn alongside the worker
+// index. Worker w always receives arena slot w, so buffers cached in a Scratch are reused across
 // invocations without locks. A nil arena gets a throwaway one (no reuse
 // across calls, but the per-call reuse within one pool run still applies).
 // The determinism contract of ForEachContext holds: scratch contents must
@@ -129,7 +140,8 @@ func ForEachScratchContext(ctx context.Context, a *Arena, n, workers int, fn fun
 // completion before ForEachContext returns and every worker goroutine has
 // exited by then, so cancellation never leaks goroutines or leaves an item
 // half-processed — callers either see all per-index writes of an item or
-// none.
+// none. A panic in fn fails its item like an error; if that is the lowest
+// failing index, ForEachContext re-panics with a *Panic after the drain.
 //
 // fn must confine its writes to per-index state (results[i]); the pool
 // provides a happens-before edge between every fn call and ForEachContext's
@@ -149,8 +161,8 @@ func forEach(ctx context.Context, n int, workers int, fn func(worker, i int) err
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(0, i); err != nil {
-				return err
+			if err := call(fn, 0, i); err != nil {
+				return rethrow(err)
 			}
 		}
 		return nil
@@ -181,7 +193,7 @@ func forEach(ctx context.Context, n int, workers int, fn func(worker, i int) err
 		go func(worker int) {
 			defer wg.Done()
 			for i := range next {
-				if err := fn(worker, i); err != nil {
+				if err := call(fn, worker, i); err != nil {
 					fail(i, err)
 				}
 			}
@@ -202,7 +214,28 @@ dispatch:
 	wg.Wait()
 
 	if firstErr != nil {
-		return firstErr
+		return rethrow(firstErr)
 	}
 	return ctx.Err()
+}
+
+// call runs fn for one item and turns a panic into a *Panic error carrying
+// the item index and this goroutine's stack, so a pool worker survives it,
+// keeps draining, and the dispatcher never blocks on a dead worker.
+func call(fn func(worker, i int) error, worker, i int) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = &Panic{Index: i, Value: p, Stack: debug.Stack()}
+		}
+	}()
+	return fn(worker, i)
+}
+
+// rethrow re-panics a recovered *Panic on the calling goroutine and returns
+// any other error unchanged.
+func rethrow(err error) error {
+	if p, ok := err.(*Panic); ok {
+		panic(p)
+	}
+	return err
 }

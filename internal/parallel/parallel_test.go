@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -122,6 +125,43 @@ func TestForEachLowestIndexError(t *testing.T) {
 			if err == nil || err.Error() != "fail 41" {
 				t.Fatalf("workers=%d: err = %v, want fail 41", workers, err)
 			}
+		}
+	}
+}
+
+// TestForEachPanicReachesCaller panics inside fn at several indices: the
+// pool must drain, re-panic on the calling goroutine with the lowest
+// panicking index (as for errors), carry the worker's stack, and leave no
+// worker goroutine behind.
+func TestForEachPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		var p any
+		func() {
+			defer func() { p = recover() }()
+			_ = ForEach(500, workers, func(i int) error {
+				if i == 41 || i == 42 || i == 400 {
+					panic(fmt.Sprintf("boom %d", i))
+				}
+				return nil
+			})
+		}()
+		pp, ok := p.(*Panic)
+		if !ok {
+			t.Fatalf("workers=%d: recovered %T %v, want *Panic", workers, p, p)
+		}
+		if pp.Index != 41 || pp.Value != "boom 41" {
+			t.Fatalf("workers=%d: panic index %d value %v, want 41 / boom 41", workers, pp.Index, pp.Value)
+		}
+		if !strings.Contains(string(pp.Stack), "TestForEachPanicReachesCaller") {
+			t.Fatalf("workers=%d: stack does not show the panicking fn:\n%s", workers, pp.Stack)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines after the panic, %d before", workers, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

@@ -196,15 +196,10 @@ func (s *Server) admit(inst instance, reqID string, rctx context.Context, block 
 		// Enqueue inside the critical section: registration and the
 		// queue-full check are atomic, so a 429'd leader can never have
 		// picked up joiners.
-		select {
-		case s.queue <- j:
-			s.mu.Unlock()
-		default:
-			delete(s.flights, inst.fp)
-			delete(s.jobs, j.ID)
-			s.mu.Unlock()
-			return nil, http.StatusTooManyRequests,
-				fmt.Errorf("job queue full (%d slots)", cap(s.queue))
+		status, err := s.enqueueLocked(j)
+		s.mu.Unlock()
+		if err != nil {
+			return nil, status, err
 		}
 		s.tracer.Counter("http.cache_misses").Inc()
 		return j, 0, nil
@@ -224,6 +219,23 @@ func (s *Server) admit(inst instance, reqID string, rctx context.Context, block 
 		s.finish(j, nil, "server draining", http.StatusServiceUnavailable)
 	}
 	return j, 0, nil
+}
+
+// enqueueLocked hands a registered job to the queue without blocking. On a
+// full queue it unregisters the job (and its flight entry, for a leader)
+// and returns 429. The caller holds s.mu. Both the /solve miss path and
+// session jobs enter the queue here.
+func (s *Server) enqueueLocked(j *Job) (int, error) {
+	select {
+	case s.queue <- j:
+		return 0, nil
+	default:
+		if j.dedup {
+			delete(s.flights, j.fp)
+		}
+		delete(s.jobs, j.ID)
+		return http.StatusTooManyRequests, fmt.Errorf("job queue full (%d slots)", cap(s.queue))
+	}
 }
 
 // completeShadow resolves one joiner against its leader's outcome. deadline

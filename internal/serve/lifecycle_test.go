@@ -12,7 +12,9 @@ import (
 	"time"
 
 	operon "operon"
+	"operon/internal/benchgen"
 	"operon/internal/obs"
+	"operon/internal/parallel"
 	"operon/internal/signal"
 )
 
@@ -151,6 +153,23 @@ func TestJobRetention(t *testing.T) {
 			},
 		},
 		{
+			name: "session create + edit",
+			run: func(t *testing.T, e *retentionEnv) ([]string, []string) {
+				sr := createSession(t, e.ts, 71)
+				d, err := benchgen.Generate(sessionDesign(t, 71))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var er SessionResponse
+				decode(t, post(t, e.ts, "/sessions/"+sr.SessionID+"/edit",
+					EditRequest{Edits: benchgen.MoveScript(d, 1, 1)}), &er)
+				if er.Resolves != 2 {
+					t.Fatalf("edit: %+v, want the second resolve", er)
+				}
+				return []string{"job-1", "job-2"}, nil
+			},
+		},
+		{
 			name: "async stays pollable",
 			run: func(t *testing.T, e *retentionEnv) ([]string, []string) {
 				var j Job
@@ -247,7 +266,9 @@ func TestJobRetention(t *testing.T) {
 // TestSolvePanicContained panics the solver on a leader while a coalesced
 // joiner waits: the leader gets a JSON 500, the joiner is promoted and
 // gets a real answer, http.solve_panics counts the panic once, and the
-// same server (and its lone worker) serves the next request.
+// same server (and its lone worker) serves the next request. Two more
+// panics follow, each contained the same way: one on a flow pool worker
+// (inside parallel.ForEach) and one in a session resolve.
 func TestSolvePanicContained(t *testing.T) {
 	srv := newTestServer(4, 1, time.Minute, 0)
 	started := make(chan struct{}, 4)
@@ -263,6 +284,14 @@ func TestSolvePanicContained(t *testing.T) {
 			started <- struct{}{}
 			<-gate
 			panic("pathological instance")
+		}
+		if d.Name == "pool-panic" {
+			_ = parallel.ForEach(8, 4, func(i int) error {
+				if i == 5 {
+					panic("pool worker fault")
+				}
+				return nil
+			})
 		}
 		return &operon.Result{Design: d.Name, PowerMW: 8}, nil
 	})
@@ -305,16 +334,45 @@ func TestSolvePanicContained(t *testing.T) {
 		t.Errorf("http.coalesce_promotions = %d, want 1", got)
 	}
 
-	// The worker survived: a fresh instance solves on the same server.
-	d2 := testDesignSeed(t, 8)
-	next := post(t, ts, "/solve", SolveRequest{Design: &d2})
-	if next.StatusCode != http.StatusOK {
-		t.Fatalf("request after the panic: status %d, want 200", next.StatusCode)
+	// The worker survives each panic: a fresh instance solves on the same
+	// server after it.
+	serveNext := func(seed int64) {
+		t.Helper()
+		d := testDesignSeed(t, seed)
+		next := post(t, ts, "/solve", SolveRequest{Design: &d})
+		if next.StatusCode != http.StatusOK {
+			t.Fatalf("request after a panic: status %d, want 200", next.StatusCode)
+		}
+		decode(t, next, &sr)
+		if sr.PowerMW != 8 {
+			t.Errorf("request after a panic: %+v", sr)
+		}
 	}
-	decode(t, next, &sr)
-	if sr.PowerMW != 8 {
-		t.Errorf("request after the panic: %+v", sr)
+	serveNext(8)
+
+	// contained checks one more panicking request: a JSON 500 naming the
+	// panic value, and one more http.solve_panics.
+	contained := func(path string, body any, value string, panics int64) {
+		t.Helper()
+		resp := post(t, ts, path, body)
+		var eb map[string]string
+		decode(t, resp, &eb)
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(eb["error"], value) {
+			t.Errorf("%s: status %d body %v, want a JSON 500 naming %q", path, resp.StatusCode, eb, value)
+		}
+		if got := counter(srv, "http.solve_panics"); got != panics {
+			t.Errorf("%s: http.solve_panics = %d, want %d", path, got, panics)
+		}
 	}
+	pool := testDesignSeed(t, 9)
+	pool.Name = "pool-panic"
+	contained("/solve", SolveRequest{Design: &pool}, "pool worker fault", 2)
+	serveNext(10)
+	// A session whose operon.Session is missing panics inside Resolve.
+	srv.putSession(&session{id: "sess-broken", hist: obs.NewHistogram("session/resolve", nil), lastUsed: time.Now()})
+	contained("/sessions/sess-broken/edit", EditRequest{}, "nil pointer", 3)
+	serveNext(11)
+
 	if got := gaugeValue(t, ts, "jobs_tracked"); got != 0 {
 		t.Errorf("jobs_tracked = %g after answered requests, want 0", got)
 	}

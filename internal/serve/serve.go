@@ -30,6 +30,7 @@ import (
 	operon "operon"
 	"operon/internal/benchgen"
 	"operon/internal/obs"
+	"operon/internal/parallel"
 	"operon/internal/signal"
 )
 
@@ -97,8 +98,8 @@ const (
 	JobFailed  JobState = "failed"
 )
 
-// Job is one queued solve and its eventual outcome, as serialised by
-// GET /jobs/{id}.
+// Job is one queued solve — a /solve instance or a session resolve — and
+// its eventual outcome, as serialised by GET /jobs/{id}.
 type Job struct {
 	ID     string         `json:"id"`               // job identifier ("job-N")
 	State  JobState       `json:"state"`            // lifecycle state
@@ -122,6 +123,13 @@ type Job struct {
 	dedup      bool
 	failStatus int
 	panicked   bool
+
+	// session, when set, makes the job a resolve of that session instead
+	// of a solve of design. The worker writes reuse and resolves before
+	// done closes; they are read only after.
+	session  *session
+	reuse    operon.ResolveStats
+	resolves int
 }
 
 // SolveFunc is the solver the job workers invoke; tests inject a stub here
@@ -308,25 +316,41 @@ func (s *Server) worker() {
 	}
 }
 
-// solveContained runs the solver on a job's instance and turns a panic into
-// an error: it marks the job panicked, bumps http.solve_panics and puts the
-// stack into the slog error record, and the caller then fails the job (500)
-// through its usual error path — flight release and waiter wake-up
-// included — so one bad solve never takes down the process.
+// solveContained runs a job — its session's Resolve, or the solver on its
+// instance — and turns a panic into an error: it marks the job panicked,
+// bumps http.solve_panics and puts the stack into the slog error record
+// (for a panic on a flow pool worker, that worker's stack), and the caller
+// then fails the job (500) through its usual error path — flight release
+// and waiter wake-up included — so one bad solve never takes down the
+// process.
 func (s *Server) solveContained(ctx context.Context, j *Job, ws *operon.Workspace) (res *operon.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
+			stack := debug.Stack()
+			for pp, ok := p.(*parallel.Panic); ok; pp, ok = p.(*parallel.Panic) {
+				p, stack = pp.Value, pp.Stack
+			}
 			j.panicked = true
 			s.tracer.Counter("http.solve_panics").Inc()
 			s.log.Error("solve panicked",
 				"request_id", j.reqID,
 				"job_id", j.ID,
 				"panic", fmt.Sprint(p),
-				"stack", string(debug.Stack()),
+				"stack", string(stack),
 			)
 			res, err = nil, fmt.Errorf("solve panicked: %v", p)
 		}
 	}()
+	if se := j.session; se != nil {
+		se.mu.Lock()
+		defer se.mu.Unlock()
+		res, j.reuse, err = se.sess.Resolve(ctx, ws)
+		if err == nil {
+			se.resolves++
+			j.resolves = se.resolves
+		}
+		return res, err
+	}
 	return s.solve(ctx, j.design, j.cfg, ws)
 }
 
@@ -363,6 +387,11 @@ func (s *Server) runJob(j *Job, ws *operon.Workspace) {
 		"queue_ms", float64(queueWait) / float64(time.Millisecond),
 		"solve_ms", float64(solveDur) / float64(time.Millisecond),
 	}
+	if se := j.session; se != nil {
+		se.hist.RecordDuration(solveDur)
+		s.tracer.Histogram("session/resolve").RecordDuration(solveDur)
+		logAttrs = append(logAttrs, "session_id", se.id)
+	}
 	if err != nil {
 		sp.End(obs.S("error", err.Error()))
 		s.tracer.Counter("http.solve_errors").Inc()
@@ -380,8 +409,9 @@ func (s *Server) runJob(j *Job, ws *operon.Workspace) {
 	// Publish order matters: a non-degraded result enters the cache
 	// BEFORE the flight key is released, so a request that misses the
 	// flight table is guaranteed to hit the cache. Degraded results are
-	// timing artifacts of this request's budget, never cached.
-	if !res.Degraded {
+	// timing artifacts of this request's budget, and session results
+	// depend on the session's history, so neither is cached.
+	if !res.Degraded && j.session == nil {
 		s.cachePut(j.fp, resp)
 	}
 	s.releaseFlight(j)
@@ -444,9 +474,9 @@ func (s *Server) setRunning(j *Job) {
 
 // finish is the one terminal transition of every job: under the server lock
 // it publishes the outcome — done with resp, or failed with errMsg and the
-// HTTP status the failure maps to (0 = 500) — and releases the job's design,
-// which nothing reads once the job is finished and which a pollable entry
-// must not pin; then it wakes every waiter by closing done.
+// HTTP status the failure maps to (0 = 500) — and releases the job's design
+// and session, which nothing reads once the job is finished and which a
+// pollable entry must not pin; then it wakes every waiter by closing done.
 func (s *Server) finish(j *Job, resp *SolveResponse, errMsg string, status int) {
 	s.mu.Lock()
 	j.State = JobDone
@@ -456,7 +486,7 @@ func (s *Server) finish(j *Job, resp *SolveResponse, errMsg string, status int) 
 	j.Result = resp
 	j.Error = errMsg
 	j.failStatus = status
-	j.design = signal.Design{}
+	j.design, j.session = signal.Design{}, nil
 	s.mu.Unlock()
 	close(j.done)
 }
@@ -645,21 +675,30 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, s.jobView(j))
 		return
 	}
+	if resp, ok := s.await(w, r, j); ok {
+		writeJSON(w, http.StatusOK, resp)
+	}
+}
+
+// await waits for a synchronous job and returns its response. If the
+// client leaves first, await answers 408: the job keeps running and stays
+// pollable. Otherwise it drops the job, since the answer goes to this
+// caller only, and answers a failure with its mapped status. ok is false
+// when await has written the response itself.
+func (s *Server) await(w http.ResponseWriter, r *http.Request, j *Job) (resp *SolveResponse, ok bool) {
 	select {
 	case <-j.done:
 	case <-r.Context().Done():
-		// The client went away; the job keeps running and stays pollable.
 		writeJSONError(w, http.StatusRequestTimeout, "client cancelled; poll /jobs/%s", j.ID)
-		return
+		return nil, false
 	}
-	// The answer goes to this caller only, so no one can poll for it.
 	s.DropJob(j)
 	v := s.jobView(j)
 	if v.State == JobFailed {
 		writeJSONError(w, s.failStatusOf(j), "%s", v.Error)
-		return
+		return nil, false
 	}
-	writeJSON(w, http.StatusOK, v.Result)
+	return v.Result, true
 }
 
 // instance is a fully resolved solve input: the materialised design, the
@@ -673,7 +712,7 @@ type instance struct {
 }
 
 // resolveInstance materialises a request into an instance (design lookup,
-// mode parse, budget default/clamp, fingerprint).
+// mode parse, budget, fingerprint).
 func (s *Server) resolveInstance(req SolveRequest) (instance, error) {
 	design, err := resolveDesign(req)
 	if err != nil {
@@ -684,19 +723,25 @@ func (s *Server) resolveInstance(req SolveRequest) (instance, error) {
 	if cfg.Mode, err = ParseMode(req.Mode); err != nil {
 		return instance{}, err
 	}
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
+	return instance{
+		design:  design,
+		cfg:     cfg,
+		timeout: s.budget(req.TimeoutMS),
+		fp:      operon.Fingerprint(design, cfg),
+	}, nil
+}
+
+// budget resolves a request's timeout_ms: zero or less means the server
+// default, and the server maximum clamps it.
+func (s *Server) budget(timeoutMS int64) time.Duration {
+	timeout := time.Duration(timeoutMS) * time.Millisecond
 	if timeout <= 0 {
 		timeout = s.defaultTimeout
 	}
 	if s.maxTimeout > 0 && timeout > s.maxTimeout {
 		timeout = s.maxTimeout
 	}
-	return instance{
-		design:  design,
-		cfg:     cfg,
-		timeout: timeout,
-		fp:      operon.Fingerprint(design, cfg),
-	}, nil
+	return timeout
 }
 
 // newJobLocked registers a job for an instance; the caller holds s.mu.
@@ -717,21 +762,6 @@ func (s *Server) newJobLocked(inst instance, reqID string) *Job {
 	return j
 }
 
-// NewJob resolves a request into a registered, runnable job. reqID tags the
-// job's telemetry; "" is valid (direct API use without the middleware). The
-// job bypasses the dedup layer — callers that want coalescing and caching
-// go through the handlers.
-func (s *Server) NewJob(req SolveRequest, reqID string) (*Job, error) {
-	inst, err := s.resolveInstance(req)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	j := s.newJobLocked(inst, reqID)
-	s.mu.Unlock()
-	return j, nil
-}
-
 // failStatusOf maps a failed job onto its HTTP status (500 unless the
 // failure recorded a more specific one, e.g. 429 for a queue-full leader).
 func (s *Server) failStatusOf(j *Job) int {
@@ -742,9 +772,6 @@ func (s *Server) failStatusOf(j *Job) int {
 	}
 	return http.StatusInternalServerError
 }
-
-// Timeout returns the budget resolved for the job (after default/clamp).
-func (j *Job) Timeout() time.Duration { return j.timeout }
 
 // DropJob unregisters a job: its ID stops resolving on GET /jobs/{id}.
 // Anyone already holding the *Job (a waiting handler, a coalesced joiner)

@@ -93,8 +93,9 @@ func awaitState(t *testing.T, ts *httptest.Server, id string, want JobState) {
 }
 
 // TestQueueFullReturns429 fills the single queue slot behind a blocked
-// solver and asserts the next request is rejected with 429 — and that the
-// queue drains normally once the solver is released.
+// solver and asserts the next request is rejected with 429 — a /solve, a
+// session create (which then registers no session) and a session edit
+// alike — and that the queue drains normally once the solver is released.
 func TestQueueFullReturns429(t *testing.T) {
 	srv := newTestServer(1, 1, time.Minute, 0)
 	release := make(chan struct{})
@@ -109,6 +110,9 @@ func TestQueueFullReturns429(t *testing.T) {
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	// A session opened while the queue is empty; its resolves bypass the
+	// stub but not the queue.
+	sess := createSession(t, ts, 61)
 	// Three DISTINCT designs: identical ones would coalesce into a single
 	// solve instead of filling the queue.
 	d1, d2, d3 := testDesignSeed(t, 7), testDesignSeed(t, 8), testDesignSeed(t, 9)
@@ -124,14 +128,32 @@ func TestQueueFullReturns429(t *testing.T) {
 		t.Fatalf("third job got status %d, want 429", resp.StatusCode)
 	}
 	resp.Body.Close()
+	d4 := testDesignSeed(t, 10)
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/sessions", SessionRequest{Design: &d4, SkipWDM: true}},
+		{"/sessions/" + sess.SessionID + "/edit", EditRequest{}},
+	} {
+		resp := post(t, ts, tc.path, tc.body)
+		var body map[string]string
+		decode(t, resp, &body)
+		if resp.StatusCode != http.StatusTooManyRequests || body["error"] == "" {
+			t.Errorf("%s with the queue full: status %d body %v, want a JSON 429", tc.path, resp.StatusCode, body)
+		}
+	}
+	if got := gaugeValue(t, ts, "sessions_active"); got != 1 {
+		t.Errorf("sessions_active = %g after a rejected create, want 1", got)
+	}
 
 	close(release)
 	awaitState(t, ts, j1.ID, JobDone)
 	awaitState(t, ts, j2.ID, JobDone)
 
-	// The middleware counted the rejection and the histograms saw the jobs.
-	if v := srv.Tracer().Counter("http.429").Value(); v != 1 {
-		t.Errorf("http.429 = %d, want 1", v)
+	// The middleware counted the rejections and the histograms saw the jobs.
+	if v := srv.Tracer().Counter("http.429").Value(); v != 3 {
+		t.Errorf("http.429 = %d, want 3", v)
 	}
 	ts.Close()
 	srv.Shutdown()
@@ -257,7 +279,6 @@ func TestBadRequests(t *testing.T) {
 func TestTimeoutClamp(t *testing.T) {
 	srv := newTestServer(4, 1, 7*time.Second, 9*time.Second)
 	defer srv.Shutdown()
-	d := testDesign(t)
 	for _, tc := range []struct {
 		reqMS  int64
 		wantMS int64
@@ -266,26 +287,16 @@ func TestTimeoutClamp(t *testing.T) {
 		{5000, 5000},
 		{60_000, 9000},
 	} {
-		j, err := srv.NewJob(SolveRequest{Design: &d, TimeoutMS: tc.reqMS}, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := j.Timeout().Milliseconds(); got != tc.wantMS {
+		if got := srv.budget(tc.reqMS).Milliseconds(); got != tc.wantMS {
 			t.Errorf("timeout_ms=%d: applied %d ms, want %d ms", tc.reqMS, got, tc.wantMS)
 		}
-		srv.DropJob(j)
 	}
 	// Unclamped server: the request's budget passes through.
 	free := newTestServer(4, 1, time.Second, 0)
 	defer free.Shutdown()
-	j, err := free.NewJob(SolveRequest{Design: &d, TimeoutMS: 3_600_000}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := j.Timeout(); got != time.Hour {
+	if got := free.budget(3_600_000); got != time.Hour {
 		t.Errorf("unclamped timeout = %s, want 1h", got)
 	}
-	free.DropJob(j)
 }
 
 // healthz decodes one GET /healthz round trip.

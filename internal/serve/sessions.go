@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strings"
@@ -21,13 +20,17 @@ import (
 //	GET    /sessions/{id}       session metadata + latency summary
 //	DELETE /sessions/{id}       drop the session
 //
-// Unlike /solve jobs, session solves run inline in the handler (bounded by
-// MaxSessions and serialised per session): a session's reuse state is
-// sticky to its operon.Session and cannot hop between queue slots. Sessions
-// are evicted by idle TTL (a janitor sweeps; lookups also check lazily) and
-// by LRU when MaxSessions is reached. Eviction mid-resolve is safe: the
-// handler holds the session pointer and its lock for the duration, eviction
-// only unlinks the id from the table.
+// Session solves are jobs like /solve's: the handler applies the edit
+// script, then enqueues a job that carries the session (429 when the queue
+// is full, and a create that bounces registers no session), and a worker
+// resolves it on its slot's workspace. The reuse state lives in the
+// operon.Session, not in a workspace, so consecutive resolves of one
+// session may run on different slots; the session's lock serialises them.
+// Session jobs skip the dedup layer: their result depends on the session's
+// history, not only on a fingerprint. Sessions are evicted by idle TTL (a
+// janitor sweeps; lookups also check lazily) and by LRU when MaxSessions is
+// reached. Eviction mid-resolve is safe: the job holds the session pointer,
+// eviction only unlinks the id from the table.
 
 // SessionRequest is the JSON body of POST /sessions. Input selection
 // matches SolveRequest (bench or inline design).
@@ -53,29 +56,6 @@ type EditRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// ReuseStats is the wire form of operon.ResolveStats: what the re-solve
-// reused versus rebuilt.
-type ReuseStats struct {
-	// Cold marks the session's first solve.
-	Cold bool `json:"cold,omitempty"`
-	// FullReuse marks a no-op resolve (nothing dirty, nothing re-run).
-	FullReuse bool `json:"full_reuse,omitempty"`
-	// GroupsReused counts signal groups whose clustering carried over.
-	GroupsReused int `json:"groups_reused"`
-	// GroupsRebuilt counts signal groups re-clustered because they were dirty.
-	GroupsRebuilt int `json:"groups_rebuilt"`
-	// TreesReused counts hyper nets whose baseline trees carried over.
-	TreesReused int `json:"trees_reused"`
-	// CandsReused counts nets whose candidate sets carried over.
-	CandsReused int `json:"cands_reused"`
-	// CandsRebuilt counts nets whose candidate sets were regenerated.
-	CandsRebuilt int `json:"cands_rebuilt"`
-	// CrossCacheSeeded counts transplanted crossing-loss memo entries.
-	CrossCacheSeeded int `json:"crosscache_seeded"`
-	// WDMReused marks a carried-over WDM placement/assignment.
-	WDMReused bool `json:"wdm_reused,omitempty"`
-}
-
 // SessionResponse is the JSON result of a session solve (create or edit).
 type SessionResponse struct {
 	SolveResponse
@@ -84,7 +64,7 @@ type SessionResponse struct {
 	// Resolves counts the solves this session has run (cold included).
 	Resolves int `json:"resolves"`
 	// Reuse reports what this resolve reused versus rebuilt.
-	Reuse ReuseStats `json:"reuse"`
+	Reuse operon.ResolveStats `json:"reuse"`
 }
 
 // SessionInfo is the JSON body of GET /sessions/{id}.
@@ -108,12 +88,15 @@ type SessionInfo struct {
 }
 
 // session is one sticky server-side editing session. The server table lock
-// (sessMu) guards lastUsed and table membership; mu serialises Apply/Resolve
-// so concurrent edits to one session cannot interleave mid-solve.
+// (sessMu) guards lastUsed and table membership; mu serialises the resolves
+// of the session's jobs, so the resolve count follows resolve order (Apply
+// needs no server lock: operon.Session serialises its own methods).
 type session struct {
 	id      string
 	mu      sync.Mutex
 	sess    *operon.Session
+	design  string         // design name, for GET and the solve log
+	cfg     operon.Config  // the create-time config, for the solve log
 	hist    *obs.Histogram // per-session resolve latency
 	created time.Time
 
@@ -214,8 +197,8 @@ func (s *Server) sessionCount() int {
 	return len(s.sessions)
 }
 
-// handleSessions serves POST /sessions: create a session, run the cold
-// solve inline, and return the result with the session id.
+// handleSessions serves POST /sessions: create a session, queue its cold
+// solve, and return the result with the session id.
 func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSONError(w, http.StatusMethodNotAllowed, "POST only")
@@ -247,12 +230,13 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	se := &session{
 		id:       id,
 		sess:     operon.NewSession(design, cfg),
+		design:   design.Name,
+		cfg:      cfg,
 		hist:     obs.NewHistogram("session/resolve", nil),
 		created:  time.Now(),
 		lastUsed: time.Now(),
 	}
-	s.putSession(se)
-	s.resolveSession(w, r, se, req.TimeoutMS)
+	s.queueResolve(w, r, se, req.TimeoutMS, true)
 }
 
 // handleSession routes /sessions/{id} and /sessions/{id}/edit.
@@ -271,12 +255,11 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		s.sessMu.Unlock()
 		se.mu.Lock()
 		resolves := se.resolves
-		design := se.sess.Design().Name
 		se.mu.Unlock()
 		snap := se.hist.Snapshot()
 		writeJSON(w, http.StatusOK, SessionInfo{
 			ID:           se.id,
-			Design:       design,
+			Design:       se.design,
 			Resolves:     resolves,
 			AgeSeconds:   time.Since(se.created).Seconds(),
 			IdleSeconds:  idle.Seconds(),
@@ -299,88 +282,49 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 			writeJSONError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		se.mu.Lock()
-		if _, err := se.sess.Apply(edits...); err != nil {
-			se.mu.Unlock()
-			writeJSONError(w, http.StatusBadRequest, "%v", err)
-			return
+		// An empty script (the full-reuse probe) has nothing to apply.
+		if len(edits) > 0 {
+			if _, err := se.sess.Apply(edits...); err != nil {
+				writeJSONError(w, http.StatusBadRequest, "%v", err)
+				return
+			}
 		}
-		se.mu.Unlock()
-		s.resolveSession(w, r, se, req.TimeoutMS)
+		s.queueResolve(w, r, se, req.TimeoutMS, false)
 	default:
 		writeJSONError(w, http.StatusMethodNotAllowed, "unsupported method %s for /sessions/%s/%s", r.Method, id, action)
 	}
 }
 
-// resolveSession runs one session resolve inline under the request budget
-// and writes the response. It serialises on the session's own lock, so
-// concurrent edits to the same session queue up rather than interleave.
-func (s *Server) resolveSession(w http.ResponseWriter, r *http.Request, se *session, timeoutMS int64) {
-	timeout := time.Duration(timeoutMS) * time.Millisecond
-	if timeout <= 0 {
-		timeout = s.defaultTimeout
-	}
-	if s.maxTimeout > 0 && timeout > s.maxTimeout {
-		timeout = s.maxTimeout
-	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
-	defer cancel()
-
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	start := time.Now()
-	res, st, err := se.sess.Resolve(ctx)
-	elapsed := time.Since(start)
-	se.hist.RecordDuration(elapsed)
-	s.tracer.Histogram("session/resolve").RecordDuration(elapsed)
-	reqID := r.Header.Get("X-Request-Id")
+// queueResolve enqueues a resolve of se as a job, or answers 429 when the
+// queue is full; a new session is registered only once its job is queued.
+// It then waits for the job like /solve does and writes the session
+// response. Session jobs skip the dedup layer: no fingerprint, no flight
+// entry, no cache.
+func (s *Server) queueResolve(w http.ResponseWriter, r *http.Request, se *session, timeoutMS int64, isNew bool) {
+	s.mu.Lock()
+	j := s.newJobLocked(instance{
+		design:  signal.Design{Name: se.design},
+		cfg:     se.cfg,
+		timeout: s.budget(timeoutMS),
+	}, r.Header.Get("X-Request-Id"))
+	j.session = se
+	status, err := s.enqueueLocked(j)
+	s.mu.Unlock()
 	if err != nil {
-		s.tracer.Counter("http.solve_errors").Inc()
-		s.log.Error("session resolve failed", "request_id", reqID, "session_id", se.id, "error", err.Error())
-		writeJSONError(w, http.StatusInternalServerError, "%v", err)
+		writeJSONError(w, status, "%v", err)
 		return
 	}
-	se.resolves++
-	if res.Degraded {
-		s.tracer.Counter("http.degraded").Inc()
+	if isNew {
+		s.putSession(se)
 	}
-	s.log.Info("session resolve",
-		"request_id", reqID,
-		"session_id", se.id,
-		"design", res.Design,
-		"degraded", res.Degraded,
-		"full_reuse", st.FullReuse,
-		"groups_rebuilt", st.GroupsRebuilt,
-		"solve_ms", float64(elapsed)/float64(time.Millisecond),
-	)
+	resp, ok := s.await(w, r, j)
+	if !ok {
+		return
+	}
 	writeJSON(w, http.StatusOK, SessionResponse{
-		SolveResponse: SolveResponse{
-			Design:     res.Design,
-			Flow:       res.Flow,
-			PowerMW:    res.PowerMW,
-			Violations: res.Selection.Violations,
-			HyperNets:  len(res.HyperNets),
-			WDMsUsed:   res.WDMStats.FinalWDMs,
-			Degraded:   res.Degraded,
-			StopReason: string(res.StopReason),
-			RequestID:  reqID,
-			TimeoutMS:  timeout.Milliseconds(),
-			ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
-		},
-		SessionID: se.id,
-		Resolves:  se.resolves,
-		Reuse: ReuseStats{
-			Cold:             st.Cold,
-			FullReuse:        st.FullReuse,
-			GroupsReused:     st.GroupsReused,
-			GroupsRebuilt:    st.GroupsRebuilt,
-			TreesReused:      st.TreesReused,
-			CandsReused:      st.CandsReused,
-			CandsRebuilt:     st.CandsRebuilt,
-			CrossCacheSeeded: st.CrossCacheSeeded,
-			WDMReused:        st.WDMReused,
-		},
+		SolveResponse: *resp,
+		SessionID:     se.id,
+		Resolves:      j.resolves,
+		Reuse:         j.reuse,
 	})
 }

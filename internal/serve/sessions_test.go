@@ -73,6 +73,10 @@ func TestSessionRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := benchgen.MoveScript(d, 2, 1)
+	// The edit is a queued job: it runs once on a worker and records its
+	// queue wait like any /solve.
+	queueWaits := func() int64 { return s.Tracer().Histogram("request/queue_wait").Snapshot().Count }
+	runs, waits := counter(s, "http.solves_run"), queueWaits()
 	resp := post(t, ts, "/sessions/"+sr.SessionID+"/edit", EditRequest{Edits: ops})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("edit: status %d", resp.StatusCode)
@@ -81,6 +85,12 @@ func TestSessionRoundtrip(t *testing.T) {
 	decode(t, resp, &er)
 	if er.Reuse.Cold || er.Resolves != 2 {
 		t.Fatalf("edit resolve: cold=%v resolves=%d", er.Reuse.Cold, er.Resolves)
+	}
+	if got := counter(s, "http.solves_run") - runs; got != 1 {
+		t.Errorf("edit ran %d solves on the workers, want 1", got)
+	}
+	if got := queueWaits() - waits; got != 1 {
+		t.Errorf("edit recorded %d queue waits, want 1", got)
 	}
 	if er.Reuse.GroupsReused+er.Reuse.GroupsRebuilt == 0 {
 		t.Fatal("edit resolve reported no group accounting")

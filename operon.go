@@ -96,7 +96,9 @@ type Config struct {
 	ILPTimeLimit time.Duration
 	// ILPMaxNodes bounds branch-and-bound nodes (0 = library default).
 	ILPMaxNodes int
-	// LR tunes the Lagrangian solver when Mode is ModeLR.
+	// LR tunes the Lagrangian solver's trajectory (MaxIters, ConvergeRatio,
+	// StepScale) when Mode is ModeLR. Its Ctx, Workers and Obs are ignored:
+	// the LR always runs under the flow's context, Workers and Obs.
 	LR selection.LROptions
 	// Seed drives the deterministic clustering.
 	Seed int64
@@ -463,18 +465,10 @@ func contribsMatch(i int, netPrev []int, contribs [][]int, prev *sessionState) b
 // when a solver hit its budget. Config.ILPTimeLimit bounds only the ILP: the
 // LR fallback of rung 1 still runs under the caller's ctx.
 func runSelection(ctx context.Context, cfg Config, ws *Workspace, inst *selection.Instance, res *Result) error {
-	// Config.LR with the flow's context (unless the caller pinned one),
-	// worker count and tracer as defaults.
+	// The flow's context, worker count and tracer are the only ones: the
+	// LR's own execution fields in Config.LR are overwritten.
 	lrOpt := cfg.LR
-	if lrOpt.Ctx == nil {
-		lrOpt.Ctx = ctx
-	}
-	if lrOpt.Workers == 0 {
-		lrOpt.Workers = cfg.Workers
-	}
-	if lrOpt.Obs == nil {
-		lrOpt.Obs = cfg.Obs
-	}
+	lrOpt.Ctx, lrOpt.Workers, lrOpt.Obs = ctx, cfg.Workers, cfg.Obs
 	switch cfg.Mode {
 	case ModeILP:
 		ilpCtx := ctx

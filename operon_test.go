@@ -252,7 +252,7 @@ func TestValidationParity(t *testing.T) {
 		d, cfg := smallDesign(t), DefaultConfig()
 		tc.mutate(&d, &cfg)
 		_, coldErr := RunContext(context.Background(), d, cfg)
-		_, _, sessErr := NewSession(d, cfg).Resolve(context.Background())
+		_, _, sessErr := NewSession(d, cfg).Resolve(context.Background(), nil)
 		if coldErr == nil || sessErr == nil {
 			t.Errorf("%s: invalid input accepted (cold: %v, session: %v)", tc.name, coldErr, sessErr)
 			continue

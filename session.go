@@ -11,15 +11,15 @@ import (
 	"operon/internal/signal"
 )
 
-// Session supports incremental (ECO) re-synthesis: it wraps a Workspace, a
-// mutable copy of a design, and the committed state of the last successful
-// solve, so that edit→re-solve loops skip every stage whose inputs did not
-// change. Apply mutates the pending design/config; Resolve re-runs the flow
-// reusing, for untouched signal groups, the per-group clustering, the
-// baseline Steiner trees, and the co-design candidate sets of the previous
-// solve, plus the crossing-loss memo of the selection instance for every
-// carried-over net pair. The BPM simulation cache is process-global and is
-// reused verbatim by construction.
+// Session supports incremental (ECO) re-synthesis: it wraps a mutable copy
+// of a design and the committed state of the last successful solve, so that
+// edit→re-solve loops skip every stage whose inputs did not change. Apply
+// mutates the pending design/config; Resolve re-runs the flow reusing, for
+// untouched signal groups, the per-group clustering, the baseline Steiner
+// trees, and the co-design candidate sets of the previous solve, plus the
+// crossing-loss memo of the selection instance for every carried-over net
+// pair. The BPM simulation cache is process-global and is reused verbatim by
+// construction.
 //
 // Correctness contract: Resolve is bit-identical to a cold RunContext on the
 // same design and config. Both run the same stage pipeline; a cold run is a
@@ -28,10 +28,12 @@ import (
 // diverge (verified by the differential suite in session_test.go).
 //
 // A Session serialises its own methods; distinct sessions are independent
-// (each owns its Workspace) and may resolve concurrently.
+// and may resolve concurrently. A Session owns no solver scratch: Resolve
+// runs on the caller's Workspace, as RunContextWith does, so any number of
+// sessions can share the few workspaces of a worker pool (operond passes
+// its queue slot's).
 type Session struct {
 	mu     sync.Mutex
-	ws     *Workspace
 	design signal.Design
 	cfg    Config
 	last   *sessionState // the last non-degraded solve; its design is a deep copy
@@ -39,9 +41,9 @@ type Session struct {
 
 // NewSession starts an editing session on a deep copy of d: later mutations
 // of the caller's design do not leak in, and edits never leak out. The
-// session owns a fresh Workspace; the first Resolve is a cold solve.
+// first Resolve is a cold solve.
 func NewSession(d signal.Design, cfg Config) *Session {
-	return &Session{ws: NewWorkspace(), design: copyDesign(d), cfg: cfg}
+	return &Session{design: copyDesign(d), cfg: cfg}
 }
 
 // Design returns a deep copy of the session's pending design (the last
@@ -282,41 +284,44 @@ func applyEdit(d *signal.Design, cfg *Config, e Edit, dirty *Dirty) error {
 	return nil
 }
 
-// ResolveStats reports what a Resolve reused versus rebuilt.
+// ResolveStats reports what a Resolve reused versus rebuilt. Its JSON form
+// is the "reuse" object of operond's session responses.
 type ResolveStats struct {
 	// Cold reports the session's first solve (nothing to reuse).
-	Cold bool
+	Cold bool `json:"cold,omitempty"`
 	// FullReuse reports that nothing was dirty: the previous result was
 	// returned without re-running any stage.
-	FullReuse bool
+	FullReuse bool `json:"full_reuse,omitempty"`
 	// GroupsReused counts signal groups whose clustering was carried over.
-	GroupsReused int
+	GroupsReused int `json:"groups_reused"`
 	// GroupsRebuilt counts signal groups re-clustered by this solve.
-	GroupsRebuilt int
+	GroupsRebuilt int `json:"groups_rebuilt"`
 	// TreesReused counts hyper nets whose baseline trees were carried over.
-	TreesReused int
+	TreesReused int `json:"trees_reused"`
 	// TreesRebuilt counts hyper nets whose baseline trees were rebuilt.
-	TreesRebuilt int
+	TreesRebuilt int `json:"trees_rebuilt"`
 	// CandsReused counts hyper nets whose candidate sets were carried over.
-	CandsReused int
+	CandsReused int `json:"cands_reused"`
 	// CandsRebuilt counts hyper nets whose candidate sets were regenerated.
-	CandsRebuilt int
+	CandsRebuilt int `json:"cands_rebuilt"`
 	// CrossCacheSeeded counts crossing-loss memo entries transplanted into
 	// the new selection instance.
-	CrossCacheSeeded int
+	CrossCacheSeeded int `json:"crosscache_seeded"`
 	// WDMReused reports that the WDM placement/assignment was carried over
 	// (identical nets and selection choice).
-	WDMReused bool
+	WDMReused bool `json:"wdm_reused,omitempty"`
 }
 
-// Resolve re-solves the session's pending design under ctx, re-running only
-// the stages whose inputs changed since the last committed solve (see the
-// type doc for the reuse rules and DESIGN.md §12 for the reuse matrix). The
-// result is bit-identical to RunContext(ctx, s.Design(), s.Config()).
+// Resolve re-solves the session's pending design under ctx on the caller's
+// workspace ws (nil means per-run scratch; see RunContextWith), re-running
+// only the stages whose inputs changed since the last committed solve (see
+// the type doc for the reuse rules and DESIGN.md §12 for the reuse matrix).
+// The result is bit-identical to RunContext(ctx, s.Design(), s.Config()),
+// whichever workspace runs it.
 // Degraded results (ctx expired mid-solve) are returned but not committed:
 // the next Resolve diffs against the last good state, so a cancelled resolve
 // never poisons the session.
-func (s *Session) Resolve(ctx context.Context) (*Result, ResolveStats, error) {
+func (s *Session) Resolve(ctx context.Context, ws *Workspace) (*Result, ResolveStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var st ResolveStats
@@ -324,7 +329,7 @@ func (s *Session) Resolve(ctx context.Context) (*Result, ResolveStats, error) {
 		s.recordStats(st)
 		return res, st, nil
 	}
-	res, next, err := solve(ctx, s.design, s.cfg, s.ws, s.last, &st)
+	res, next, err := solve(ctx, s.design, s.cfg, ws, s.last, &st)
 	if err != nil {
 		return nil, st, err
 	}
@@ -340,12 +345,10 @@ func (s *Session) Resolve(ctx context.Context) (*Result, ResolveStats, error) {
 // neither the design nor any result-relevant config knob changed since the
 // last committed solve; nil otherwise. (A cold run under an expired ctx would
 // degrade; returning the complete cached result is strictly better and still
-// matches an un-expired cold run bit-for-bit.) A pinned LR context vetoes
-// the shortcut: it can expire between solves, so such solves are not pure
-// functions of (design, config).
+// matches an un-expired cold run bit-for-bit.)
 func (s *Session) fullReuse(st *ResolveStats) *Result {
 	prev := s.last
-	if prev == nil || s.cfg.LR.Ctx != nil || diffConfig(prev.cfg, s.cfg).any() ||
+	if prev == nil || diffConfig(prev.cfg, s.cfg).any() ||
 		len(s.design.Groups) != len(prev.design.Groups) {
 		return nil
 	}

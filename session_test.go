@@ -63,9 +63,9 @@ func requireIdentical(t *testing.T, label string, got, want *Result) {
 }
 
 // TestSessionDifferentialRandomEdits is the bit-identity oracle: across
-// randomized edit scripts (mixed kinds, several seeds, Workers 0 and >1),
-// every Session.Resolve must equal a cold RunContext on the session's
-// pending design and config.
+// randomized edit scripts (mixed kinds, several seeds, Workers 0 and >1,
+// a different workspace each round), every Session.Resolve must equal a
+// cold RunContext on the session's pending design and config.
 func TestSessionDifferentialRandomEdits(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -76,7 +76,11 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Workers = workers
 				s := NewSession(d, cfg)
+				// Each round runs on a different workspace, nil included,
+				// as a session's jobs hop between operond's queue slots.
+				slots := []*Workspace{NewWorkspace(), NewWorkspace(), nil}
 				for round := 0; round < 4; round++ {
+					ws := slots[round%len(slots)]
 					if round > 0 {
 						ops := benchgen.EditScript(s.Design(), 3, seed*100+int64(round))
 						edits, err := EditsFromOps(ops)
@@ -87,7 +91,7 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					got, st, err := s.Resolve(context.Background())
+					got, st, err := s.Resolve(context.Background(), ws)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -111,11 +115,12 @@ func TestSessionEmptyEditScript(t *testing.T) {
 	d := ecoDesign(t, 3, 10, 7)
 	cfg := DefaultConfig()
 	s := NewSession(d, cfg)
-	first, _, err := s.Resolve(context.Background())
+	ws := NewWorkspace()
+	first, _, err := s.Resolve(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, st, err := s.Resolve(context.Background())
+	second, st, err := s.Resolve(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +140,8 @@ func TestSessionEmptyEditScript(t *testing.T) {
 func TestSessionMoveBackIsFullReuse(t *testing.T) {
 	d := ecoDesign(t, 3, 10, 11)
 	s := NewSession(d, DefaultConfig())
-	if _, _, err := s.Resolve(context.Background()); err != nil {
+	ws := NewWorkspace()
+	if _, _, err := s.Resolve(context.Background(), ws); err != nil {
 		t.Fatal(err)
 	}
 	orig := d.Groups[1].Bits[2].Driver
@@ -143,7 +149,7 @@ func TestSessionMoveBackIsFullReuse(t *testing.T) {
 	if _, err := s.Apply(MoveTerminal(1, 2, -1, moved), MoveTerminal(1, 2, -1, orig)); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := s.Resolve(context.Background())
+	_, st, err := s.Resolve(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,14 +164,15 @@ func TestSessionMoveBackIsFullReuse(t *testing.T) {
 func TestSessionSmallEditReuses(t *testing.T) {
 	d := ecoDesign(t, 4, 12, 21)
 	s := NewSession(d, DefaultConfig())
-	if _, _, err := s.Resolve(context.Background()); err != nil {
+	ws := NewWorkspace()
+	if _, _, err := s.Resolve(context.Background(), ws); err != nil {
 		t.Fatal(err)
 	}
 	p := d.Groups[2].Bits[0].Sinks[0]
 	if _, err := s.Apply(MoveTerminal(2, 0, 0, geom.Point{X: p.X + 0.02, Y: p.Y})); err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := s.Resolve(context.Background())
+	got, st, err := s.Resolve(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +194,8 @@ func TestSessionSmallEditReuses(t *testing.T) {
 func TestSessionEditEveryGroup(t *testing.T) {
 	d := ecoDesign(t, 3, 8, 31)
 	s := NewSession(d, DefaultConfig())
-	if _, _, err := s.Resolve(context.Background()); err != nil {
+	ws := NewWorkspace()
+	if _, _, err := s.Resolve(context.Background(), ws); err != nil {
 		t.Fatal(err)
 	}
 	var edits []Edit
@@ -198,7 +206,7 @@ func TestSessionEditEveryGroup(t *testing.T) {
 	if _, err := s.Apply(edits...); err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := s.Resolve(context.Background())
+	got, st, err := s.Resolve(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,13 +225,14 @@ func TestSessionEditEveryGroup(t *testing.T) {
 func TestSessionBudgetEdit(t *testing.T) {
 	d := ecoDesign(t, 3, 10, 41)
 	s := NewSession(d, DefaultConfig())
-	if _, _, err := s.Resolve(context.Background()); err != nil {
+	ws := NewWorkspace()
+	if _, _, err := s.Resolve(context.Background(), ws); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Apply(SetMaxLossDB(DefaultConfig().Lib.MaxLossDB * 0.8)); err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := s.Resolve(context.Background())
+	got, st, err := s.Resolve(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +253,8 @@ func TestSessionBudgetEdit(t *testing.T) {
 func TestSessionGroupAddRemove(t *testing.T) {
 	d := ecoDesign(t, 3, 8, 51)
 	s := NewSession(d, DefaultConfig())
-	if _, _, err := s.Resolve(context.Background()); err != nil {
+	ws := NewWorkspace()
+	if _, _, err := s.Resolve(context.Background(), ws); err != nil {
 		t.Fatal(err)
 	}
 	extra := ecoDesign(t, 1, 6, 99).Groups[0]
@@ -252,7 +262,7 @@ func TestSessionGroupAddRemove(t *testing.T) {
 	if _, err := s.Apply(AddGroup(extra)); err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := s.Resolve(context.Background())
+	got, st, err := s.Resolve(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +278,7 @@ func TestSessionGroupAddRemove(t *testing.T) {
 	if _, err := s.Apply(RemoveGroup(0)); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = s.Resolve(context.Background())
+	got, _, err = s.Resolve(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,14 +297,15 @@ func TestSessionModeILPDifferential(t *testing.T) {
 	cfg.Mode = ModeILP
 	cfg.ILPTimeLimit = 30 * time.Second
 	s := NewSession(d, cfg)
-	if _, _, err := s.Resolve(context.Background()); err != nil {
+	ws := NewWorkspace()
+	if _, _, err := s.Resolve(context.Background(), ws); err != nil {
 		t.Fatal(err)
 	}
 	p := d.Groups[0].Bits[1].Driver
 	if _, err := s.Apply(MoveTerminal(0, 1, -1, geom.Point{X: p.X + 0.03, Y: p.Y})); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := s.Resolve(context.Background())
+	got, _, err := s.Resolve(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,8 +316,8 @@ func TestSessionModeILPDifferential(t *testing.T) {
 	requireIdentical(t, "ilp edit", got, want)
 }
 
-// TestSessionConcurrentResolve runs distinct sessions concurrently (each
-// owns its workspace) — primarily a race-detector target for `make race`.
+// TestSessionConcurrentResolve runs distinct sessions concurrently (each on
+// its own workspace) — primarily a race-detector target for `make race`.
 func TestSessionConcurrentResolve(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
@@ -318,6 +329,7 @@ func TestSessionConcurrentResolve(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Workers = 2
 			s := NewSession(d, cfg)
+			ws := NewWorkspace()
 			for round := 0; round < 3; round++ {
 				if round > 0 {
 					ops := benchgen.MoveScript(s.Design(), 2, int64(k*10+round))
@@ -331,7 +343,7 @@ func TestSessionConcurrentResolve(t *testing.T) {
 						return
 					}
 				}
-				got, _, err := s.Resolve(context.Background())
+				got, _, err := s.Resolve(context.Background(), ws)
 				if err != nil {
 					errs <- err
 					return
@@ -361,7 +373,8 @@ func TestSessionConcurrentResolve(t *testing.T) {
 func TestSessionDegradedNotCommitted(t *testing.T) {
 	d := ecoDesign(t, 3, 10, 81)
 	s := NewSession(d, DefaultConfig())
-	if _, _, err := s.Resolve(context.Background()); err != nil {
+	ws := NewWorkspace()
+	if _, _, err := s.Resolve(context.Background(), ws); err != nil {
 		t.Fatal(err)
 	}
 	p := d.Groups[1].Bits[0].Driver
@@ -370,7 +383,7 @@ func TestSessionDegradedNotCommitted(t *testing.T) {
 	}
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, _, err := s.Resolve(expired)
+	res, _, err := s.Resolve(expired, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +392,7 @@ func TestSessionDegradedNotCommitted(t *testing.T) {
 	}
 	// The degraded result must not have been committed: a full resolve now
 	// still rebuilds the dirty group and matches cold.
-	got, st, err := s.Resolve(context.Background())
+	got, st, err := s.Resolve(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ import (
 // A Workspace must not be shared by concurrently executing runs: the pool
 // hands slot w to worker w, so two overlapping runs would alias scratch.
 // Serving layers keep one Workspace per queue slot instead
-// (internal/serve), and sticky editing sessions own one for their whole
-// lifetime (Session).
+// (internal/serve), and it serves every job of that slot: cold solves and
+// Session resolves alike, since a Session owns no scratch of its own.
 type Workspace struct {
 	arena *parallel.Arena
 }
