@@ -2,8 +2,8 @@ GO ?= go
 
 # Packages with parallel stages or shared caches; `make check` runs these
 # under the race detector in addition to the normal test sweep. internal/ilp
-# is here for the speculative branch-and-bound workers (the determinism
-# tests assert bit-identical trees at Workers=1,2,4,8 under -race).
+# is serial; it stays so that state shared between concurrent Solve calls
+# (operond runs one per worker slot) shows up in TestConcurrentSolves.
 RACE_PKGS = ./internal/parallel ./internal/selection ./internal/signal \
             ./internal/wdm ./internal/optics/bpm ./internal/obs \
             ./internal/serve ./internal/ilp .
@@ -53,13 +53,12 @@ trace-smoke:
 bench-scale:
 	$(GO) test -run '^$$' -bench '^BenchmarkScaleI6$$' -benchtime 1x .
 
-# Parallel-speedup gate for multicore runners: the flow, LR pricing and the
-# deterministic parallel branch and bound must each beat their Workers=1
-# twin by 1.05x, over three alternating runs. With GOMAXPROCS=1 the gate
-# skips with a notice: the pair would measure pool overhead, not
-# parallelism.
+# Parallel-speedup gate for multicore runners: the flow and LR pricing must
+# each beat their Workers=1 twin by 1.05x, over three alternating runs. With
+# GOMAXPROCS=1 the gate skips with a notice: the pair would measure pool
+# overhead, not parallelism.
 bench-speedup:
-	$(GO) test -run '^$$' -bench '^BenchmarkParallelSpeedup$$' -benchtime 3x . ./internal/ilp
+	$(GO) test -run '^$$' -bench '^BenchmarkParallelSpeedup$$' -benchtime 3x .
 
 # Incremental re-synthesis gate: a session re-solve after a one-pin edit
 # must beat the cold I3 solve by 10x.

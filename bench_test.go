@@ -263,7 +263,7 @@ func lrPricingRow(tb testing.TB, cfg operon.Config) func() error {
 func ilpSelectionRow(tb testing.TB, cfg operon.Config) func() error {
 	inst := selectionInstance(tb, selected(tb, ilpDesign(tb), cfg), cfg)
 	return func() error {
-		ir, err := solveILP(inst, selection.ILPOptions{Workers: cfg.Workers})
+		ir, err := solveILP(inst, selection.ILPOptions{})
 		if err == nil && (ir.TimedOut || ir.Status != ilp.Optimal) {
 			err = fmt.Errorf("ILP did not prove optimality (status %v, timed out %v)", ir.Status, ir.TimedOut)
 		}

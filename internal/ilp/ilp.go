@@ -17,16 +17,13 @@
 // space, so callers never see the reduction (Result.X always has
 // LP.NumVars entries; Result.LPRows reports the reduced row count).
 //
-// The search is deterministically parallel. Options.Workers > 1 adds
-// speculative LP workers that pre-solve frontier nodes, but every decision
-// — which node is expanded next, what is pruned, when an incumbent is
-// recorded, every counter and event — is taken by a single decision loop
-// in strict (bound, node-id) order. Node ids are assigned at creation, so
-// the explored tree, Result.Nodes, Result.LPSolves, the ilp.nodes /
-// ilp.incumbents counters, and the lp.* pivot counters are bit-identical
-// at any worker count; only wall-clock time changes. Speculation is
-// visible solely through the ilp.spec_solves / ilp.spec_wasted /
-// ilp.basis_reuse scheduling diagnostics.
+// The search is serial and deterministic: one decision loop expands nodes
+// in strict (bound, node-id) order and solves every relaxation inline.
+// Node ids are assigned at creation, so the explored tree, the Result and
+// every counter and event are a function of the problem alone. The first
+// popped node whose bound cannot beat the incumbent proves optimality and
+// ends the search; Result.Nodes counts only solved relaxations, so it
+// equals the ilp.nodes counter and the number of ilp/node events.
 package ilp
 
 import (
@@ -35,12 +32,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"operon/internal/lp"
 	"operon/internal/obs"
-	"operon/internal/parallel"
 )
 
 // Problem is a linear programme plus a set of variables restricted to {0,1}.
@@ -79,29 +74,17 @@ type Options struct {
 	// TimedOut set, returning the best incumbent found so far (the paper's
 	// ">3000 s" semantics). A nil Ctx means context.Background().
 	Ctx context.Context
-	// MaxNodes bounds the number of branch-and-bound nodes; zero means
-	// 200000.
+	// MaxNodes bounds the number of branch-and-bound nodes solved, root
+	// included; zero means 200000.
 	MaxNodes int
 	// MaxTableauBytes caps the LP solver workspace (zero = lp default).
 	// Oversized relaxations end the solve with TimedOut set.
 	MaxTableauBytes int64
-	// Workers sets the parallelism of the search: 1 solves every relaxation
-	// inline on the decision thread (fully serial), W > 1 adds W-1
-	// speculative workers that pre-solve frontier relaxations on cloned
-	// solvers. Zero (or negative) means one worker per CPU. The explored
-	// tree and all deterministic counters are identical at every value —
-	// see the package comment for the contract.
-	Workers int
-	// Arena, when non-nil, supplies per-worker scratch (cloned solvers and
-	// bound buffers) reused across Solve calls. An arena must not be shared
-	// by concurrent Solve calls. Nil allocates fresh scratch per solve.
-	Arena *parallel.Arena
 	// Obs, when non-nil, receives an ilp/node event per branch-and-bound
 	// node (depth, bound, warm-start pivot count), an ilp/incumbent event
 	// per incumbent improvement, the ilp.nodes / ilp.incumbents counters,
-	// and the lp.* counters of the relaxation engine underneath. Worker
-	// speculation adds the ilp.spec_solves / ilp.spec_wasted diagnostics
-	// (the only counters that may vary with Workers).
+	// the ilp.basis_reuse pool diagnostic, and the lp.* counters of the
+	// relaxation engine underneath.
 	Obs *obs.Tracer
 }
 
@@ -144,20 +127,19 @@ type Result struct {
 	X []float64
 	// Objective is the objective value of X.
 	Objective float64
-	// Nodes counts branch-and-bound nodes explored.
+	// Nodes counts branch-and-bound nodes whose relaxation was solved, root
+	// included. It equals the ilp.nodes counter and the number of ilp/node
+	// events, and never exceeds MaxNodes.
 	Nodes int
 	// Elapsed is the wall-clock time of the solve.
 	Elapsed time.Duration
 	// TimedOut reports that a budget — the context deadline or MaxNodes —
 	// stopped the search before optimality.
 	TimedOut bool
-	// LPSolves counts LP relaxations solved (root, nodes, and rounding
-	// heuristics). Discarded speculative solves are not counted, keeping
-	// the value identical across worker counts.
+	// LPSolves counts LP relaxations solved (root, nodes, rounding
+	// heuristics, and the cold retry after a numerical failure).
 	LPSolves int
-	// LPTime is the wall clock spent inside the LP solver on consumed
-	// solves (diagnostic; with Workers > 1 solves overlap, so this can
-	// exceed Elapsed).
+	// LPTime is the part of Elapsed spent inside the LP solver.
 	LPTime time.Duration
 	// LPRows is the constraint-row count of the relaxation solver after
 	// presolve; it is invariant across the branch-and-bound tree because
@@ -166,11 +148,6 @@ type Result struct {
 }
 
 const intTol = 1e-6
-
-// lpCounterNames are the relaxation-engine counters the search forwards
-// from speculative workers to the caller's tracer in consumption order, so
-// their totals match the serial solve exactly.
-var lpCounterNames = [4]string{"lp.solves", "lp.pivots", "lp.bound_flips", "lp.refactors"}
 
 // nodeDepth counts the bound tightenings between nd and the root — the
 // node's depth in the branch-and-bound tree.
@@ -184,16 +161,6 @@ func nodeDepth(nd *bnode) int {
 	return d
 }
 
-// Node lifecycle under speculation. Only nodePending nodes may be picked
-// up by a worker; every other state is owned by whoever set it.
-const (
-	nodePending int32 = iota // on the frontier, relaxation not started
-	nodeClaimed              // decision loop solves (or has consumed) it
-	nodeSolving              // a worker is speculatively solving it
-	nodeDone                 // speculative result attached, awaiting consumption
-	nodeDiscarded            // pruned; an in-flight result is dropped by its worker
-)
-
 // bnode is one branch-and-bound node: a single bound tightening relative
 // to its parent (a persistent diff chain back to the root) plus the
 // parent's optimal basis for the dual-simplex warm start.
@@ -204,8 +171,6 @@ type bnode struct {
 	lo, up float64
 	parent *bnode
 	basis  *basisRef // parent's optimal basis (shared by both children)
-	state  int32     // node lifecycle; guarded by search.mu when Workers > 1
-	spec   *specResult
 }
 
 // basisRef wraps a basis snapshot with a reference count so the search can
@@ -217,22 +182,9 @@ type basisRef struct {
 	refs int
 }
 
-// specResult is one speculative relaxation outcome produced by a worker:
-// the solution, the child basis, and the worker-side lp.* counter deltas,
-// folded into the real counters only when the decision loop consumes the
-// node (so counter totals stay in serial order).
-type specResult struct {
-	sol    lp.Solution
-	out    *basisRef
-	err    error
-	solves int // LP attempts, including the cold retry after ErrNumerical
-	dur    time.Duration
-	deltas [4]int64 // lpCounterNames deltas
-}
-
 // nodeQueue orders nodes by (bound, id): best lower bound first, creation
 // order on ties. The id tiebreak makes extraction — and therefore the
-// whole explored tree — independent of heap internals and worker count.
+// whole explored tree — independent of heap internals.
 type nodeQueue []*bnode
 
 func (q nodeQueue) Len() int { return len(q) }
@@ -253,8 +205,7 @@ func (q *nodeQueue) Pop() interface{} {
 }
 
 // search carries the state of one branch-and-bound run over the presolved
-// problem. The decision loop owns everything except the fields documented
-// as guarded by mu, which workers share.
+// problem.
 type search struct {
 	p        Problem // presolved (reduced) problem; Binary reindexed
 	opt      Options
@@ -267,65 +218,22 @@ type search struct {
 	solver *lp.BoundedSolver
 	res    Result
 
-	rootLo, rootUp   []float64
-	lo, up           []float64 // per-node scratch, decision thread only
-	savedLo, savedUp []float64
+	rootLo, rootUp    []float64
+	lo, up            []float64 // bound scratch of the node being solved
+	savedLo, savedUp  []float64
 	nodeSol, roundSol *lp.Solution
-	roundBasis       lp.Basis
-	incumbent        []float64
+	roundBasis        lp.Basis
+	incumbent         []float64
 
 	cNodes, cIncumbents, cBasisReuse *obs.Counter
-	cSpecSolves, cSpecWasted         *obs.Counter
-	cLP                              [4]*obs.Counter // lpCounterNames on the caller tracer
 
-	pq     nodeQueue // decision frontier; decision thread only
-	nextID uint64
-
-	workers    int // speculative workers besides the decision thread
-	specCancel context.CancelFunc
-	workerDone chan struct{}
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	spec      nodeQueue // speculation frontier (lazy-deleted mirror of pq)
-	specFree  []*specResult
+	pq        nodeQueue // frontier
+	nextID    uint64
 	basisFree []*basisRef
-	incObj    float64 // mirror of res.Objective for worker-side pruning
-	closed    bool
 }
 
-// workerSpace is the per-worker scratch cached in a parallel.Scratch slot:
-// a cloned solver (sharing the immutable problem matrices), bound buffers,
-// and a private tracer whose counters supply the worker's lp.* deltas.
-type workerSpace struct {
-	src    *lp.BoundedSolver
-	solver *lp.BoundedSolver
-	lo, up []float64
-	tracer *obs.Tracer
-	ctr    [4]*obs.Counter
-}
-
-func (ws *workerSpace) prepare(s *search) {
-	if ws.tracer == nil {
-		ws.tracer = obs.New(nil)
-		for i, name := range lpCounterNames {
-			ws.ctr[i] = ws.tracer.Counter(name)
-		}
-	}
-	if ws.src != s.solver {
-		ws.src = s.solver
-		ws.solver = s.solver.Clone()
-	}
-	n := len(s.rootLo)
-	if cap(ws.lo) < n {
-		ws.lo = make([]float64, n)
-		ws.up = make([]float64, n)
-	}
-	ws.lo, ws.up = ws.lo[:n], ws.up[:n]
-}
-
-// Solve runs presolve and then deterministic (optionally parallel)
-// best-first branch and bound on the reduced problem.
+// Solve runs presolve and then serial best-first branch and bound on the
+// reduced problem.
 func Solve(p Problem, opt Options) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -428,16 +336,7 @@ func Solve(p Problem, opt Options) (Result, error) {
 		cNodes:      cNodes,
 		cIncumbents: cIncumbents,
 		cBasisReuse: opt.Obs.Counter("ilp.basis_reuse"),
-		cSpecSolves: opt.Obs.Counter("ilp.spec_solves"),
-		cSpecWasted: opt.Obs.Counter("ilp.spec_wasted"),
-
-		workers: parallel.Workers(opt.Workers, maxNodes) - 1,
-		incObj:  math.Inf(1),
 	}
-	for i, name := range lpCounterNames {
-		s.cLP[i] = opt.Obs.Counter(name)
-	}
-	s.cond = sync.NewCond(&s.mu)
 
 	if err := s.run(); err != nil {
 		return Result{}, err
@@ -451,9 +350,9 @@ func Solve(p Problem, opt Options) (Result, error) {
 	return res, nil
 }
 
-// materialize rebuilds the decision thread's bound scratch for nd from the
-// diff chain. Diffs along a root path touch distinct variables (a fixed
-// binary is never branched again), so application order is irrelevant.
+// materialize rebuilds the bound scratch for nd from the diff chain. Diffs
+// along a root path touch distinct variables (a fixed binary is never
+// branched again), so application order is irrelevant.
 func (s *search) materialize(nd *bnode) {
 	copy(s.lo, s.rootLo)
 	copy(s.up, s.rootUp)
@@ -464,8 +363,8 @@ func (s *search) materialize(nd *bnode) {
 	}
 }
 
-// relax solves the current bound scratch on the decision thread's solver,
-// retrying cold once when a warm basis is numerically hopeless.
+// relax solves the current bound scratch, retrying cold once when a warm
+// basis is numerically hopeless.
 func (s *search) relax(warm *lp.Basis, sol *lp.Solution, out *lp.Basis) error {
 	t0 := time.Now()
 	err := s.solver.SolveBoundsInto(s.lo, s.up, warm, s.lpOpt, sol, out)
@@ -480,15 +379,8 @@ func (s *search) relax(warm *lp.Basis, sol *lp.Solution, out *lp.Basis) error {
 
 // Basis snapshots are pooled: a node's snapshot is held by the node itself
 // plus its two children, and returns to the free pool once all three
-// release it. The pool is shared with speculative workers, so access goes
-// through the search mutex.
+// release it.
 func (s *search) newBasisRef() *basisRef {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.newBasisRefLocked()
-}
-
-func (s *search) newBasisRefLocked() *basisRef {
 	if n := len(s.basisFree); n > 0 {
 		br := s.basisFree[n-1]
 		s.basisFree = s.basisFree[:n-1]
@@ -500,45 +392,12 @@ func (s *search) newBasisRefLocked() *basisRef {
 }
 
 func (s *search) release(br *basisRef) {
-	if br == nil {
-		return
-	}
-	s.mu.Lock()
-	s.releaseLocked(br)
-	s.mu.Unlock()
-}
-
-func (s *search) releaseLocked(br *basisRef) {
-	if br == nil {
-		return
-	}
 	if br.refs--; br.refs == 0 {
 		s.basisFree = append(s.basisFree, br)
 	}
 }
 
-func (s *search) grabSpecLocked() *specResult {
-	if n := len(s.specFree); n > 0 {
-		sr := s.specFree[n-1]
-		s.specFree = s.specFree[:n-1]
-		return sr
-	}
-	return &specResult{}
-}
-
-func (s *search) recycleSpec(sr *specResult) {
-	if sr == nil {
-		return
-	}
-	s.mu.Lock()
-	sr.out = nil
-	sr.err = nil
-	s.specFree = append(s.specFree, sr)
-	s.mu.Unlock()
-}
-
-// record installs a new incumbent (decision thread only) and mirrors the
-// objective for worker-side pruning.
+// record installs a new incumbent when obj improves on the current one.
 func (s *search) record(x []float64, obj float64) {
 	if obj >= s.res.Objective-1e-9 {
 		return
@@ -546,11 +405,6 @@ func (s *search) record(x []float64, obj float64) {
 	s.incumbent = append(s.incumbent[:0], x...)
 	s.res.Objective = obj
 	s.cIncumbents.Inc()
-	if s.workers > 0 {
-		s.mu.Lock()
-		s.incObj = obj
-		s.mu.Unlock()
-	}
 	if s.opt.Obs != nil {
 		s.opt.Obs.Event("ilp/incumbent", obs.LaneFlow,
 			obs.I("node", s.res.Nodes), obs.F("objective", obj+s.offset))
@@ -599,26 +453,28 @@ func (s *search) tryRound(x []float64, warm *lp.Basis) error {
 	return err
 }
 
-func (s *search) nodeEvent(node, depth int, sol *lp.Solution, bound float64) {
+// countNode accounts for one solved relaxation: the Nodes total, the
+// ilp.nodes counter and the ilp/node event move together.
+func (s *search) countNode(depth int, sol *lp.Solution, bound float64) {
+	s.res.Nodes++
+	s.cNodes.Inc()
 	if s.opt.Obs == nil {
 		return
 	}
 	s.opt.Obs.Event("ilp/node", obs.LaneFlow,
-		obs.I("node", node), obs.I("depth", depth),
+		obs.I("node", s.res.Nodes), obs.I("depth", depth),
 		obs.F("bound", bound+s.offset), obs.I("pivots", sol.Iterations),
 		obs.S("status", sol.Status.String()))
 }
 
 // pushChildren creates both children of a branching, assigns their node
-// ids, and publishes them to the decision frontier and (under speculation)
-// the worker frontier.
+// ids, and pushes them onto the frontier.
 func (s *search) pushChildren(parent *bnode, sol *lp.Solution, br *basisRef, branchVar int) {
 	r := math.Round(sol.X[branchVar])
-	s.mu.Lock()
 	br.refs += 2
 	for _, val := range []float64{r, 1 - r} {
 		s.nextID++
-		nd := &bnode{
+		heap.Push(&s.pq, &bnode{
 			id:     s.nextID,
 			bound:  sol.Objective,
 			v:      branchVar,
@@ -626,86 +482,19 @@ func (s *search) pushChildren(parent *bnode, sol *lp.Solution, br *basisRef, bra
 			up:     val,
 			parent: parent,
 			basis:  br,
-		}
-		heap.Push(&s.pq, nd)
-		if s.workers > 0 {
-			heap.Push(&s.spec, nd)
-		}
-	}
-	s.mu.Unlock()
-	if s.workers > 0 {
-		s.cond.Broadcast()
+		})
 	}
 }
 
-// discard drops a pruned node, releasing its warm-start reference. Under
-// speculation a worker may be mid-solve on the node; ownership of the
-// releases then transfers to that worker (see speculate).
-func (s *search) discard(nd *bnode) {
-	if s.workers <= 0 {
-		s.release(nd.basis)
-		return
-	}
-	s.mu.Lock()
-	switch nd.state {
-	case nodeSolving:
-		nd.state = nodeDiscarded // the worker frees the basis and result
-	case nodeDone:
-		sr := nd.spec
-		nd.spec = nil
-		nd.state = nodeDiscarded
-		s.releaseLocked(sr.out)
-		s.releaseLocked(nd.basis)
-		sr.out = nil
-		sr.err = nil
-		s.specFree = append(s.specFree, sr)
-		s.cSpecWasted.Inc()
-	default:
-		nd.state = nodeDiscarded
-		s.releaseLocked(nd.basis)
-	}
-	s.mu.Unlock()
-}
-
-// resolveNode produces the relaxation of nd: either by consuming a
-// speculative result (folding the worker's counters in consumption order)
-// or by solving inline on the decision thread. The returned specResult is
-// non-nil when the solution aliases pooled worker memory and must be
-// recycled after use.
-func (s *search) resolveNode(nd *bnode) (*lp.Solution, *basisRef, *specResult, error) {
-	if s.workers > 0 {
-		s.mu.Lock()
-		for nd.state == nodeSolving {
-			s.cond.Wait()
-		}
-		if nd.state == nodeDone {
-			sr := nd.spec
-			nd.spec = nil
-			nd.state = nodeClaimed
-			s.mu.Unlock()
-			for i, c := range s.cLP {
-				c.Add(sr.deltas[i])
-			}
-			s.res.LPSolves += sr.solves
-			s.res.LPTime += sr.dur
-			s.release(nd.basis) // warm start consumed by the worker
-			return &sr.sol, sr.out, sr, sr.err
-		}
-		nd.state = nodeClaimed
-		s.mu.Unlock()
-	}
-	childRef := s.newBasisRef()
-	err := s.relax(&nd.basis.b, s.nodeSol, &childRef.b)
-	s.release(nd.basis) // warm start consumed
-	return s.nodeSol, childRef, nil, err
-}
-
-// processNode expands one popped node. It returns stop=true when a
-// resource limit ends the whole search.
+// processNode solves one popped node warm-started from its parent's basis
+// and expands it. It returns stop=true when a resource limit ends the
+// whole search.
 func (s *search) processNode(nd *bnode) (stop bool, err error) {
 	s.materialize(nd)
-	sol, childRef, sr, err := s.resolveNode(nd)
-	defer s.recycleSpec(sr)
+	childRef := s.newBasisRef()
+	defer s.release(childRef)
+	err = s.relax(&nd.basis.b, s.nodeSol, &childRef.b)
+	s.release(nd.basis) // warm start consumed
 	if errors.Is(err, lp.ErrTooLarge) {
 		s.res.TimedOut = true
 		return true, nil
@@ -713,24 +502,24 @@ func (s *search) processNode(nd *bnode) (stop bool, err error) {
 	if err != nil {
 		return false, err
 	}
+	sol := s.nodeSol
 	bound := nd.bound
 	if sol.Status == lp.Optimal {
 		bound = sol.Objective
 	}
-	s.nodeEvent(s.res.Nodes, nodeDepth(nd), sol, bound)
-	if sol.Status != lp.Optimal {
-		s.release(childRef)
-		return false, nil // infeasible or numerically stuck subtree
-	}
-	if sol.Objective >= s.res.Objective-1e-9 {
-		s.release(childRef)
-		return false, nil
+	s.countNode(nodeDepth(nd), sol, bound)
+	switch {
+	case sol.Status == lp.IterLimit:
+		// The budget expired inside the relaxation: the subtree is
+		// unexplored, so optimality is no longer provable.
+		s.res.TimedOut = true
+		return true, nil
+	case sol.Status != lp.Optimal, sol.Objective >= s.res.Objective-1e-9:
+		return false, nil // infeasible or pruned subtree
 	}
 	branchVar := s.fractionalVar(sol.X)
 	if branchVar < 0 {
-		// Integral: incumbent.
-		s.record(sol.X, sol.Objective)
-		s.release(childRef)
+		s.record(sol.X, sol.Objective) // integral: incumbent
 		return false, nil
 	}
 	if s.incumbent == nil {
@@ -739,13 +528,12 @@ func (s *search) processNode(nd *bnode) (stop bool, err error) {
 		}
 	}
 	s.pushChildren(nd, sol, childRef, branchVar)
-	s.release(childRef)
 	return false, nil
 }
 
-// run executes the root relaxation and the decision loop. All search
-// decisions happen here, on one goroutine, in (bound, id) order — workers
-// only pre-compute LP results the loop would otherwise solve inline.
+// run solves the root relaxation and then runs the decision loop, which
+// expands nodes in (bound, id) order until the frontier is empty, its best
+// bound cannot beat the incumbent, or a budget runs out.
 func (s *search) run() error {
 	copy(s.lo, s.rootLo)
 	copy(s.up, s.rootUp)
@@ -760,9 +548,7 @@ func (s *search) run() error {
 	if err != nil {
 		return err
 	}
-	s.res.Nodes = 1
-	s.cNodes.Inc()
-	s.nodeEvent(1, 0, s.nodeSol, s.nodeSol.Objective)
+	s.countNode(0, s.nodeSol, s.nodeSol.Objective)
 	switch s.nodeSol.Status {
 	case lp.Infeasible:
 		s.res.Status = Infeasible
@@ -788,30 +574,17 @@ func (s *search) run() error {
 		return err
 	}
 
-	heap.Init(&s.pq)
 	s.pushChildren(nil, s.nodeSol, rootRef, rootBranch)
 	s.release(rootRef)
 
-	s.startWorkers()
-	defer s.stopWorkers()
-
-	for s.pq.Len() > 0 {
-		s.res.Nodes++
-		s.cNodes.Inc()
-		if s.res.Nodes > s.maxNodes {
+	// Best-first order: once the best frontier bound cannot beat the
+	// incumbent, no remaining node can, and the incumbent is optimal.
+	for s.pq.Len() > 0 && s.pq[0].bound < s.res.Objective-1e-9 {
+		if s.res.Nodes >= s.maxNodes || lp.BudgetExpired(s.ctx, s.deadline) {
 			s.res.TimedOut = true
 			break
 		}
-		if lp.BudgetExpired(s.ctx, s.deadline) {
-			s.res.TimedOut = true
-			break
-		}
-		nd := heap.Pop(&s.pq).(*bnode)
-		if nd.bound >= s.res.Objective-1e-9 {
-			s.discard(nd) // pruned by incumbent
-			continue
-		}
-		stop, err := s.processNode(nd)
+		stop, err := s.processNode(heap.Pop(&s.pq).(*bnode))
 		if err != nil {
 			return err
 		}
@@ -820,146 +593,13 @@ func (s *search) run() error {
 		}
 	}
 
-	if s.incumbent != nil {
-		if s.res.TimedOut || s.pq.Len() > 0 && s.pq[0].bound < s.res.Objective-1e-9 {
-			s.res.Status = Feasible
-		} else {
-			s.res.Status = Optimal
-		}
-	} else if !s.res.TimedOut {
+	switch {
+	case s.incumbent != nil && s.res.TimedOut:
+		s.res.Status = Feasible
+	case s.incumbent != nil:
+		s.res.Status = Optimal
+	case !s.res.TimedOut:
 		s.res.Status = Infeasible
-	}
+	} // otherwise Limit: a budget ran out before any integral solution
 	return nil
-}
-
-// startWorkers launches the speculative workers (no-op when Workers <= 1).
-// parallel.ForEachScratchContext blocks until every worker returns, so it
-// runs on its own goroutine; stopWorkers closes the frontier and waits.
-func (s *search) startWorkers() {
-	if s.workers <= 0 {
-		return
-	}
-	sctx, cancel := context.WithCancel(s.ctx)
-	s.specCancel = cancel
-	s.workerDone = make(chan struct{})
-	w := s.workers
-	go func() {
-		defer close(s.workerDone)
-		parallel.ForEachScratchContext(context.Background(), s.opt.Arena, w, w,
-			func(worker int, sc *parallel.Scratch, _ int) error {
-				s.runWorker(sctx, sc)
-				return nil
-			})
-	}()
-}
-
-func (s *search) stopWorkers() {
-	if s.workers <= 0 || s.workerDone == nil {
-		return
-	}
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.cond.Broadcast()
-	s.specCancel() // abort in-flight speculative pivot loops
-	<-s.workerDone
-	s.specCancel = nil
-	s.workerDone = nil
-}
-
-// runWorker is one speculative worker: repeatedly pop the best pending
-// frontier node and pre-solve its relaxation. Results never change search
-// decisions — the decision loop consumes them in its own order.
-func (s *search) runWorker(ctx context.Context, sc *parallel.Scratch) {
-	ws := sc.Get("ilp", func() any { return &workerSpace{} }).(*workerSpace)
-	ws.prepare(s)
-	lpOpt := lp.Options{Ctx: ctx, MaxTableauBytes: s.opt.MaxTableauBytes, Obs: ws.tracer}
-	for {
-		s.mu.Lock()
-		var nd *bnode
-		for nd == nil && !s.closed {
-			for s.spec.Len() > 0 {
-				top := s.spec[0]
-				// Lazy deletion: skip nodes already claimed, solved, or
-				// discarded, and nodes the incumbent will prune (incObj only
-				// decreases, so a prunable node stays prunable).
-				if top.state != nodePending || top.bound >= s.incObj-1e-9 {
-					heap.Pop(&s.spec)
-					continue
-				}
-				nd = heap.Pop(&s.spec).(*bnode)
-				break
-			}
-			if nd == nil && !s.closed {
-				s.cond.Wait()
-			}
-		}
-		if nd == nil {
-			s.mu.Unlock()
-			return
-		}
-		nd.state = nodeSolving
-		sr := s.grabSpecLocked()
-		s.mu.Unlock()
-		s.speculate(ws, lpOpt, nd, sr)
-	}
-}
-
-// speculate solves nd's relaxation on the worker's cloned solver,
-// replicating the decision thread's cold-retry policy bit for bit, and
-// publishes the result — unless the node was discarded mid-solve, in which
-// case the worker owns the cleanup (the decision loop has already moved
-// on and must not race on the basis pool).
-func (s *search) speculate(ws *workerSpace, lpOpt lp.Options, nd *bnode, sr *specResult) {
-	copy(ws.lo, s.rootLo)
-	copy(ws.up, s.rootUp)
-	for c := nd; c != nil; c = c.parent {
-		if c.v >= 0 {
-			ws.lo[c.v], ws.up[c.v] = c.lo, c.up
-		}
-	}
-	var before [4]int64
-	for i, c := range ws.ctr {
-		before[i] = c.Value()
-	}
-	out := s.newBasisRef()
-	t0 := time.Now()
-	err := ws.solver.SolveBoundsInto(ws.lo, ws.up, &nd.basis.b, lpOpt, &sr.sol, &out.b)
-	sr.solves = 1
-	if errors.Is(err, lp.ErrNumerical) {
-		err = ws.solver.SolveBoundsInto(ws.lo, ws.up, nil, lpOpt, &sr.sol, &out.b)
-		sr.solves = 2
-	}
-	sr.dur = time.Since(t0)
-	sr.err = err
-	sr.out = out
-	for i, c := range ws.ctr {
-		sr.deltas[i] = c.Value() - before[i]
-	}
-
-	s.mu.Lock()
-	if nd.state == nodeDiscarded {
-		s.releaseLocked(nd.basis)
-		s.releaseLocked(out)
-		sr.out = nil
-		sr.err = nil
-		s.specFree = append(s.specFree, sr)
-		s.cSpecWasted.Inc()
-		s.mu.Unlock()
-		return
-	}
-	if s.closed {
-		s.releaseLocked(out)
-		sr.out = nil
-		sr.err = nil
-		s.specFree = append(s.specFree, sr)
-		s.cSpecWasted.Inc()
-		s.mu.Unlock()
-		return
-	}
-	nd.spec = sr
-	nd.state = nodeDone
-	s.cSpecSolves.Inc()
-	s.mu.Unlock()
-	s.cond.Broadcast()
 }

@@ -4,10 +4,13 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"operon/internal/lp"
+	"operon/internal/obs"
 )
 
 func TestValidate(t *testing.T) {
@@ -172,33 +175,24 @@ func bruteForce(t *testing.T, p Problem) float64 {
 	return best
 }
 
+// TestAgainstBruteForce checks Solve against exhaustive enumeration on
+// randomILP programmes.
 func TestAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 25; trial++ {
-		nB := 2 + rng.Intn(5) // up to 6 binaries
-		nC := rng.Intn(3)     // plus continuous vars
-		n := nB + nC
-		p := Problem{LP: lp.Problem{NumVars: n, Objective: make([]float64, n)}}
-		for i := 0; i < n; i++ {
-			p.LP.Objective[i] = rng.Float64()*6 - 1
-		}
-		for i := 0; i < nB; i++ {
-			p.Binary = append(p.Binary, i)
-		}
-		// Continuous vars need upper bounds for boundedness.
-		for i := nB; i < n; i++ {
-			p.LP.Rows = append(p.LP.Rows, lp.Row{
-				Terms: []lp.Term{{Var: i, Coeff: 1}}, Sense: lp.LE, RHS: 3,
-			})
-		}
-		// Random covering constraints.
-		for k := 0; k < 1+rng.Intn(3); k++ {
-			row := lp.Row{Sense: lp.GE, RHS: 0.5 + rng.Float64()}
-			for j := 0; j < n; j++ {
-				row.Terms = append(row.Terms, lp.Term{Var: j, Coeff: rng.Float64()})
-			}
-			p.LP.Rows = append(p.LP.Rows, row)
-		}
+	checkAgainstBruteForce(t, 5, 25)
+}
+
+// TestParallelILPMatchesBruteForce keeps its historical name from when the
+// search ran speculative workers; it now checks the serial search against
+// exhaustive enumeration on a second randomILP seed.
+func TestParallelILPMatchesBruteForce(t *testing.T) {
+	checkAgainstBruteForce(t, 41, 15)
+}
+
+func checkAgainstBruteForce(t *testing.T, seed int64, trials int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < trials; trial++ {
+		p := randomILP(rng)
 		want := bruteForce(t, p)
 		r, err := Solve(p, Options{})
 		if err != nil {
@@ -206,15 +200,15 @@ func TestAgainstBruteForce(t *testing.T) {
 		}
 		if math.IsInf(want, 1) {
 			if r.Status != Infeasible {
-				t.Errorf("trial %d: brute force infeasible but solver says %v", trial, r.Status)
+				t.Errorf("seed %d trial %d: brute force infeasible but solver says %v", seed, trial, r.Status)
 			}
 			continue
 		}
 		if r.Status != Optimal {
-			t.Fatalf("trial %d: status %v", trial, r.Status)
+			t.Fatalf("seed %d trial %d: status %v", seed, trial, r.Status)
 		}
 		if math.Abs(r.Objective-want) > 1e-5 {
-			t.Errorf("trial %d: objective %v, want %v", trial, r.Objective, want)
+			t.Errorf("seed %d trial %d: objective %v, want %v", seed, trial, r.Objective, want)
 		}
 	}
 }
@@ -301,10 +295,145 @@ func TestNodeLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Nodes > 2 {
-		t.Errorf("node limit ignored: %d nodes", r.Nodes)
+	if r.Nodes != 1 || !r.TimedOut {
+		t.Errorf("MaxNodes 1: %d nodes, timedOut %v; want 1 node, timed out", r.Nodes, r.TimedOut)
 	}
-	_ = r
+}
+
+// knapsackILP is a 24-binary knapsack whose tree branches a few hundred
+// nodes deep: weights w in [1,10), profit w plus up to 2, and one capacity
+// row at Σw/2.3.
+func knapsackILP(seed int64) Problem {
+	rng := rand.New(rand.NewSource(seed))
+	const n = 24
+	p := Problem{LP: lp.Problem{NumVars: n, Objective: make([]float64, n)}}
+	row := lp.Row{Sense: lp.LE}
+	for i := 0; i < n; i++ {
+		w := 1 + 9*rng.Float64()
+		p.LP.Objective[i] = -(w + 2*rng.Float64())
+		row.Terms = append(row.Terms, lp.Term{Var: i, Coeff: w})
+		row.RHS += w
+		p.Binary = append(p.Binary, i)
+	}
+	row.RHS /= 2.3
+	p.LP.Rows = []lp.Row{row}
+	return p
+}
+
+// TestFrontierStopProvesOptimum pins the stop rule and the node accounting
+// on trees that branch. Nodes equals the ilp.nodes counter and the number
+// of ilp/node events. A budget of exactly that many nodes still proves the
+// optimum, because the first prunable frontier node ends the search. One
+// node less stops on the budget with Nodes == MaxNodes.
+func TestFrontierStopProvesOptimum(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		p := knapsackILP(seed)
+		col := &obs.Collector{}
+		tr := obs.New(col)
+		r, err := Solve(p, Options{Obs: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Status != Optimal || r.TimedOut || r.Nodes < 3 {
+			t.Fatalf("seed %d: status %v timedOut %v after %d nodes; want a branching optimal solve",
+				seed, r.Status, r.TimedOut, r.Nodes)
+		}
+		events := len(col.EventsNamed("ilp/node"))
+		if counted := tr.Counter("ilp.nodes").Value(); r.Nodes != events || counted != int64(r.Nodes) {
+			t.Fatalf("seed %d: Nodes %d, ilp.nodes %d, ilp/node events %d; want all equal",
+				seed, r.Nodes, counted, events)
+		}
+
+		exact, err := Solve(p, Options{MaxNodes: r.Nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact.Status != Optimal || exact.TimedOut || exact.Nodes != r.Nodes || exact.Objective != r.Objective {
+			t.Fatalf("seed %d, MaxNodes %d: status %v timedOut %v nodes %d objective %v; want the unbudgeted optimum %v",
+				seed, r.Nodes, exact.Status, exact.TimedOut, exact.Nodes, exact.Objective, r.Objective)
+		}
+
+		short, err := Solve(p, Options{MaxNodes: r.Nodes - 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !short.TimedOut || short.Status == Optimal || short.Nodes != r.Nodes-1 {
+			t.Fatalf("seed %d, MaxNodes %d: status %v timedOut %v nodes %d; want a budget stop at MaxNodes",
+				seed, r.Nodes-1, short.Status, short.TimedOut, short.Nodes)
+		}
+	}
+}
+
+// TestConcurrentSolves runs independent solves on separate goroutines, as
+// operond's worker slots do, and checks each against its serial result.
+// Under -race (make check) it also proves the solves share no state.
+func TestConcurrentSolves(t *testing.T) {
+	const n = 4
+	want := make([]Result, n)
+	for i := range want {
+		r, err := Solve(knapsackILP(int64(i+1)), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r
+	}
+	got := make([]Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = Solve(knapsackILP(int64(i+1)), Options{})
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i].Objective != want[i].Objective || got[i].Nodes != want[i].Nodes ||
+			!reflect.DeepEqual(got[i].X, want[i].X) {
+			t.Fatalf("seed %d: concurrent solve %v in %d nodes, serial %v in %d nodes",
+				i+1, got[i].Objective, got[i].Nodes, want[i].Objective, want[i].Nodes)
+		}
+	}
+}
+
+// branchyILP builds an equality knapsack with no integral solution: every
+// coefficient lies in (1, 1.01), so a k-subset sums into (k, 1.01k), and
+// for n below 100 no such range holds the right-hand side n/4 + 1/2.
+// Branch and bound must exhaust a wide, deep tree to prove infeasibility.
+func branchyILP(n int, seed int64) Problem {
+	rng := rand.New(rand.NewSource(seed))
+	p := Problem{LP: lp.Problem{NumVars: n, Objective: make([]float64, n)}}
+	row := lp.Row{Sense: lp.EQ, RHS: float64(n)/4 + 0.5}
+	for i := 0; i < n; i++ {
+		p.LP.Objective[i] = 1 + rng.Float64()*0.001
+		row.Terms = append(row.Terms, lp.Term{Var: i, Coeff: 1 + rng.Float64()*0.01})
+		p.Binary = append(p.Binary, i)
+	}
+	p.LP.Rows = append(p.LP.Rows, row)
+	return p
+}
+
+// maxBranchyAllocs is the allocation ceiling of one solve of the branchy
+// knapsack (about 11,350 measured, plus 10% headroom).
+const maxBranchyAllocs = 12500
+
+// TestBranchyAllocs pins the branch and bound's allocation profile,
+// including the basis pool's reuse of warm-start snapshots.
+func TestBranchyAllocs(t *testing.T) {
+	p := branchyILP(20, 11)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Solve(p, Options{MaxNodes: 4000}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("branchy knapsack: %.0f allocs per solve", allocs)
+	if allocs > maxBranchyAllocs {
+		t.Fatalf("branchy knapsack allocates %.0f per solve, ceiling %d", allocs, maxBranchyAllocs)
+	}
 }
 
 func TestStatusStrings(t *testing.T) {

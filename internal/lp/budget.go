@@ -8,7 +8,7 @@ import (
 // ResolveBudget is the single deadline-plumbing helper shared by every
 // solver layer: it returns the context to poll for cancellation (never nil)
 // and that context's deadline (zero when it has none), so the
-// branch-and-bound workers and the pivot loop observe exactly one
+// branch-and-bound node loop and the pivot loop observe exactly one
 // time-budget source — the context.
 func ResolveBudget(ctx context.Context) (context.Context, time.Time) {
 	if ctx == nil {

@@ -218,7 +218,7 @@ func (ps *presolver) init(p Problem, lo, up []float64, integer []bool) {
 	colBacking := make([]int32, 0, len(backing))
 	off := 0
 	for j := 0; j < n; j++ {
-		ps.colRows[j] = colBacking[off:off : off+ps.colNNZ[j]]
+		ps.colRows[j] = colBacking[off : off : off+ps.colNNZ[j]]
 		off += ps.colNNZ[j]
 	}
 	for i := range ps.rows {
@@ -362,7 +362,12 @@ func (ps *presolver) scanCols() {
 			ps.infeasible = true
 			return
 		}
-		if ps.wup[j]-ps.wlo[j] <= preFeasTol {
+		// Integers round to an exact fix. A continuous column fixes only when
+		// its bounds meet: propagation can squeeze a range below the
+		// tolerance without reaching its one feasible point, and a fix
+		// inside it leaves residuals that the other rows' coefficients
+		// amplify past the tolerance.
+		if ps.integer[j] && ps.wup[j]-ps.wlo[j] <= preFeasTol || ps.wup[j] <= ps.wlo[j] {
 			v := ps.wlo[j]
 			if ps.integer[j] {
 				v = math.Round(v)

@@ -144,6 +144,28 @@ func TestPresolveDetectsInfeasible(t *testing.T) {
 	}
 }
 
+// TestPresolveKeepsNarrowContinuousRange pins a system whose only feasible
+// point propagation approaches but never reaches: two equalities in two
+// bounded continuous variables. Fixing a column inside its last, sub-
+// tolerance range once made presolve report this feasible LP infeasible.
+func TestPresolveKeepsNarrowContinuousRange(t *testing.T) {
+	p := Problem{NumVars: 2, Objective: []float64{6, 6}, Upper: []float64{1, 1}, Rows: []Row{
+		{Terms: []Term{{0, 1.375}, {1, 11}}, Sense: EQ, RHS: 2},
+		{Terms: []Term{{0, 7}, {1, -15.25}}, Sense: EQ, RHS: 6.125},
+	}}
+	want, err := SolveDense(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := solveViaPresolve(t, p)
+	if want.Status != Optimal || got.Status != Optimal {
+		t.Fatalf("status %v (presolved) vs %v (dense), want optimal", got.Status, want.Status)
+	}
+	if math.Abs(got.Objective-want.Objective) > 1e-7 {
+		t.Fatalf("objective %v, dense %v", got.Objective, want.Objective)
+	}
+}
+
 // TestPresolveDetectsUnbounded pins the one shape presolve may classify as
 // unbounded itself: a negative-cost unconstrained column once no rows
 // remain. With rows still alive the column must be left for the simplex

@@ -37,8 +37,8 @@ type BoundedSolver struct {
 	// A is the column-compressed constraint matrix (structural plus slack
 	// columns), capitalised after the conventional simplex notation Ax = b.
 	A csc
-	// ar is the row-compressed mirror of A, built once and shared by clones;
-	// the devex weight update walks it row-wise.
+	// ar is the row-compressed mirror of A, built once; the devex weight
+	// update walks it row-wise.
 	ar   csr
 	m    int // rows
 	n    int // structural columns
@@ -118,13 +118,6 @@ func NewBoundedSolver(p Problem) (*BoundedSolver, error) {
 	for i, r := range p.Rows {
 		s.b[i] = r.RHS
 	}
-	s.allocState()
-	return s, nil
-}
-
-// allocState allocates the per-solver mutable state (bounds, basis, scratch
-// vectors, devex weights); the immutable problem matrices are not touched.
-func (s *BoundedSolver) allocState() {
 	s.lo = make([]float64, s.nTot)
 	s.up = make([]float64, s.nTot)
 	s.basic = make([]int32, s.m)
@@ -137,22 +130,7 @@ func (s *BoundedSolver) allocState() {
 	s.sigma = make([]float64, s.m)
 	s.dw = make([]float64, s.nTot)
 	s.dvAcc = make([]float64, s.nTot)
-}
-
-// Clone returns an independent solver over the same problem, sharing the
-// immutable matrices (CSC columns, CSR rows, costs, RHS) with the receiver
-// and allocating fresh mutable state. Sharing is read-only, so the clone is
-// safe to drive from a different goroutine than the receiver; parallel
-// branch and bound hands each worker one clone instead of rebuilding the
-// sparse storage per worker.
-func (s *BoundedSolver) Clone() *BoundedSolver {
-	c := &BoundedSolver{
-		prob: s.prob, A: s.A, ar: s.ar,
-		m: s.m, n: s.n, nTot: s.nTot,
-		c: s.c, b: s.b,
-	}
-	c.allocState()
-	return c
+	return s, nil
 }
 
 // NumRows returns the constraint-row count of the underlying problem; it is

@@ -10,7 +10,6 @@ import (
 	"operon/internal/ilp"
 	"operon/internal/lp"
 	"operon/internal/obs"
-	"operon/internal/parallel"
 )
 
 // ILPOptions tunes the exact solver.
@@ -25,13 +24,6 @@ type ILPOptions struct {
 	MaxNodes int
 	// MaxTableauBytes caps the LP tableau memory (zero = library default).
 	MaxTableauBytes int64
-	// Workers sets the parallelism of the branch-and-bound search (zero =
-	// one per CPU, 1 = serial). The search is deterministic at any value —
-	// see package ilp for the contract.
-	Workers int
-	// Arena, when non-nil, supplies per-worker solver scratch reused across
-	// solves; it must not be shared by concurrent SolveILP calls.
-	Arena *parallel.Arena
 	// Obs, when non-nil, receives a selection/ilp span plus the branch-and-
 	// bound node events and LP counters of the underlying solvers.
 	Obs *obs.Tracer
@@ -79,8 +71,6 @@ func SolveILP(inst *Instance, opt ILPOptions) (ILPResult, error) {
 		Ctx:             opt.Ctx,
 		MaxNodes:        opt.MaxNodes,
 		MaxTableauBytes: opt.MaxTableauBytes,
-		Workers:         opt.Workers,
-		Arena:           opt.Arena,
 		Obs:             opt.Obs,
 	})
 	sp.End(obs.I("nodes", ir.Nodes), obs.S("status", ir.Status.String()))

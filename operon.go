@@ -478,8 +478,7 @@ func runSelection(ctx context.Context, cfg Config, ws *Workspace, inst *selectio
 			defer cancel()
 		}
 		ir, err := selection.SolveILP(inst, selection.ILPOptions{
-			Ctx: ilpCtx, MaxNodes: cfg.ILPMaxNodes,
-			Workers: cfg.Workers, Arena: ws.arenaOf(), Obs: cfg.Obs,
+			Ctx: ilpCtx, MaxNodes: cfg.ILPMaxNodes, Obs: cfg.Obs,
 		})
 		if err != nil {
 			return err
