@@ -8,7 +8,7 @@ RACE_PKGS = ./internal/parallel ./internal/selection ./internal/signal \
             ./internal/wdm ./internal/optics/bpm ./internal/obs \
             ./internal/serve ./internal/ilp .
 
-.PHONY: check test race vet docs-lint serve-smoke trace-smoke bench-scale bench-speedup bench-eco load-smoke load-compare eco-smoke dup-smoke loc
+.PHONY: check test race vet docs-lint serve-smoke trace-smoke bench-scale bench-speedup bench-eco load-smoke load-compare eco-smoke dup-smoke fuzz-smoke loc
 
 check: vet docs-lint test race
 
@@ -96,6 +96,15 @@ eco-smoke:
 # fails the run itself on any differential mismatch).
 dup-smoke:
 	$(GO) run ./cmd/loadgen -mix dup -requests 40 -min-reduction 5 -min-cache-hits 1 -max-errors 0 -no-write
+
+# Fuzz smoke: ten seconds of fresh inputs for each fuzz target (the ILP
+# against enumeration, BI1S trees, LP presolve against the dense oracle).
+# `go test ./...` runs only their committed seed corpora; commit any crasher
+# a run writes under testdata/fuzz/ as a new seed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime 10s ./internal/ilp
+	$(GO) test -run '^$$' -fuzz '^FuzzBI1S$$' -fuzztime 10s ./internal/steiner
+	$(GO) test -run '^$$' -fuzz '^FuzzPresolve$$' -fuzztime 10s ./internal/lp
 
 # Code-size gauge: non-test Go lines outside the perfbench module. Deleting
 # code while bench and load stay unchanged counts as progress, so this is the

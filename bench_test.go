@@ -226,7 +226,7 @@ func fig8Row(name string) func(testing.TB, operon.Config) func() error {
 	return func(tb testing.TB, cfg operon.Config) func() error {
 		conns, wcfg := wdmInputs(selected(tb, design(tb, name), cfg), cfg)
 		return func() error {
-			_, _, _, err := wdm.Run(conns, wcfg)
+			_, _, _, err := wdm.Run(context.Background(), conns, wcfg)
 			return err
 		}
 	}
@@ -587,7 +587,7 @@ func TestCountersGolden(t *testing.T) {
 	i2 := selected(t, design(t, "I2"), cfg)
 	conns, wcfg := wdmInputs(i2, cfg)
 	wcfg.Obs = tr
-	if _, _, _, err := wdm.Run(conns, wcfg); err != nil {
+	if _, _, _, err := wdm.Run(context.Background(), conns, wcfg); err != nil {
 		t.Fatal(err)
 	}
 	got := map[string][]float64{"lr.iters": {float64(i2.LR.Iters)}}

@@ -58,7 +58,8 @@ import (
 // headers within readHeaderTimeout, and an idle keep-alive connection is
 // closed after idleTimeout. There is deliberately no write timeout: a
 // synchronous solve can legitimately outlast any fixed value, and its budget
-// is the request's own timeout_ms.
+// is the request's own timeout_ms. Request bodies are bounded by
+// internal/serve's per-decode read deadline instead of a read timeout.
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute

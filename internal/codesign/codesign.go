@@ -488,13 +488,10 @@ func pruneOptions(os []option, keepLoss bool, maxKeep int) []option {
 // Generate runs the co-design DP and returns the pruned candidate set,
 // always including the pure-electrical fallback (last, marked
 // AllElectrical). Candidates whose estimated worst path loss exceeds the
-// budget are discarded during the DP.
-func Generate(in Input) ([]Candidate, error) { return GenerateWS(in, nil) }
-
-// GenerateWS is Generate with an explicit workspace; a nil ws allocates a
-// throwaway one. The returned candidates own all their slices — nothing
-// aliases ws — so the same workspace can serve the next net immediately.
-func GenerateWS(in Input, ws *Workspace) ([]Candidate, error) {
+// budget are discarded during the DP. A nil ws allocates a throwaway
+// workspace. The returned candidates own all their slices — nothing aliases
+// ws — so the same workspace can serve the next net immediately.
+func Generate(in Input, ws *Workspace) ([]Candidate, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
@@ -691,14 +688,9 @@ func GenerateWS(in Input, ws *Workspace) ([]Candidate, error) {
 // edge, or is a leaf; fan-out at a node splits the light over its optical
 // child arms plus its own drop. The boolean result reports whether every
 // optical path satisfies the loss budget under the Env-estimated crossing
-// loss.
-func Evaluate(in Input, labels []Label) (Candidate, bool) {
-	return EvaluateWS(in, labels, nil)
-}
-
-// EvaluateWS is Evaluate with an explicit workspace (nil allocates a
-// throwaway one). The returned Candidate owns its slices; nothing aliases ws.
-func EvaluateWS(in Input, labels []Label, ws *Workspace) (Candidate, bool) {
+// loss. A nil ws allocates a throwaway workspace. The returned Candidate owns
+// its slices; nothing aliases ws.
+func Evaluate(in Input, labels []Label, ws *Workspace) (Candidate, bool) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}

@@ -13,7 +13,7 @@ import (
 // chainInput builds a subdivided 2-pin net so the DP can switch O/E along
 // the route.
 func chainInput(lengthCM float64, chunks int, bits int) Input {
-	tr := steiner.MST([]geom.Point{{X: 0, Y: 0}, {X: lengthCM, Y: 0}}, steiner.Euclidean)
+	tr := steiner.MST([]geom.Point{{X: 0, Y: 0}, {X: lengthCM, Y: 0}}, steiner.Euclidean, nil)
 	tr = steiner.Subdivide(tr, lengthCM/float64(chunks)+1e-9)
 	return Input{
 		Tree: tr,
@@ -33,7 +33,7 @@ func TestRelayDecodesToTwoConversionsPerDomain(t *testing.T) {
 	// Edge order after Subdivide follows the original edge direction from
 	// terminal 0 to terminal 1.
 	labels := []Label{Optical, Electrical, Optical}
-	c, feasible := Evaluate(in, labels)
+	c, feasible := Evaluate(in, labels, nil)
 	if !feasible {
 		t.Fatal("relay labeling infeasible")
 	}
@@ -66,7 +66,7 @@ func TestRelayRescuesOverBudgetNet(t *testing.T) {
 	// Fine chunks keep the relay's electrical hop short (a coarse grid
 	// would make the copper gap costlier than a partial-optical tail).
 	in := chainInput(length, 16, 16)
-	cands, err := Generate(in)
+	cands, err := Generate(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPartialOpticalTail(t *testing.T) {
 	// sink. One modulator, one detector, 1 cm of copper.
 	in := chainInput(3, 3, 8)
 	labels := []Label{Optical, Optical, Electrical}
-	c, feasible := Evaluate(in, labels)
+	c, feasible := Evaluate(in, labels, nil)
 	if !feasible {
 		t.Fatal("partial labeling infeasible")
 	}
@@ -118,12 +118,12 @@ func TestPartialOpticalTail(t *testing.T) {
 func TestConversionSitesMatchCounts(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		in := Input{
-			Tree: steiner.BI1S(randTerminals(4, seed, 3), steiner.Euclidean, steiner.BI1SConfig{}),
+			Tree: steiner.BI1S(randTerminals(4, seed, 3), steiner.Euclidean, nil),
 			Bits: 8,
 			Lib:  optics.DefaultLibrary(),
 			Elec: power.DefaultElectricalModel(),
 		}
-		cands, err := Generate(in)
+		cands, err := Generate(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,12 +149,12 @@ func TestPowerDecomposition(t *testing.T) {
 	// PowerMW must equal electrical wire power plus conversion power.
 	for seed := int64(0); seed < 8; seed++ {
 		in := Input{
-			Tree: steiner.BI1S(randTerminals(5, seed+50, 3), steiner.Euclidean, steiner.BI1SConfig{}),
+			Tree: steiner.BI1S(randTerminals(5, seed+50, 3), steiner.Euclidean, nil),
 			Bits: 12,
 			Lib:  optics.DefaultLibrary(),
 			Elec: power.DefaultElectricalModel(),
 		}
-		cands, err := Generate(in)
+		cands, err := Generate(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,13 +175,13 @@ func TestDPOnSubdividedTreesMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		terms := randTerminals(3, seed+200, 3)
 		tr := steiner.Subdivide(
-			steiner.BI1S(terms, steiner.Euclidean, steiner.BI1SConfig{}), 1.2)
+			steiner.BI1S(terms, steiner.Euclidean, nil), 1.2)
 		if len(tr.Edges) > 12 {
 			continue
 		}
 		in := Input{Tree: tr, Bits: 8, Lib: optics.DefaultLibrary(),
 			Elec: power.DefaultElectricalModel()}
-		cands, err := Generate(in)
+		cands, err := Generate(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,14 +202,14 @@ func TestDPOnSubdividedTreesMatchesOracle(t *testing.T) {
 func BenchmarkGenerate(b *testing.B) {
 	in := Input{
 		Tree: steiner.Subdivide(
-			steiner.BI1S(randTerminals(4, 7, 3), steiner.Euclidean, steiner.BI1SConfig{}), 0.35),
+			steiner.BI1S(randTerminals(4, 7, 3), steiner.Euclidean, nil), 0.35),
 		Bits: 16,
 		Lib:  optics.DefaultLibrary(),
 		Elec: power.DefaultElectricalModel(),
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Generate(in); err != nil {
+		if _, err := Generate(in, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

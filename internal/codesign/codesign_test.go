@@ -13,7 +13,7 @@ import (
 
 func testInput(terminals []geom.Point, bits int) Input {
 	return Input{
-		Tree: steiner.BI1S(terminals, steiner.Euclidean, steiner.BI1SConfig{}),
+		Tree: steiner.BI1S(terminals, steiner.Euclidean, nil),
 		Bits: bits,
 		Lib:  optics.DefaultLibrary(),
 		Elec: power.DefaultElectricalModel(),
@@ -32,12 +32,12 @@ func randTerminals(n int, seed int64, spread float64) []geom.Point {
 func TestGenerateValidation(t *testing.T) {
 	in := testInput(randTerminals(3, 1, 2), 8)
 	in.Bits = 0
-	if _, err := Generate(in); err == nil {
+	if _, err := Generate(in, nil); err == nil {
 		t.Error("bits 0 accepted")
 	}
 	in = testInput(randTerminals(3, 1, 2), 8)
 	in.Lib.MaxLossDB = 0
-	if _, err := Generate(in); err == nil {
+	if _, err := Generate(in, nil); err == nil {
 		t.Error("invalid library accepted")
 	}
 }
@@ -45,7 +45,7 @@ func TestGenerateValidation(t *testing.T) {
 func TestGenerateAlwaysIncludesElectricalFallback(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		in := testInput(randTerminals(4, seed, 3), 16)
-		cands, err := Generate(in)
+		cands, err := Generate(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestTwoPinCandidates(t *testing.T) {
 	// A long 2-pin connection: candidates must include the fully optical
 	// route (1 modulator, 1 detector) and the electrical fallback.
 	in := testInput([]geom.Point{{X: 0, Y: 0}, {X: 3, Y: 0}}, 16)
-	cands, err := Generate(in)
+	cands, err := Generate(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestShortNetPrefersElectrical(t *testing.T) {
 	// A very short connection: EO/OE conversion overhead dominates, so the
 	// cheapest candidate should be the electrical one.
 	in := testInput([]geom.Point{{X: 0, Y: 0}, {X: 0.05, Y: 0}}, 4)
-	cands, err := Generate(in)
+	cands, err := Generate(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSplittingLossAccounted(t *testing.T) {
 	in := testInput([]geom.Point{
 		{X: 0, Y: 0}, {X: 2, Y: 1}, {X: 2, Y: -1},
 	}, 16)
-	cands, err := Generate(in)
+	cands, err := Generate(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestLossBudgetFiltersCandidates(t *testing.T) {
 	// With a tiny budget nothing optical survives.
 	in := testInput(randTerminals(5, 3, 4), 8)
 	in.Lib.MaxLossDB = 0.01
-	cands, err := Generate(in)
+	cands, err := Generate(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +174,12 @@ func TestEvaluateMatchesGenerate(t *testing.T) {
 	// re-evaluation of its labeling.
 	for seed := int64(0); seed < 15; seed++ {
 		in := testInput(randTerminals(4, seed, 3), 8)
-		cands, err := Generate(in)
+		cands, err := Generate(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, c := range cands {
-			re, feasible := Evaluate(in, c.Labels)
+			re, feasible := Evaluate(in, c.Labels, nil)
 			if !feasible {
 				t.Errorf("seed %d cand %d: infeasible on re-evaluation", seed, i)
 			}
@@ -206,7 +206,7 @@ func enumerateBest(in Input) float64 {
 				labels[i] = Optical
 			}
 		}
-		c, feasible := Evaluate(in, labels)
+		c, feasible := Evaluate(in, labels, nil)
 		if feasible && c.PowerMW < best {
 			best = c.PowerMW
 		}
@@ -223,7 +223,7 @@ func TestDPMatchesExhaustiveEnumeration(t *testing.T) {
 		if len(in.Tree.Edges) > 12 {
 			continue
 		}
-		cands, err := Generate(in)
+		cands, err := Generate(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestDPMatchesExhaustiveEnumeration(t *testing.T) {
 func TestCrossingEnvironmentRaisesLoss(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 3, Y: 0}}
 	base := testInput(pts, 8)
-	noEnv, err := Generate(base)
+	noEnv, err := Generate(base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestCrossingEnvironmentRaisesLoss(t *testing.T) {
 			A: geom.Point{X: x, Y: -1}, B: geom.Point{X: x, Y: 1},
 		})
 	}
-	envCands, err := Generate(withEnv)
+	envCands, err := Generate(withEnv, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestCandidatesParetoOverPowerAndLoss(t *testing.T) {
 	// dominated in (power, max fixed loss) by another.
 	for seed := int64(0); seed < 10; seed++ {
 		in := testInput(randTerminals(5, seed+100, 4), 16)
-		cands, err := Generate(in)
+		cands, err := Generate(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func TestFig5CandidateShapes(t *testing.T) {
 		{X: 2.0, Y: -0.6}, // 4
 	}
 	in := testInput(pts, 16)
-	cands, err := Generate(in)
+	cands, err := Generate(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +346,11 @@ func TestFig5CandidateShapes(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	in := testInput(randTerminals(5, 77, 4), 8)
-	a, err := Generate(in)
+	a, err := Generate(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(in)
+	b, err := Generate(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

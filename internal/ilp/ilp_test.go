@@ -164,7 +164,7 @@ func bruteForce(t *testing.T, p Problem) float64 {
 			})
 		}
 		q.Rows = rows
-		s, err := lp.Solve(q)
+		s, err := lp.Solve(q, lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,19 +8,13 @@ import (
 	"time"
 )
 
-// SolveDense runs the dense two-phase tableau simplex on p with default
-// options. It is retained as a cross-check oracle for the revised simplex
-// (see Solve) and as a fallback on numerical breakdown; the implementation
-// favours clarity and robustness (Bland's anti-cycling rule after a stall)
-// over raw speed.
-func SolveDense(p Problem) (Solution, error) {
-	return SolveDenseWithOptions(p, Options{})
-}
-
-// SolveDenseWithOptions runs the dense two-phase simplex method on p under
-// the given resource bounds. Problem.Upper bounds are materialised as LE
-// rows (the dense engine has no native bound handling).
-func SolveDenseWithOptions(p Problem, opt Options) (Solution, error) {
+// SolveDense runs the dense two-phase tableau simplex on p under the given
+// resource bounds. It is retained as a cross-check oracle for the revised
+// simplex (see Solve) and as a fallback on numerical breakdown; the
+// implementation favours clarity and robustness (Bland's anti-cycling rule
+// after a stall) over raw speed. Problem.Upper bounds are materialised as
+// LE rows (the dense engine has no native bound handling).
+func SolveDense(p Problem, opt Options) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
 	}
@@ -241,9 +235,6 @@ func (t *tableau) reducedCosts(c []float64) []float64 {
 // Only columns below maxCol may enter the basis.
 func (t *tableau) iterate(c []float64, maxCol int) Status {
 	m := len(t.a)
-	if m == 0 {
-		return Optimal
-	}
 	stall := 0
 	prevObj := math.Inf(1)
 	for iter := 0; iter < t.maxIter; iter++ {

@@ -67,11 +67,11 @@ func TestRevisedMatchesDenseOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 220; trial++ {
 		p := randomProblem(rng)
-		got, err := Solve(p)
+		got, err := Solve(p, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: revised: %v", trial, err)
 		}
-		want, err := SolveDense(p)
+		want, err := SolveDense(p, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
@@ -105,11 +105,11 @@ func TestRevisedDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		p := randomProblem(rng)
-		a, err := Solve(p)
+		a, err := Solve(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Solve(p)
+		b, err := Solve(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestUpperBoundsNative(t *testing.T) {
 		Objective: []float64{-1, -1},
 		Upper:     []float64{1.5, 2},
 	}
-	s, err := Solve(p)
+	s, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestUpperBoundsNative(t *testing.T) {
 		t.Fatalf("got %v obj %v, want optimal -3.5", s.Status, s.Objective)
 	}
 	// The dense oracle materialises the same bounds as rows.
-	d, err := SolveDense(p)
+	d, err := SolveDense(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestSolverReuse(t *testing.T) {
 		q.Rows = append(append([]Row(nil), p.Rows...), Row{
 			Terms: []Term{{Var: v, Coeff: 1}}, Sense: EQ, RHS: val,
 		})
-		want, err := SolveDense(q)
+		want, err := SolveDense(q, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
@@ -336,11 +336,11 @@ func TestRevisedSelectionShapedOracle(t *testing.T) {
 	} {
 		for seed := int64(29); seed < 32; seed++ {
 			p := selectionShaped(tc.nets, tc.cands, seed)
-			got, err := Solve(p)
+			got, err := Solve(p, Options{})
 			if err != nil {
 				t.Fatalf("nets=%d cands=%d seed=%d: %v", tc.nets, tc.cands, seed, err)
 			}
-			want, err := SolveDense(p)
+			want, err := SolveDense(p, Options{})
 			if err != nil {
 				t.Fatalf("nets=%d cands=%d seed=%d dense: %v", tc.nets, tc.cands, seed, err)
 			}
@@ -363,14 +363,14 @@ func TestSelectionShapedAllocs(t *testing.T) {
 	p := selectionShaped(12, 4, 29)
 	for _, tc := range []struct {
 		name  string
-		solve func(Problem) (Solution, error)
+		solve func(Problem, Options) (Solution, error)
 		max   float64
 	}{
 		{"revised", Solve, 580},    // 523 measured
 		{"dense", SolveDense, 540}, // 491 measured
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
-			if s, err := tc.solve(p); err != nil || s.Status != Optimal {
+			if s, err := tc.solve(p, Options{}); err != nil || s.Status != Optimal {
 				t.Fatalf("%s: status %v, err %v", tc.name, s.Status, err)
 			}
 		})

@@ -7,12 +7,12 @@
 // It is the substrate under OPERON's ILP stage (paper §3.3), standing in
 // for the commercial solver the authors used. Two engines are provided:
 //
-//   - Solve / SolveWithOptions — a revised simplex over sparse column
+//   - Solve — presolve, then a revised simplex over sparse column
 //     storage (CSC) with a product-form eta representation of B⁻¹, partial
 //     pricing, native bounded variables, and a dual-simplex phase used to
 //     warm-start from a near-optimal basis (see BoundedSolver). This is the
 //     production path.
-//   - SolveDense / SolveDenseWithOptions — the original dense two-phase
+//   - SolveDense — the original dense two-phase
 //     tableau simplex, retained as a cross-check oracle for tests and as a
 //     fallback on numerical breakdown of the revised engine.
 //
@@ -182,17 +182,13 @@ const (
 	blandAfter = 64
 )
 
-// Solve runs the revised simplex method on p with default options.
-func Solve(p Problem) (Solution, error) {
-	return SolveWithOptions(p, Options{})
-}
-
-// SolveWithOptions runs presolve and then the revised simplex method on the
-// reduced problem under the given resource bounds, falling back to the
-// dense oracle on numerical breakdown (singular refactorisation that cannot
-// be recovered). The solution is postsolved back to the full variable
-// space, so callers never see the reduction.
-func SolveWithOptions(p Problem, opt Options) (Solution, error) {
+// Solve runs presolve and then the revised simplex method on the reduced
+// problem under the given resource bounds (the zero Options are
+// unbounded), falling back to the dense oracle on numerical breakdown
+// (singular refactorisation that cannot be recovered). The solution is
+// postsolved back to the full variable space, so callers never see the
+// reduction.
+func Solve(p Problem, opt Options) (Solution, error) {
 	ps, err := Presolve(p, nil, nil, nil)
 	if err != nil {
 		return Solution{}, err
@@ -215,7 +211,7 @@ func SolveWithOptions(p Problem, opt Options) (Solution, error) {
 	}
 	sol, _, err := s.SolveBounds(ps.Lo, ps.Up, nil, opt)
 	if errors.Is(err, ErrNumerical) {
-		return SolveDenseWithOptions(p, opt)
+		return SolveDense(p, opt)
 	}
 	if err != nil {
 		return Solution{}, err

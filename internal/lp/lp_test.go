@@ -8,7 +8,7 @@ import (
 
 func solveOK(t *testing.T, p Problem) Solution {
 	t.Helper()
-	s, err := Solve(p)
+	s, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

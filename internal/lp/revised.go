@@ -11,7 +11,7 @@ import (
 )
 
 // ErrNumerical reports an unrecoverable numerical breakdown of the revised
-// engine (singular refactorisation); SolveWithOptions falls back to the
+// engine (singular refactorisation); Solve falls back to the
 // dense oracle on it.
 var ErrNumerical = errors.New("lp: revised simplex numerical breakdown")
 
@@ -672,6 +672,9 @@ func (s *BoundedSolver) primal(kind phaseKind) Status {
 	// gradient and the problem objective price against different costs, so
 	// weights learned in one phase are meaningless in the other.
 	s.resetDevex()
+	// rechecked reports that phase 1 already recomputed xB from the
+	// factorisation before an infeasible verdict.
+	rechecked := false
 	for {
 		if s.expired() {
 			return IterLimit
@@ -694,6 +697,15 @@ func (s *BoundedSolver) primal(kind phaseKind) Status {
 		enter, dir := s.priceEnter(s.y, cost)
 		if enter < 0 {
 			if kind == phase1 {
+				// A degenerate step clamps basics that sat within bndTol
+				// outside a bound, so updated values drift from B⁻¹b and
+				// can show a violation no column can repair. Recompute
+				// them once before declaring the violations real.
+				if !rechecked {
+					s.computeXB()
+					rechecked = true
+					continue
+				}
 				return Infeasible // violations remain at phase-1 optimum
 			}
 			return Optimal
@@ -950,6 +962,10 @@ func (s *BoundedSolver) ratioPhase1(enter, dir int, d []float64) (float64, int, 
 	t := s.up[enter] - s.lo[enter]
 	leave := -1
 	leaveAtUp := false
+	// The tightest block, kept apart from the tie-broken choice: ties are
+	// taken within tol of step length, and a steep basic can overshoot its
+	// bound by far more than bndTol in that window.
+	minLim, minRow, minUp := math.Inf(1), -1, false
 	for r := 0; r < s.m; r++ {
 		dd := float64(dir) * d[r]
 		j := s.basic[r]
@@ -981,11 +997,17 @@ func (s *BoundedSolver) ratioPhase1(enter, dir int, d []float64) (float64, int, 
 		if lim < 0 {
 			lim = 0
 		}
+		if lim < minLim {
+			minLim, minRow, minUp = lim, r, hitUp
+		}
 		if lim < t-tol || (lim < t+tol && (leave < 0 || j < s.basic[leave])) {
 			t = lim
 			leave = r
 			leaveAtUp = hitUp
 		}
+	}
+	if minRow >= 0 && minRow != leave && (t-minLim)*math.Abs(d[minRow]) > bndTol {
+		return minLim, minRow, minUp
 	}
 	return t, leave, leaveAtUp
 }

@@ -174,22 +174,15 @@ func (q *pq) pop() pqItem {
 
 // MaxFlow pushes the maximum flow from s to t at minimum total cost.
 // Negative edge costs are supported via a Bellman-Ford potential
-// initialisation; negative cycles are not. It is MaxFlowContext with
-// context.Background() — the solve runs to completion.
-func (g *Graph) MaxFlow(s, t int) (Result, error) {
-	return g.MaxFlowContext(context.Background(), s, t)
-}
-
-// MaxFlowContext is MaxFlow bounded by a context: the augmentation loop
-// polls ctx before each shortest-path search (one Dijkstra per
-// augmentation, the natural cancellation granularity) and, once cancelled,
-// stops pushing flow and returns the partial Result together with
-// ctx.Err(). The partial flow is a valid (capacity- and
-// conservation-respecting) flow, just not maximal; callers that need a
-// complete answer treat the error as a signal to fall back (see
-// wdm.AssignContext). A run that completes before cancellation is
-// bit-identical to MaxFlow.
-func (g *Graph) MaxFlowContext(ctx context.Context, s, t int) (Result, error) {
+// initialisation; negative cycles are not. The augmentation loop polls ctx
+// before each shortest-path search (one Dijkstra per augmentation, the
+// natural cancellation granularity) and, once cancelled, stops pushing flow
+// and returns the partial Result together with ctx.Err(). The partial flow
+// is a valid (capacity- and conservation-respecting) flow, just not
+// maximal; callers that need a complete answer treat the error as a signal
+// to fall back (see wdm.Assign). A run that completes before cancellation
+// is bit-identical to an uncancelled one.
+func (g *Graph) MaxFlow(ctx context.Context, s, t int) (Result, error) {
 	if s < 0 || s >= g.n || t < 0 || t >= g.n {
 		return Result{}, fmt.Errorf("mcmf: source/sink out of range")
 	}

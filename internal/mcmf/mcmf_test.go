@@ -1,6 +1,7 @@
 package mcmf
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,10 +27,10 @@ func TestAddEdgePanics(t *testing.T) {
 
 func TestMaxFlowValidation(t *testing.T) {
 	g := New(3)
-	if _, err := g.MaxFlow(0, 0); err == nil {
+	if _, err := g.MaxFlow(context.Background(), 0, 0); err == nil {
 		t.Error("s == t accepted")
 	}
-	if _, err := g.MaxFlow(-1, 1); err == nil {
+	if _, err := g.MaxFlow(context.Background(), -1, 1); err == nil {
 		t.Error("bad source accepted")
 	}
 }
@@ -38,7 +39,7 @@ func TestSimplePath(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 5, 1)
 	g.AddEdge(1, 2, 3, 2)
-	res, err := g.MaxFlow(0, 2)
+	res, err := g.MaxFlow(context.Background(), 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestChoosesCheaperPath(t *testing.T) {
 	exp := g.AddEdge(0, 2, 2, 10)
 	g.AddEdge(1, 3, 2, 0)
 	g.AddEdge(2, 3, 2, 0)
-	res, err := g.MaxFlow(0, 3)
+	res, err := g.MaxFlow(context.Background(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestResidualRerouting(t *testing.T) {
 	g.AddEdge(1, 2, 1, 0)
 	g.AddEdge(1, 3, 1, 2)
 	g.AddEdge(2, 3, 1, 1)
-	res, err := g.MaxFlow(0, 3)
+	res, err := g.MaxFlow(context.Background(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestResidualRerouting(t *testing.T) {
 func TestDisconnected(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 4, 1)
-	res, err := g.MaxFlow(0, 3)
+	res, err := g.MaxFlow(context.Background(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestNegativeCosts(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 2, -3)
 	g.AddEdge(1, 2, 2, 1)
-	res, err := g.MaxFlow(0, 2)
+	res, err := g.MaxFlow(context.Background(), 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestFlowConservationProperty(t *testing.T) {
 			arcs = append(arcs, arc{id, u, v, c})
 		}
 		s, t0 := 0, n-1
-		res, err := g.MaxFlow(s, t0)
+		res, err := g.MaxFlow(context.Background(), s, t0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +197,7 @@ func TestMatchesBruteForceCost(t *testing.T) {
 				g.AddEdge(1+i, k+1+j, 1, cost[i][j])
 			}
 		}
-		res, err := g.MaxFlow(s, t0)
+		res, err := g.MaxFlow(context.Background(), s, t0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +264,7 @@ func TestWDMConsolidationShape(t *testing.T) {
 			g.AddEdge(1+c, 4+w, 20, disp)
 		}
 	}
-	res, err := g.MaxFlow(s, t0)
+	res, err := g.MaxFlow(context.Background(), s, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func BenchmarkMaxFlowWDMNetwork(b *testing.B) {
 		for _, a := range arcs {
 			g.AddEdge(a.u, a.v, a.cap, a.cost)
 		}
-		if _, err := g.MaxFlow(src, snk); err != nil {
+		if _, err := g.MaxFlow(context.Background(), src, snk); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -344,7 +345,7 @@ func (n wdmShapedNetwork) buildAndSolve() error {
 	for _, a := range n.arcs {
 		g.AddEdge(a.u, a.v, a.cap, a.cost)
 	}
-	_, err := g.MaxFlow(n.src, n.snk)
+	_, err := g.MaxFlow(context.Background(), n.src, n.snk)
 	return err
 }
 

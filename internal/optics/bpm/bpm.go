@@ -12,7 +12,6 @@
 package bpm
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -162,19 +161,8 @@ func (f *Field) Normalize() {
 }
 
 // Propagate advances the field by lengthUM through the profile using
-// Crank–Nicolson steps. It is PropagateContext with context.Background()
-// — the propagation always runs to completion.
+// Crank–Nicolson steps.
 func (f *Field) Propagate(profile IndexProfile, lengthUM float64) {
-	_ = f.PropagateContext(context.Background(), profile, lengthUM)
-}
-
-// PropagateContext is Propagate bounded by a context: cancellation is
-// polled once per Crank–Nicolson step (the natural granularity — each step
-// is one complex tridiagonal solve). On cancellation the field is left at
-// the last completed step's plane (f.Z records how far it got) and
-// ctx.Err() is returned; a propagation that completes before cancellation
-// is bit-identical to Propagate.
-func (f *Field) PropagateContext(ctx context.Context, profile IndexProfile, lengthUM float64) error {
 	cfg := f.cfg
 	n := cfg.NX
 	k0 := 2 * math.Pi / cfg.WavelengthUM
@@ -215,9 +203,6 @@ func (f *Field) PropagateContext(ctx context.Context, profile IndexProfile, leng
 	fillPot(f.Z, pot)
 
 	for s := 0; s < steps; s++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		z1 := f.Z
 		z2 := f.Z + dz
 		if hasInv && inv.ZInvariantOver(z1, z2) {
@@ -247,7 +232,6 @@ func (f *Field) PropagateContext(ctx context.Context, profile IndexProfile, leng
 		f.Z = z2
 		pot, potNext = potNext, pot
 	}
-	return nil
 }
 
 // potential returns the tridiagonal main-diagonal contribution of Ĥ at one
@@ -479,32 +463,10 @@ type Result struct {
 	IdealPerArmLossDB float64
 }
 
-// Simulate returns the cascade simulation result for (cfg, stages),
-// propagating at most once per process: results are memoised in a
-// package-level cache keyed by the full numerical configuration and the
-// stage count (see cache.go). Use SimulateUncached to force a propagation.
-func Simulate(cfg Config, stages int) (Result, error) {
-	return SimulateContext(context.Background(), cfg, stages)
-}
-
-// SimulateContext is Simulate bounded by a context. A cache hit returns
-// immediately regardless of the context's state; a miss propagates under
-// ctx and, on cancellation, returns ctx.Err() without caching the partial
-// field — the next call re-propagates from scratch.
-func SimulateContext(ctx context.Context, cfg Config, stages int) (Result, error) {
-	return simCached(ctx, cfg, stages)
-}
-
 // SimulateUncached runs the fundamental mode through the cascade and
-// measures the output power split, bypassing the process-wide cache.
+// measures the output power split, bypassing the process-wide cache (see
+// Simulate).
 func SimulateUncached(cfg Config, stages int) (Result, error) {
-	return SimulateUncachedContext(context.Background(), cfg, stages)
-}
-
-// SimulateUncachedContext is SimulateUncached bounded by a context; the
-// propagation polls ctx once per Crank–Nicolson step and returns ctx.Err()
-// on cancellation.
-func SimulateUncachedContext(ctx context.Context, cfg Config, stages int) (Result, error) {
 	cas, err := NewCascade(cfg, stages)
 	if err != nil {
 		return Result{}, err
@@ -513,9 +475,7 @@ func SimulateUncachedContext(ctx context.Context, cfg Config, stages int) (Resul
 	if err != nil {
 		return Result{}, err
 	}
-	if err := f.PropagateContext(ctx, cas, cas.TotalLengthUM()); err != nil {
-		return Result{}, err
-	}
+	f.Propagate(cas, cas.TotalLengthUM())
 
 	centres := cas.ArmCentersUM()
 	res := Result{IdealPerArmLossDB: float64(stages) * 10 * math.Log10(2)}

@@ -1,9 +1,6 @@
 package bpm
 
-import (
-	"context"
-	"sync"
-)
+import "sync"
 
 // The FD-BPM solve is by far the most expensive leaf computation in the
 // repo (hundreds of complex tridiagonal solves per call), and callers —
@@ -24,14 +21,16 @@ var (
 	simCache = map[simKey]Result{}
 )
 
-// simCached returns the memoised result for (cfg, stages), running
-// SimulateUncachedContext on the first request. Concurrent first requests
-// for the same key may both propagate; the computation is deterministic, so
-// either result is the same. A cancelled propagation is never cached. The
-// Result's slices are shared with the cache entry — a hit is allocation-free
-// — so callers must treat ArmPowers and PerArmLossDB as immutable (every
-// in-repo caller only reads them).
-func simCached(ctx context.Context, cfg Config, stages int) (Result, error) {
+// Simulate returns the cascade simulation result for (cfg, stages),
+// propagating at most once per process: results are memoised keyed by the
+// full numerical configuration and the stage count, and the first request
+// runs SimulateUncached. Concurrent first requests for the same key may
+// both propagate; the computation is deterministic, so either result is the
+// same. A failed simulation is never cached. The Result's slices are shared
+// with the cache entry — a hit is allocation-free — so callers must treat
+// ArmPowers and PerArmLossDB as immutable (every in-repo caller only reads
+// them).
+func Simulate(cfg Config, stages int) (Result, error) {
 	key := simKey{cfg: cfg, stages: stages}
 	simMu.Lock()
 	res, ok := simCache[key]
@@ -39,7 +38,7 @@ func simCached(ctx context.Context, cfg Config, stages int) (Result, error) {
 	if ok {
 		return res, nil
 	}
-	res, err := SimulateUncachedContext(ctx, cfg, stages)
+	res, err := SimulateUncached(cfg, stages)
 	if err != nil {
 		return Result{}, err
 	}

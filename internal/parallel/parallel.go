@@ -49,21 +49,6 @@ func Workers(workers, n int) int {
 	return workers
 }
 
-// ForEach runs fn(i) for every i in [0,n) on a bounded worker pool.
-// See ForEachContext.
-func ForEach(n, workers int, fn func(int) error) error {
-	return ForEachContext(context.Background(), n, workers, fn)
-}
-
-// ForEachWorker is ForEach with the worker's pool index (0..Workers-1)
-// passed to fn alongside the item index. Instrumented stages use it to
-// attribute per-item spans to observability lanes; the sequential path
-// reports worker 0. The determinism and error contracts of ForEachContext
-// hold unchanged: the worker index must only feed telemetry, never results.
-func ForEachWorker(n, workers int, fn func(worker, i int) error) error {
-	return forEach(context.Background(), n, workers, fn)
-}
-
 // Scratch is a per-worker scratch arena: a keyed bag of reusable buffers a
 // stage can stash package-specific workspaces in (keyed by package name,
 // fetched with a type assertion). A Scratch is handed to exactly one worker
@@ -115,14 +100,15 @@ func (a *Arena) grab(w int) []*Scratch {
 	return a.scratches[:w]
 }
 
-// ForEachScratchContext is ForEachWorker bounded by a context, with the
-// cancellation and drain semantics of ForEachContext, and with a
-// per-worker *Scratch from the arena passed to fn alongside the worker
-// index. Worker w always receives arena slot w, so buffers cached in a Scratch are reused across
-// invocations without locks. A nil arena gets a throwaway one (no reuse
-// across calls, but the per-call reuse within one pool run still applies).
-// The determinism contract of ForEachContext holds: scratch contents must
-// only affect allocation behaviour, never results.
+// ForEachScratchContext is ForEach with the worker's pool index
+// (0..Workers-1) and a per-worker *Scratch from the arena passed to fn
+// alongside the item index; the sequential path is worker 0. Worker w
+// always receives arena slot w, so buffers cached in a Scratch are reused
+// across invocations without locks. A nil arena gets a throwaway one (no
+// reuse across calls, but the per-call reuse within one pool run still
+// applies). The determinism, cancellation and drain contracts of ForEach
+// hold: the worker index must only feed telemetry, and scratch contents
+// must only affect allocation behaviour, never results.
 func ForEachScratchContext(ctx context.Context, a *Arena, n, workers int, fn func(worker int, s *Scratch, i int) error) error {
 	if a == nil {
 		a = NewArena()
@@ -131,26 +117,26 @@ func ForEachScratchContext(ctx context.Context, a *Arena, n, workers int, fn fun
 	return forEach(ctx, n, workers, func(worker, i int) error { return fn(worker, sc[worker], i) })
 }
 
-// ForEachContext runs fn(i) for every i in [0,n) on at most Workers(workers,
+// ForEach runs fn(i) for every i in [0,n) on at most Workers(workers,
 // n) goroutines. The first error short-circuits: no new items are
 // dispatched, in-flight calls finish, and the error of the lowest failing
 // index is returned (deterministic across worker counts). Cancelling ctx
 // likewise stops dispatch and returns ctx.Err() unless an item error takes
 // precedence. The drain is deterministic: every dispatched fn call runs to
-// completion before ForEachContext returns and every worker goroutine has
+// completion before ForEach returns and every worker goroutine has
 // exited by then, so cancellation never leaks goroutines or leaves an item
 // half-processed — callers either see all per-index writes of an item or
 // none. A panic in fn fails its item like an error; if that is the lowest
-// failing index, ForEachContext re-panics with a *Panic after the drain.
+// failing index, ForEach re-panics with a *Panic after the drain.
 //
 // fn must confine its writes to per-index state (results[i]); the pool
-// provides a happens-before edge between every fn call and ForEachContext's
+// provides a happens-before edge between every fn call and ForEach's
 // return, so no further synchronisation is needed for such writes.
-func ForEachContext(ctx context.Context, n int, workers int, fn func(int) error) error {
+func ForEach(ctx context.Context, n int, workers int, fn func(int) error) error {
 	return forEach(ctx, n, workers, func(_, i int) error { return fn(i) })
 }
 
-// forEach is the shared pool core behind ForEach/ForEachWorker.
+// forEach is the shared pool core behind ForEach and ForEachScratchContext.
 func forEach(ctx context.Context, n int, workers int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()

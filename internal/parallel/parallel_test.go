@@ -15,7 +15,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		n := 237
 		seen := make([]int32, n)
-		if err := ForEach(n, workers, func(i int) error {
+		if err := ForEach(context.Background(), n, workers, func(i int) error {
 			atomic.AddInt32(&seen[i], 1)
 			return nil
 		}); err != nil {
@@ -34,7 +34,7 @@ func TestForEachWorkerIDsInRangeAndComplete(t *testing.T) {
 		n := 97
 		seen := make([]int32, n)
 		byWorker := make([]int32, workers)
-		if err := ForEachWorker(n, workers, func(w, i int) error {
+		if err := ForEachScratchContext(context.Background(), nil, n, workers, func(w int, _ *Scratch, i int) error {
 			if w < 0 || w >= workers {
 				return fmt.Errorf("worker %d out of range", w)
 			}
@@ -71,7 +71,7 @@ func TestForEachDeterministicResults(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3, 16} {
 		got := make([]int, n)
-		if err := ForEach(n, workers, func(i int) error {
+		if err := ForEach(context.Background(), n, workers, func(i int) error {
 			got[i] = i * i
 			return nil
 		}); err != nil {
@@ -92,7 +92,7 @@ func TestForEachShortCircuits(t *testing.T) {
 	const n = 10000
 	for _, workers := range []int{1, 4} {
 		var calls int32
-		err := ForEach(n, workers, func(i int) error {
+		err := ForEach(context.Background(), n, workers, func(i int) error {
 			atomic.AddInt32(&calls, 1)
 			if i == 10 {
 				return fmt.Errorf("poisoned net %d", i)
@@ -116,7 +116,7 @@ func TestForEachShortCircuits(t *testing.T) {
 func TestForEachLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		for trial := 0; trial < 20; trial++ {
-			err := ForEach(500, workers, func(i int) error {
+			err := ForEach(context.Background(), 500, workers, func(i int) error {
 				if i == 41 || i == 42 || i == 400 {
 					return fmt.Errorf("fail %d", i)
 				}
@@ -139,7 +139,7 @@ func TestForEachPanicReachesCaller(t *testing.T) {
 		var p any
 		func() {
 			defer func() { p = recover() }()
-			_ = ForEach(500, workers, func(i int) error {
+			_ = ForEach(context.Background(), 500, workers, func(i int) error {
 				if i == 41 || i == 42 || i == 400 {
 					panic(fmt.Sprintf("boom %d", i))
 				}
@@ -169,7 +169,7 @@ func TestForEachPanicReachesCaller(t *testing.T) {
 func TestForEachContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls int32
-	err := ForEachContext(ctx, 100000, 2, func(i int) error {
+	err := ForEach(ctx, 100000, 2, func(i int) error {
 		if atomic.AddInt32(&calls, 1) == 5 {
 			cancel()
 		}
@@ -184,7 +184,7 @@ func TestForEachContextCancel(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { t.Fatal("called"); return nil }); err != nil {
+	if err := ForEach(context.Background(), 0, 4, func(int) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }

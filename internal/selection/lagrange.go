@@ -155,8 +155,10 @@ func SolveLR(inst *Instance, opt LROptions) (LRResult, error) {
 		// Pricing step: per net, the candidate with the best weight. Nets
 		// are independent given the fixed multipliers and the previous
 		// iteration's selection, so they are priced in parallel; each
-		// worker only writes choice[i] and its own diagnostic slots.
-		_ = parallel.ForEach(len(inst.Nets), opt.Workers, func(i int) error {
+		// worker only writes choice[i] and its own diagnostic slots. The
+		// pool gets no ctx: an iteration is never cut short (see
+		// LROptions.Ctx).
+		_ = parallel.ForEach(context.Background(), len(inst.Nets), opt.Workers, func(i int) error {
 			n := inst.Nets[i]
 			inter := inst.InteractingNets(i)
 			var ls, lq float64
@@ -217,7 +219,7 @@ func SolveLR(inst *Instance, opt LROptions) (LRResult, error) {
 		step := stepScale / float64(iter+1)
 		// The sub-gradient update is likewise independent per net: worker i
 		// writes only lambda[i] and reads the now-fixed choice vector.
-		_ = parallel.ForEach(len(inst.Nets), opt.Workers, func(i int) error {
+		_ = parallel.ForEach(context.Background(), len(inst.Nets), opt.Workers, func(i int) error {
 			n := inst.Nets[i]
 			inter := inst.InteractingNets(i)
 			for j, c := range n.Cands {

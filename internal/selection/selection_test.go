@@ -361,10 +361,10 @@ func TestEndToEndWithCodesignCandidates(t *testing.T) {
 		for k := 0; k < 3; k++ {
 			terms = append(terms, geom.Point{X: rng.Float64() * 3, Y: rng.Float64() * 3})
 		}
-		tr := steiner.BI1S(terms, steiner.Euclidean, steiner.BI1SConfig{})
+		tr := steiner.BI1S(terms, steiner.Euclidean, nil)
 		cands, err := codesign.Generate(codesign.Input{
 			Tree: tr, Bits: 16, Lib: lib, Elec: elec,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -286,7 +286,7 @@ func TestSolvePanicContained(t *testing.T) {
 			panic("pathological instance")
 		}
 		if d.Name == "pool-panic" {
-			_ = parallel.ForEach(8, 4, func(i int) error {
+			_ = parallel.ForEach(context.Background(), 8, 4, func(i int) error {
 				if i == 5 {
 					panic("pool worker fault")
 				}

@@ -21,6 +21,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -552,6 +553,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// Unwrap exposes the underlying writer to http.ResponseController.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // withRequestLog is the request-ID + structured-log middleware. The ID is
 // taken from the client's X-Request-Id when present (truncated to 64
 // bytes), generated otherwise, stored back into the request header for
@@ -624,10 +628,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(buf.Bytes())
 }
 
+// bodyReadTimeout bounds how long decodeJSON may spend reading one request
+// body, so a client that stalls mid-upload holds its handler for at most
+// this long. It is a connection read deadline set around the decode only:
+// an http.Server.ReadTimeout would also hit net/http's background read
+// after the body and cancel r.Context() under every longer sync solve.
+const bodyReadTimeout = 5 * time.Second
+
 // decodeJSON decodes a request body into v under the server's body-size
-// cap. On failure it writes the JSON error response (413 for an oversized
-// body, 400 otherwise) and returns false.
+// cap and bodyReadTimeout. On failure it writes the JSON error response
+// (413 for an oversized body, 408 for a body that did not arrive in time,
+// 400 otherwise) and returns false.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	// ErrNotSupported (a writer without a connection) leaves the read
+	// unbounded; any other error means the connection is gone and the
+	// decode fails on its own. On a failed decode the deadline stays set,
+	// so net/http's drain of the unread body fails fast and the connection
+	// closes after the error reply.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	body := r.Body
 	if s.maxBodyBytes > 0 {
 		body = http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
@@ -640,9 +659,15 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 				"request body exceeds %d bytes", mbe.Limit)
 			return false
 		}
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			writeJSONError(w, http.StatusRequestTimeout,
+				"request body not received within %v", bodyReadTimeout)
+			return false
+		}
 		writeJSONError(w, http.StatusBadRequest, "parse request: %v", err)
 		return false
 	}
+	_ = rc.SetReadDeadline(time.Time{})
 	return true
 }
 

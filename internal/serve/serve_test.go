@@ -1,11 +1,16 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -471,4 +476,76 @@ func TestMetricsEndpoints(t *testing.T) {
 	}
 	ts.Close()
 	srv.Shutdown()
+}
+
+// TestSlowBodyTimesOut sends the headers and part of a /solve body over a
+// raw connection, then stalls: within bodyReadTimeout plus slack the server
+// must answer 408 with a JSON error or close the connection, so a stalled
+// upload never holds a handler indefinitely.
+func TestSlowBodyTimesOut(t *testing.T) {
+	t.Parallel()
+	srv := newTestServer(4, 1, time.Minute, 0)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /solve HTTP/1.1\r\nHost: operond\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 4096\r\n\r\n{\"bench\":"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(bodyReadTimeout + 3*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("no answer %v after a stalled body", time.Since(start))
+		}
+		t.Logf("server closed the connection after %v: %v", time.Since(start), err)
+		return
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("stalled body got status %d, want 408", resp.StatusCode)
+	}
+	var body map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body["error"] == "" {
+		t.Fatalf("408 body is not a JSON error: %v %v", body, err)
+	}
+	t.Logf("408 after %v: %s", time.Since(start), body["error"])
+}
+
+// TestLongSyncSolveOutlastsBodyTimeout runs a synchronous solve longer than
+// bodyReadTimeout: the body deadline covers the upload only, so the solve
+// must neither be cancelled nor cut off, and the client gets 200.
+func TestLongSyncSolveOutlastsBodyTimeout(t *testing.T) {
+	t.Parallel()
+	srv := newTestServer(4, 1, time.Minute, 0)
+	srv.SetSolve(func(ctx context.Context, d signal.Design, cfg operon.Config, _ *operon.Workspace) (*operon.Result, error) {
+		select {
+		case <-time.After(bodyReadTimeout + time.Second):
+			return &operon.Result{Design: d.Name, PowerMW: 1}, nil
+		case <-ctx.Done():
+			return &operon.Result{Design: d.Name, PowerMW: 2, Degraded: true, StopReason: operon.StopCanceled}, nil
+		}
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown()
+	d := testDesign(t)
+	resp := post(t, ts, "/solve", SolveRequest{Design: &d})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("long sync solve got status %d, want 200", resp.StatusCode)
+	}
+	var sr SolveResponse
+	decode(t, resp, &sr)
+	if sr.Degraded || sr.PowerMW != 1 {
+		t.Fatalf("long sync solve was cut short: %+v", sr)
+	}
 }

@@ -12,6 +12,7 @@
 package signal
 
 import (
+	"context"
 	"fmt"
 
 	"operon/internal/cluster"
@@ -175,7 +176,7 @@ func Process(d Design, cfg ProcessConfig) ([]HyperNet, error) {
 	// Groups are processed in parallel; perGroup[gi] keeps the hyper nets in
 	// group order so the concatenated result is independent of scheduling.
 	perGroup := make([][]HyperNet, len(d.Groups))
-	err := parallel.ForEach(len(d.Groups), cfg.Workers, func(gi int) error {
+	err := parallel.ForEach(context.Background(), len(d.Groups), cfg.Workers, func(gi int) error {
 		hns, err := ProcessGroup(d.Groups[gi], gi, cfg)
 		if err != nil {
 			return err

@@ -22,7 +22,9 @@ func TestIncrementalMSTMatchesFull(t *testing.T) {
 			for i := range pts {
 				pts[i] = geom.Point{X: rng.Float64() * 4, Y: rng.Float64() * 4}
 			}
-			inc := newIncrMST(pts, metric)
+			ws := NewWorkspace()
+			inc := &ws.inc
+			inc.init(pts, metric, ws)
 			if full := mstLength(pts, metric); math.Abs(inc.base-full) > 1e-9 {
 				t.Fatalf("%v seed %d: base %v vs full %v", metric, seed, inc.base, full)
 			}
@@ -54,7 +56,7 @@ func TestBI1SMatchesReference(t *testing.T) {
 	for _, metric := range []Metric{Rectilinear, Euclidean} {
 		for seed := int64(1); seed <= 6; seed++ {
 			pts := randTerminals(8, seed)
-			got := BI1S(pts, metric, BI1SConfig{})
+			got := BI1S(pts, metric, nil)
 			want := referenceBI1S(pts, metric)
 			if math.Abs(got.Length()-want) > 1e-6 {
 				t.Errorf("%v seed %d: BI1S %v vs reference %v", metric, seed, got.Length(), want)
@@ -69,9 +71,9 @@ func referenceBI1S(terminals []geom.Point, metric Metric) float64 {
 	pts := append([]geom.Point(nil), terminals...)
 	base := mstLength(pts, metric)
 	for round := 0; round < 8; round++ {
-		cands := HananGrid(pts)
+		cands := NewWorkspace().hananGrid(pts)
 		if metric == Euclidean {
-			cands = append(cands, fermatPoints(pts)...)
+			cands = appendFermatPoints(cands, pts)
 		}
 		type scored struct {
 			p    geom.Point
@@ -108,5 +110,41 @@ func referenceBI1S(terminals []geom.Point, metric Metric) float64 {
 			break
 		}
 	}
-	return cleanup(treeOver(pts, terminals, metric)).Length()
+	ws := NewWorkspace()
+	return ws.cleanup(ws.treeOver(pts, terminals, metric)).Length()
+}
+
+// mstLength computes the MST length over a point set with its own Prim loop,
+// independent of the workspace's: it is the oracle the incremental MST and
+// BI1S are checked against.
+func mstLength(pts []geom.Point, metric Metric) float64 {
+	n := len(pts)
+	if n <= 1 {
+		return 0
+	}
+	inTree := make([]bool, n)
+	bestDist := make([]float64, n)
+	inTree[0] = true
+	for i := 1; i < n; i++ {
+		bestDist[i] = metric.Dist(pts[0], pts[i])
+	}
+	var total float64
+	for added := 1; added < n; added++ {
+		u, best := -1, math.Inf(1)
+		for i := 0; i < n; i++ {
+			if !inTree[i] && bestDist[i] < best {
+				u, best = i, bestDist[i]
+			}
+		}
+		inTree[u] = true
+		total += best
+		for i := 0; i < n; i++ {
+			if !inTree[i] {
+				if d := metric.Dist(pts[u], pts[i]); d < bestDist[i] {
+					bestDist[i] = d
+				}
+			}
+		}
+	}
+	return total
 }

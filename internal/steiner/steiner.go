@@ -1,18 +1,21 @@
 // Package steiner builds the routing topologies OPERON starts from: minimum
-// spanning trees, Hanan-grid candidate Steiner points, and the Batched
-// Iterated 1-Steiner (BI1S) heuristic, in both the rectilinear metric
-// (electrical Manhattan wires, RSMT estimation per Streak/Eq. 6) and the
-// Euclidean metric (optical waveguides, which "allow routing in any
-// direction", paper §2.3).
+// spanning trees and the Batched Iterated 1-Steiner (BI1S) heuristic over
+// Hanan-grid (and, in the Euclidean metric, Fermat-point) candidates, in
+// both the rectilinear metric (electrical Manhattan wires, RSMT estimation
+// per Streak/Eq. 6) and the Euclidean metric (optical waveguides, which
+// "allow routing in any direction", paper §2.3).
 //
 // Per §3.2 the co-design stage wants several baseline topologies per hyper
-// net; Baselines produces them by steering BI1S with different Steiner-point
-// cost orderings (propagation-only vs propagation+bending).
+// net. Baselines produces them: BI1S, the plain MST, and BI1S runs whose
+// Steiner-point ordering subtracts a bending-cost penalty from the
+// propagation gain. Every builder takes a *Workspace last; nil means a
+// throwaway one.
 package steiner
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"operon/internal/geom"
@@ -138,115 +141,24 @@ func (t Tree) Validate() error {
 	return nil
 }
 
-// Bends returns the number of direction changes summed over the tree's
-// internal nodes, the "bending cost" used to rank Steiner candidates.
-// For each node with degree >= 2 we count pairs of incident edges whose
-// directions differ.
-func (t Tree) Bends() int {
-	adj := t.Adjacency()
-	bends := 0
-	for u, neigh := range adj {
-		if len(neigh) < 2 {
-			continue
-		}
-		for i := 0; i < len(neigh); i++ {
-			for j := i + 1; j < len(neigh); j++ {
-				a := t.Nodes[neigh[i]].Pt.Sub(t.Nodes[u].Pt)
-				b := t.Nodes[neigh[j]].Pt.Sub(t.Nodes[u].Pt)
-				// Straight-through means the two incident directions are
-				// opposite: cross ≈ 0 and dot < 0.
-				crossz := a.X*b.Y - a.Y*b.X
-				dot := a.X*b.X + a.Y*b.Y
-				if math.Abs(crossz) > geom.Eps || dot > 0 {
-					bends++
-				}
-			}
-		}
-	}
-	return bends
-}
-
 // MST builds the minimum spanning tree over the terminals with Prim's
-// algorithm in O(n²). It panics on an empty terminal set.
-func MST(terminals []geom.Point, metric Metric) Tree {
-	n := len(terminals)
-	if n == 0 {
+// algorithm in O(n²), drawing scratch from ws (nil allocates a throwaway
+// workspace). The returned tree owns its slices. It panics on an empty
+// terminal set.
+func MST(terminals []geom.Point, metric Metric, ws *Workspace) Tree {
+	if len(terminals) == 0 {
 		panic("steiner: MST over empty terminal set")
 	}
-	t := Tree{Metric: metric, Nodes: make([]Node, n)}
-	for i, p := range terminals {
-		t.Nodes[i] = Node{Pt: p, Terminal: i}
+	if ws == nil {
+		ws = NewWorkspace()
 	}
-	if n == 1 {
-		return t
-	}
-	inTree := make([]bool, n)
-	bestDist := make([]float64, n)
-	bestFrom := make([]int, n)
-	for i := range bestDist {
-		bestDist[i] = math.Inf(1)
-	}
-	inTree[0] = true
-	for i := 1; i < n; i++ {
-		bestDist[i] = metric.Dist(terminals[0], terminals[i])
-		bestFrom[i] = 0
-	}
-	for added := 1; added < n; added++ {
-		u, best := -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if !inTree[i] && bestDist[i] < best {
-				u, best = i, bestDist[i]
-			}
-		}
-		inTree[u] = true
-		t.Edges = append(t.Edges, Edge{U: bestFrom[u], V: u})
-		for i := 0; i < n; i++ {
-			if !inTree[i] {
-				if d := metric.Dist(terminals[u], terminals[i]); d < bestDist[i] {
-					bestDist[i] = d
-					bestFrom[i] = u
-				}
-			}
-		}
-	}
+	var t Tree
+	ws.mstInto(terminals, metric, &t)
 	return t
 }
 
-// mstLength computes the MST length over a point set without materialising
-// the tree, used for fast 1-Steiner gain evaluation.
-func mstLength(pts []geom.Point, metric Metric) float64 {
-	n := len(pts)
-	if n <= 1 {
-		return 0
-	}
-	inTree := make([]bool, n)
-	bestDist := make([]float64, n)
-	inTree[0] = true
-	for i := 1; i < n; i++ {
-		bestDist[i] = metric.Dist(pts[0], pts[i])
-	}
-	var total float64
-	for added := 1; added < n; added++ {
-		u, best := -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if !inTree[i] && bestDist[i] < best {
-				u, best = i, bestDist[i]
-			}
-		}
-		inTree[u] = true
-		total += best
-		for i := 0; i < n; i++ {
-			if !inTree[i] {
-				if d := metric.Dist(pts[u], pts[i]); d < bestDist[i] {
-					bestDist[i] = d
-				}
-			}
-		}
-	}
-	return total
-}
-
-// wedge is a weighted candidate edge for the incremental Kruskal.
+// wedge is a weighted edge: Prim's output and the incremental Kruskal's
+// candidates.
 type wedge struct {
 	u, v int
 	w    float64
@@ -265,6 +177,7 @@ type scored struct {
 // workspace. Not safe for concurrent use; give each worker its own.
 type Workspace struct {
 	inc          incrMST
+	primEdges    []wedge
 	primInTree   []bool
 	primBestDist []float64
 	primBestFrom []int
@@ -389,66 +302,18 @@ type incrMST struct {
 	parent []int
 }
 
-// init (re)seeds the structure with the Prim MST over pts, so base is
-// identical to what mstLength(pts, metric) returns. Prim scratch is borrowed
-// from the workspace; all incrMST buffers are reused across calls.
+// init (re)seeds the structure with the Prim MST over pts; base sums the
+// edge weights in insertion order. All incrMST buffers are reused across
+// calls.
 func (m *incrMST) init(pts []geom.Point, metric Metric, ws *Workspace) {
 	m.metric = metric
 	m.pts = append(m.pts[:0], pts...)
-	m.tree = m.tree[:0]
+	m.tree = ws.prim(m.tree[:0], pts, metric)
 	m.base = 0
-	n := len(pts)
-	if n <= 1 {
-		return
-	}
-	inTree, bestDist, bestFrom := ws.primScratch(n)
-	inTree[0] = true
-	for i := 1; i < n; i++ {
-		bestDist[i] = metric.Dist(pts[0], pts[i])
-	}
-	for added := 1; added < n; added++ {
-		u, best := -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if !inTree[i] && bestDist[i] < best {
-				u, best = i, bestDist[i]
-			}
-		}
-		inTree[u] = true
-		m.base += best
-		m.tree = append(m.tree, wedge{u: bestFrom[u], v: u, w: best})
-		for i := 0; i < n; i++ {
-			if !inTree[i] {
-				if d := metric.Dist(pts[u], pts[i]); d < bestDist[i] {
-					bestDist[i] = d
-					bestFrom[i] = u
-				}
-			}
-		}
+	for _, e := range m.tree {
+		m.base += e.w
 	}
 }
-
-// newIncrMST seeds a standalone incremental MST with its own workspace;
-// BI1SWS uses the workspace-resident instance instead.
-func newIncrMST(pts []geom.Point, metric Metric) *incrMST {
-	m := &incrMST{}
-	m.init(pts, metric, NewWorkspace())
-	return m
-}
-
-// fermatPoints is appendFermatPoints into a fresh slice.
-func fermatPoints(terminals []geom.Point) []geom.Point {
-	return appendFermatPoints(nil, terminals)
-}
-
-// treeOver builds the MST over pts with a throwaway workspace, marking the
-// first len(terminals) points as terminals and the rest as Steiner points.
-func treeOver(pts []geom.Point, terminals []geom.Point, metric Metric) Tree {
-	ws := NewWorkspace()
-	return ws.treeOver(pts, terminals, metric)
-}
-
-// cleanup is Workspace.cleanup with a throwaway workspace.
-func cleanup(t Tree) Tree { return NewWorkspace().cleanup(t) }
 
 // primScratch returns zeroed Prim working arrays of length n from the
 // workspace, growing them as needed.
@@ -469,28 +334,21 @@ func (ws *Workspace) primScratch(n int) (inTree []bool, bestDist []float64, best
 	return inTree, bestDist, bestFrom
 }
 
-// mstWS is MST with Prim scratch borrowed from the workspace; the returned
-// tree's node and edge slices are freshly allocated (they escape into
-// candidates), only the working arrays are reused.
-func (ws *Workspace) mstWS(terminals []geom.Point, metric Metric) Tree {
-	n := len(terminals)
-	if n == 0 {
-		panic("steiner: MST over empty terminal set")
+// prim appends to dst the minimum spanning tree over pts built by Prim's
+// algorithm from node 0: one (from, to, weight) edge per added node, in
+// insertion order, ties going to the lowest index. It is the package's one
+// MST loop; its working arrays come from the workspace.
+func (ws *Workspace) prim(dst []wedge, pts []geom.Point, metric Metric) []wedge {
+	n := len(pts)
+	if n <= 1 {
+		return dst
 	}
-	t := Tree{Metric: metric, Nodes: make([]Node, n)}
-	for i, p := range terminals {
-		t.Nodes[i] = Node{Pt: p, Terminal: i}
-	}
-	if n == 1 {
-		return t
-	}
+	dst = slices.Grow(dst, n-1)
 	inTree, bestDist, bestFrom := ws.primScratch(n)
 	inTree[0] = true
 	for i := 1; i < n; i++ {
-		bestDist[i] = metric.Dist(terminals[0], terminals[i])
-		bestFrom[i] = 0
+		bestDist[i] = metric.Dist(pts[0], pts[i])
 	}
-	t.Edges = make([]Edge, 0, n-1)
 	for added := 1; added < n; added++ {
 		u, best := -1, math.Inf(1)
 		for i := 0; i < n; i++ {
@@ -499,21 +357,21 @@ func (ws *Workspace) mstWS(terminals []geom.Point, metric Metric) Tree {
 			}
 		}
 		inTree[u] = true
-		t.Edges = append(t.Edges, Edge{U: bestFrom[u], V: u})
+		dst = append(dst, wedge{u: bestFrom[u], v: u, w: best})
 		for i := 0; i < n; i++ {
 			if !inTree[i] {
-				if d := metric.Dist(terminals[u], terminals[i]); d < bestDist[i] {
+				if d := metric.Dist(pts[u], pts[i]); d < bestDist[i] {
 					bestDist[i] = d
 					bestFrom[i] = u
 				}
 			}
 		}
 	}
-	return t
+	return dst
 }
 
-// mstInto rebuilds t as the MST over pts, reusing t's node and edge
-// capacity; used by the bending-cost scorer, whose trees are transient.
+// mstInto rebuilds t as the MST over pts, every node a terminal, reusing
+// t's node and edge capacity.
 func (ws *Workspace) mstInto(pts []geom.Point, metric Metric, t *Tree) {
 	n := len(pts)
 	t.Metric = metric
@@ -524,37 +382,20 @@ func (ws *Workspace) mstInto(pts []geom.Point, metric Metric, t *Tree) {
 	for i, p := range pts {
 		t.Nodes[i] = Node{Pt: p, Terminal: i}
 	}
-	t.Edges = t.Edges[:0]
-	if n <= 1 {
-		return
+	ws.primEdges = ws.prim(ws.primEdges[:0], pts, metric)
+	if cap(t.Edges) < len(ws.primEdges) {
+		t.Edges = make([]Edge, len(ws.primEdges))
 	}
-	inTree, bestDist, bestFrom := ws.primScratch(n)
-	inTree[0] = true
-	for i := 1; i < n; i++ {
-		bestDist[i] = metric.Dist(pts[0], pts[i])
-		bestFrom[i] = 0
-	}
-	for added := 1; added < n; added++ {
-		u, best := -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if !inTree[i] && bestDist[i] < best {
-				u, best = i, bestDist[i]
-			}
-		}
-		inTree[u] = true
-		t.Edges = append(t.Edges, Edge{U: bestFrom[u], V: u})
-		for i := 0; i < n; i++ {
-			if !inTree[i] {
-				if d := metric.Dist(pts[u], pts[i]); d < bestDist[i] {
-					bestDist[i] = d
-					bestFrom[i] = u
-				}
-			}
-		}
+	t.Edges = t.Edges[:len(ws.primEdges)]
+	for i, e := range ws.primEdges {
+		t.Edges[i] = Edge{U: e.u, V: e.v}
 	}
 }
 
-// bends is Tree.Bends with the adjacency lists drawn from the workspace.
+// bends returns the number of direction changes summed over the tree's
+// internal nodes, the "bending cost" used to rank Steiner candidates: for
+// each node with degree >= 2 it counts the pairs of incident edges whose
+// directions differ. The adjacency lists are drawn from the workspace.
 func (ws *Workspace) bends(t Tree) int {
 	n := len(t.Nodes)
 	for len(ws.adjN) < n {
@@ -577,6 +418,8 @@ func (ws *Workspace) bends(t Tree) int {
 			for j := i + 1; j < len(neigh); j++ {
 				a := t.Nodes[neigh[i]].Pt.Sub(t.Nodes[u].Pt)
 				b := t.Nodes[neigh[j]].Pt.Sub(t.Nodes[u].Pt)
+				// Straight-through means the two incident directions are
+				// opposite: cross ≈ 0 and dot < 0.
 				crossz := a.X*b.Y - a.Y*b.X
 				dot := a.X*b.X + a.Y*b.Y
 				if math.Abs(crossz) > geom.Eps || dot > 0 {
@@ -650,16 +493,10 @@ func (m *incrMST) accept(c geom.Point) {
 	m.tree = append(m.tree[:0], m.sel...)
 }
 
-// HananGrid returns the Hanan-grid points of the terminal set (all
+// hananGrid returns the Hanan-grid points of the terminal set (all
 // intersections of horizontal and vertical lines through terminals),
-// excluding the terminals themselves.
-func HananGrid(terminals []geom.Point) []geom.Point {
-	out := NewWorkspace().hananGrid(terminals)
-	return append([]geom.Point(nil), out...)
-}
-
-// hananGrid is HananGrid into the workspace's candidate buffer; the result
-// is valid until the next hananGrid call on the same workspace.
+// excluding the terminals themselves. The result lives in the workspace's
+// candidate buffer and is valid until the next hananGrid call.
 func (ws *Workspace) hananGrid(terminals []geom.Point) []geom.Point {
 	ws.xs = uniqueCoordsInto(ws.xs[:0], &ws.coordVals, terminals, false)
 	ws.ys = uniqueCoordsInto(ws.ys[:0], &ws.coordVals, terminals, true)
@@ -754,40 +591,30 @@ func fermatPoint(a, b, c geom.Point) geom.Point {
 	return p
 }
 
-// BI1SConfig tunes the Batched Iterated 1-Steiner heuristic.
-type BI1SConfig struct {
-	// BendWeight penalises candidates by BendWeight × the bending cost of
-	// the tree they induce, steering baseline diversity (§3.2: "sorting the
-	// Steiner points with the induced propagation and bending cost").
-	BendWeight float64
-	// MaxRounds bounds the batched iterations. Defaults to 8 when zero.
-	MaxRounds int
-}
+// maxRounds bounds the batched BI1S iterations.
+const maxRounds = 8
 
 // BI1S runs Batched Iterated 1-Steiner over the terminals: in each round
 // every candidate Steiner point is scored by the MST-length reduction it
-// yields, the candidates are sorted by gain (minus the bending penalty), and
-// a batch of still-profitable candidates is accepted greedily; degree-<=2
-// Steiner points are cleaned up at the end. The result spans all terminals.
-func BI1S(terminals []geom.Point, metric Metric, cfg BI1SConfig) Tree {
-	return BI1SWS(terminals, metric, cfg, nil)
+// yields, the candidates are sorted by gain, and a batch of still-profitable
+// candidates is accepted greedily; degree-<=2 Steiner points are cleaned up
+// at the end. The result spans all terminals. A nil ws allocates a throwaway
+// workspace; the returned tree owns its slices and nothing aliases ws.
+func BI1S(terminals []geom.Point, metric Metric, ws *Workspace) Tree {
+	return bi1s(terminals, metric, 0, ws)
 }
 
-// BI1SWS is BI1S with an explicit workspace (nil allocates a throwaway
-// one). The returned tree owns its slices; nothing aliases ws.
-func BI1SWS(terminals []geom.Point, metric Metric, cfg BI1SConfig, ws *Workspace) Tree {
-	n := len(terminals)
+// bi1s is BI1S with the candidates' gains penalised by bendWeight × the
+// bending cost of the tree they induce, which steers baseline diversity
+// (§3.2: "sorting the Steiner points with the induced propagation and
+// bending cost").
+func bi1s(terminals []geom.Point, metric Metric, bendWeight float64, ws *Workspace) Tree {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	if n <= 2 {
-		return ws.mstWS(terminals, metric)
+	if len(terminals) <= 2 {
+		return MST(terminals, metric, ws)
 	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 8
-	}
-
 	inc := &ws.inc
 	inc.init(terminals, metric, ws)
 
@@ -808,12 +635,12 @@ func BI1SWS(terminals []geom.Point, metric Metric, cfg BI1SConfig, ws *Workspace
 		if len(pool) == 0 {
 			break
 		}
-		if cfg.BendWeight > 0 {
+		if bendWeight > 0 {
 			for i := range pool {
 				ws.bendPts = append(ws.bendPts[:0], inc.pts...)
 				ws.bendPts = append(ws.bendPts, pool[i].p)
 				ws.mstInto(ws.bendPts, metric, &ws.bendTree)
-				pool[i].gain -= cfg.BendWeight * float64(ws.bends(ws.bendTree)) * 1e-3
+				pool[i].gain -= bendWeight * float64(ws.bends(ws.bendTree)) * 1e-3
 			}
 		}
 		sortScored(pool)
@@ -835,13 +662,9 @@ func BI1SWS(terminals []geom.Point, metric Metric, cfg BI1SConfig, ws *Workspace
 // treeOver builds the MST over pts, marking the first len(terminals) points
 // as terminals and the rest as Steiner points.
 func (ws *Workspace) treeOver(pts []geom.Point, terminals []geom.Point, metric Metric) Tree {
-	t := ws.mstWS(pts, metric)
-	for i := range t.Nodes {
-		if i < len(terminals) {
-			t.Nodes[i].Terminal = i
-		} else {
-			t.Nodes[i].Terminal = -1
-		}
+	t := MST(pts, metric, ws)
+	for i := len(terminals); i < len(t.Nodes); i++ {
+		t.Nodes[i].Terminal = -1
 	}
 	return t
 }
@@ -964,32 +787,13 @@ func Subdivide(t Tree, maxSegLen float64) Tree {
 	return out
 }
 
-// RSMTLength estimates the rectilinear Steiner minimal tree length of the
-// terminals, the wirelength model Streak-style electrical power uses.
-func RSMTLength(terminals []geom.Point) float64 {
-	return RSMTLengthWS(terminals, nil)
-}
-
-// RSMTLengthWS is RSMTLength with an explicit workspace (nil allocates a
-// throwaway one).
-func RSMTLengthWS(terminals []geom.Point, ws *Workspace) float64 {
-	if len(terminals) <= 1 {
-		return 0
-	}
-	return BI1SWS(terminals, Rectilinear, BI1SConfig{}, ws).Length()
-}
-
 // Baselines generates up to max distinct baseline topologies for the
 // terminal set under the given metric: the plain MST plus BI1S variants
 // under different bending-cost weights. Duplicate topologies (same length
 // and node count) are removed. At least one topology is always returned.
-func Baselines(terminals []geom.Point, metric Metric, max int) []Tree {
-	return BaselinesWS(terminals, metric, max, nil)
-}
-
-// BaselinesWS is Baselines with an explicit workspace (nil allocates a
-// throwaway one). The returned trees own their slices.
-func BaselinesWS(terminals []geom.Point, metric Metric, max int, ws *Workspace) []Tree {
+// A nil ws allocates a throwaway workspace; the returned trees own their
+// slices.
+func Baselines(terminals []geom.Point, metric Metric, max int, ws *Workspace) []Tree {
 	if max <= 0 {
 		max = 3
 	}
@@ -1000,7 +804,7 @@ func BaselinesWS(terminals []geom.Point, metric Metric, max int, ws *Workspace) 
 		// Every topology over two or fewer terminals is the same tree:
 		// BI1S, the MST, and all bend-weighted variants coincide, and the
 		// dedup below would discard all but the first. Build it once.
-		return []Tree{ws.mstWS(terminals, metric)}
+		return []Tree{MST(terminals, metric, ws)}
 	}
 	var out []Tree
 	add := func(t Tree) {
@@ -1011,15 +815,15 @@ func BaselinesWS(terminals []geom.Point, metric Metric, max int, ws *Workspace) 
 		}
 		out = append(out, t)
 	}
-	add(BI1SWS(terminals, metric, BI1SConfig{}, ws))
+	add(BI1S(terminals, metric, ws))
 	if len(out) < max {
-		add(ws.mstWS(terminals, metric))
+		add(MST(terminals, metric, ws))
 	}
 	for _, w := range []float64{0.5, 2.0, 8.0} {
 		if len(out) >= max {
 			break
 		}
-		add(BI1SWS(terminals, metric, BI1SConfig{BendWeight: w}, ws))
+		add(bi1s(terminals, metric, w, ws))
 	}
 	return out
 }

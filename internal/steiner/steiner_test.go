@@ -33,7 +33,7 @@ func TestMetricDist(t *testing.T) {
 
 func TestMSTTwoPoints(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 1}}
-	tr := MST(pts, Euclidean)
+	tr := MST(pts, Euclidean, nil)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestMSTTwoPoints(t *testing.T) {
 }
 
 func TestMSTSingle(t *testing.T) {
-	tr := MST([]geom.Point{{X: 1, Y: 1}}, Rectilinear)
+	tr := MST([]geom.Point{{X: 1, Y: 1}}, Rectilinear, nil)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestMSTSingle(t *testing.T) {
 func TestMSTKnownCase(t *testing.T) {
 	// Unit square in the Euclidean metric: MST length 3.
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}, {X: 0, Y: 1}}
-	tr := MST(pts, Euclidean)
+	tr := MST(pts, Euclidean, nil)
 	if math.Abs(tr.Length()-3) > 1e-9 {
 		t.Errorf("square MST = %v, want 3", tr.Length())
 	}
@@ -70,7 +70,7 @@ func TestMSTMatchesBruteForce(t *testing.T) {
 		pts := randTerminals(5, seed)
 		for _, m := range []Metric{Rectilinear, Euclidean} {
 			want := kruskalLength(pts, m)
-			got := MST(pts, m).Length()
+			got := MST(pts, m, nil).Length()
 			if math.Abs(got-want) > 1e-9 {
 				t.Errorf("seed %d %v: Prim %v vs Kruskal %v", seed, m, got, want)
 			}
@@ -120,7 +120,7 @@ func kruskalLength(pts []geom.Point, m Metric) float64 {
 
 func TestHananGrid(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 2, Y: 1}, {X: 1, Y: 3}}
-	grid := HananGrid(pts)
+	grid := NewWorkspace().hananGrid(pts)
 	// 3x3 grid points minus the 3 terminals = 6.
 	if len(grid) != 6 {
 		t.Fatalf("Hanan grid size = %d, want 6", len(grid))
@@ -137,7 +137,7 @@ func TestHananGrid(t *testing.T) {
 func TestHananGridCollinear(t *testing.T) {
 	// Collinear terminals: the Hanan grid is the terminals themselves.
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 0}}
-	if grid := HananGrid(pts); len(grid) != 0 {
+	if grid := NewWorkspace().hananGrid(pts); len(grid) != 0 {
 		t.Errorf("collinear Hanan grid = %v, want empty", grid)
 	}
 }
@@ -171,8 +171,8 @@ func TestBI1SImprovesOrMatchesMST(t *testing.T) {
 		for _, n := range []int{3, 4, 6, 9} {
 			pts := randTerminals(n, seed*31+int64(n))
 			for _, m := range []Metric{Rectilinear, Euclidean} {
-				mst := MST(pts, m).Length()
-				tr := BI1S(pts, m, BI1SConfig{})
+				mst := MST(pts, m, nil).Length()
+				tr := BI1S(pts, m, nil)
 				if err := tr.Validate(); err != nil {
 					t.Fatalf("seed %d n %d %v: invalid tree: %v", seed, n, m, err)
 				}
@@ -211,9 +211,24 @@ func TestBI1SCross(t *testing.T) {
 	// Four corners of a plus sign: the rectilinear Steiner tree uses the
 	// centre, total length 4; MST is 6.
 	pts := []geom.Point{{X: 1, Y: 0}, {X: -1, Y: 0}, {X: 0, Y: 1}, {X: 0, Y: -1}}
-	tr := BI1S(pts, Rectilinear, BI1SConfig{})
+	tr := BI1S(pts, Rectilinear, nil)
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(tr.Length()-4) > 1e-9 {
 		t.Errorf("plus-sign RSMT = %v, want 4", tr.Length())
+	}
+}
+
+func TestRSMTLength(t *testing.T) {
+	// The rectilinear BI1S tree is the RSMT length estimate: zero for one
+	// pin, the Manhattan distance for two.
+	if got := BI1S([]geom.Point{{X: 1, Y: 1}}, Rectilinear, nil).Length(); got != 0 {
+		t.Errorf("1-pin RSMT = %v, want 0", got)
+	}
+	got := BI1S([]geom.Point{{X: 0, Y: 0}, {X: 2, Y: 3}}, Rectilinear, nil).Length()
+	if math.Abs(got-5) > 1e-12 {
+		t.Errorf("2-pin RSMT = %v, want 5", got)
 	}
 }
 
@@ -222,7 +237,7 @@ func TestBI1SEuclideanSteinerGain(t *testing.T) {
 	pts := []geom.Point{
 		{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0.5, Y: math.Sqrt(3) / 2},
 	}
-	tr := BI1S(pts, Euclidean, BI1SConfig{})
+	tr := BI1S(pts, Euclidean, nil)
 	want := math.Sqrt(3)
 	if tr.Length() > want+0.01 {
 		t.Errorf("equilateral Steiner = %v, want ≈%v", tr.Length(), want)
@@ -236,8 +251,8 @@ func TestSteinerRatioProperty(t *testing.T) {
 		n := int(nn)%8 + 2
 		pts := randTerminals(n, seed)
 		for _, m := range []Metric{Rectilinear, Euclidean} {
-			mst := MST(pts, m).Length()
-			st := BI1S(pts, m, BI1SConfig{}).Length()
+			mst := MST(pts, m, nil).Length()
+			st := BI1S(pts, m, nil).Length()
 			lb := mst * 0.5 // loose lower bound, catches gross errors
 			if st < lb-1e-9 || st > mst+1e-9 {
 				return false
@@ -253,7 +268,7 @@ func TestSteinerRatioProperty(t *testing.T) {
 func TestCleanupRemovesUselessSteiner(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		pts := randTerminals(7, seed)
-		tr := BI1S(pts, Rectilinear, BI1SConfig{})
+		tr := BI1S(pts, Rectilinear, nil)
 		adj := tr.Adjacency()
 		for i, nd := range tr.Nodes {
 			if nd.IsSteiner() && len(adj[i]) <= 2 {
@@ -263,20 +278,9 @@ func TestCleanupRemovesUselessSteiner(t *testing.T) {
 	}
 }
 
-func TestRSMTLength(t *testing.T) {
-	if RSMTLength(nil) != 0 || RSMTLength([]geom.Point{{X: 1, Y: 1}}) != 0 {
-		t.Error("degenerate RSMT length should be 0")
-	}
-	// Two points: RSMT = Manhattan distance.
-	got := RSMTLength([]geom.Point{{X: 0, Y: 0}, {X: 2, Y: 3}})
-	if math.Abs(got-5) > 1e-12 {
-		t.Errorf("2-pin RSMT = %v, want 5", got)
-	}
-}
-
 func TestBaselines(t *testing.T) {
 	pts := randTerminals(6, 9)
-	bs := Baselines(pts, Euclidean, 3)
+	bs := Baselines(pts, Euclidean, 3, nil)
 	if len(bs) == 0 {
 		t.Fatal("no baselines")
 	}
@@ -302,7 +306,7 @@ func TestBaselines(t *testing.T) {
 
 func TestBaselinesTwoPin(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 2}}
-	bs := Baselines(pts, Euclidean, 3)
+	bs := Baselines(pts, Euclidean, 3, nil)
 	if len(bs) != 1 {
 		t.Fatalf("two-pin baselines = %d, want 1", len(bs))
 	}
@@ -319,7 +323,7 @@ func TestTreeBends(t *testing.T) {
 		},
 		Edges: []Edge{{0, 1}, {1, 2}},
 	}
-	if got := straight.Bends(); got != 0 {
+	if got := NewWorkspace().bends(straight); got != 0 {
 		t.Errorf("straight path bends = %d, want 0", got)
 	}
 	// An L has one bend.
@@ -332,7 +336,7 @@ func TestTreeBends(t *testing.T) {
 		},
 		Edges: []Edge{{0, 1}, {1, 2}},
 	}
-	if got := ell.Bends(); got != 1 {
+	if got := NewWorkspace().bends(ell); got != 1 {
 		t.Errorf("L path bends = %d, want 1", got)
 	}
 }
@@ -356,7 +360,7 @@ func TestValidateCatchesBadTrees(t *testing.T) {
 
 func TestSegmentsMatchEdges(t *testing.T) {
 	pts := randTerminals(5, 3)
-	tr := MST(pts, Euclidean)
+	tr := MST(pts, Euclidean, nil)
 	segs := tr.Segments()
 	if len(segs) != len(tr.Edges) {
 		t.Fatalf("%d segments for %d edges", len(segs), len(tr.Edges))
@@ -372,7 +376,7 @@ func TestSegmentsMatchEdges(t *testing.T) {
 
 func TestSubdivideNoOp(t *testing.T) {
 	pts := randTerminals(4, 5)
-	tr := BI1S(pts, Euclidean, BI1SConfig{})
+	tr := BI1S(pts, Euclidean, nil)
 	if got := Subdivide(tr, 0); len(got.Edges) != len(tr.Edges) {
 		t.Errorf("maxLen 0 changed the tree")
 	}
@@ -385,7 +389,7 @@ func TestSubdivideNoOp(t *testing.T) {
 func TestSubdividePreservesGeometry(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		pts := randTerminals(5, seed)
-		tr := BI1S(pts, Euclidean, BI1SConfig{})
+		tr := BI1S(pts, Euclidean, nil)
 		sub := Subdivide(tr, 0.35)
 		if err := sub.Validate(); err != nil {
 			t.Fatalf("seed %d: invalid subdivided tree: %v", seed, err)
@@ -435,21 +439,11 @@ func BenchmarkBI1S(b *testing.B) {
 		b.Run(metric.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := BI1S(pts, metric, BI1SConfig{}).Validate(); err != nil {
+				if err := BI1S(pts, metric, nil).Validate(); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkRSMT(b *testing.B) {
-	pts := randTerminals(8, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if RSMTLength(pts) <= 0 {
-			b.Fatal("zero RSMT")
-		}
 	}
 }
 
@@ -462,10 +456,10 @@ func TestBI1SAllocs(t *testing.T) {
 		metric Metric
 		max    float64
 	}{
-		{Rectilinear, 97}, // 88 measured
-		{Euclidean, 85},   // 77 measured
+		{Rectilinear, 97}, // 84 measured
+		{Euclidean, 85},   // 74 measured
 	} {
-		allocs := testing.AllocsPerRun(20, func() { BI1S(pts, tc.metric, BI1SConfig{}) })
+		allocs := testing.AllocsPerRun(20, func() { BI1S(pts, tc.metric, nil) })
 		t.Logf("%v: %.0f allocs per tree", tc.metric, allocs)
 		if allocs > tc.max {
 			t.Errorf("BI1S %v allocates %.0f per tree, ceiling %.0f", tc.metric, allocs, tc.max)

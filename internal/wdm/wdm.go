@@ -198,20 +198,14 @@ func (a Assignment) Used() int { return len(a.UsedWDMs) }
 // edges within dis_u (cost = normalised displacement), WDM→sink edges
 // (capacity = WDM capacity, cost = usage, growing with WDM order so the
 // flow consolidates onto fewer waveguides). WDMs left idle are dropped.
-// It is AssignContext with context.Background() — the flow always runs to
-// completion.
-func Assign(conns []Connection, pl Placement, cfg Config) (Assignment, error) {
-	return AssignContext(context.Background(), conns, pl, cfg)
-}
-
-// AssignContext is Assign bounded by a context. Cancellation is observed by
-// the candidate-costing worker pool and by the min-cost-flow augmentation
-// loop; once the context is done, AssignContext abandons the re-assignment
-// and returns ctx.Err(). Callers that must produce an answer anyway fall
-// back to PlacementAssignment, which derives a feasible (capacity-
-// respecting) assignment straight from the sweep placement. A run that
-// completes before cancellation is bit-identical to Assign.
-func AssignContext(ctx context.Context, conns []Connection, pl Placement, cfg Config) (Assignment, error) {
+//
+// Cancellation is observed by the candidate-costing worker pool and by the
+// min-cost-flow augmentation loop; once ctx is done, Assign abandons the
+// re-assignment and returns ctx.Err(). Callers that must produce an answer
+// anyway fall back to PlacementAssignment, which derives a feasible
+// (capacity-respecting) assignment straight from the sweep placement. A run
+// that completes before cancellation is bit-identical to an uncancelled one.
+func Assign(ctx context.Context, conns []Connection, pl Placement, cfg Config) (Assignment, error) {
 	if err := cfg.Validate(); err != nil {
 		return Assignment{}, err
 	}
@@ -287,7 +281,7 @@ func AssignContext(ctx context.Context, conns []Connection, pl Placement, cfg Co
 		candBuf := make([]arcCand, len(connIdx)*stride)
 		candN := make([]int, len(connIdx))
 		spCost := cfg.Obs.Span("wdm/cost-arcs", obs.LaneFlow, obs.S("orient", orient))
-		err := parallel.ForEachContext(ctx, len(connIdx), cfg.Workers, func(k int) error {
+		err := parallel.ForEach(ctx, len(connIdx), cfg.Workers, func(k int) error {
 			ci := connIdx[k]
 			c := conns[ci]
 			row := candBuf[k*stride : k*stride]
@@ -331,7 +325,7 @@ func AssignContext(ctx context.Context, conns []Connection, pl Placement, cfg Co
 		}
 		cArcs.Add(int64(len(arcs)))
 		g.Instrument(cfg.Obs)
-		res, err := g.MaxFlowContext(ctx, src, snk)
+		res, err := g.MaxFlow(ctx, src, snk)
 		if err != nil {
 			return Assignment{}, err
 		}
@@ -361,7 +355,7 @@ func AssignContext(ctx context.Context, conns []Connection, pl Placement, cfg Co
 // connection keeps the WDM the placement packed it onto, whole. The result
 // is feasible by construction — the sweep never exceeds a waveguide's
 // capacity — but forgoes the §4.2 consolidation, so it uses as many WDMs as
-// the placement opened. RunContext falls back to it when the context is
+// the placement opened. Run falls back to it when the context is
 // cancelled mid-assignment (the graceful-degradation floor of the WDM
 // stage; see DESIGN.md §8).
 func PlacementAssignment(conns []Connection, pl Placement) Assignment {
@@ -405,25 +399,19 @@ func (s Stats) Reduction() float64 {
 	return 1 - float64(s.FinalWDMs)/float64(s.InitialWDMs)
 }
 
-// Run executes placement followed by assignment and returns everything.
-// It is RunContext with context.Background() — never degraded.
-func Run(conns []Connection, cfg Config) (Placement, Assignment, Stats, error) {
-	return RunContext(context.Background(), conns, cfg)
-}
-
-// RunContext executes placement followed by assignment under ctx. The sweep
-// placement always completes (it is the feasibility floor of the stage);
-// when the context is cancelled during the network-flow re-assignment, the
-// result degrades to PlacementAssignment and Stats.Degraded is set instead
-// of returning an error. A run that completes before cancellation is
-// bit-identical to Run.
-func RunContext(ctx context.Context, conns []Connection, cfg Config) (Placement, Assignment, Stats, error) {
+// Run executes placement followed by assignment under ctx and returns
+// everything. The sweep placement always completes (it is the feasibility
+// floor of the stage); when the context is cancelled during the
+// network-flow re-assignment, the result degrades to PlacementAssignment and
+// Stats.Degraded is set instead of returning an error. A run that completes
+// before cancellation is bit-identical to an uncancelled one.
+func Run(ctx context.Context, conns []Connection, cfg Config) (Placement, Assignment, Stats, error) {
 	pl, err := Place(conns, cfg)
 	if err != nil {
 		return Placement{}, Assignment{}, Stats{}, err
 	}
 	st := Stats{Connections: len(conns), InitialWDMs: len(pl.WDMs)}
-	as, err := AssignContext(ctx, conns, pl, cfg)
+	as, err := Assign(ctx, conns, pl, cfg)
 	switch {
 	case err == nil:
 	case ctx.Err() != nil:

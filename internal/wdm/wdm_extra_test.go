@@ -1,6 +1,7 @@
 package wdm
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestDisplacementAccounting(t *testing.T) {
 		hconn(0.00, 0, 1, 10),
 		hconn(0.02, 0, 1, 10),
 	}
-	pl, as, _, err := Run(conns, cfg())
+	pl, as, _, err := Run(context.Background(), conns, cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestVerticalOnlyPipeline(t *testing.T) {
 		vconn(0.01, 0, 2, 12),
 		vconn(0.02, 0, 2, 12),
 	}
-	pl, as, st, err := Run(conns, cfg())
+	pl, as, st, err := Run(context.Background(), conns, cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestDiagonalClassification(t *testing.T) {
 }
 
 func TestSingleConnectionSingleWDM(t *testing.T) {
-	pl, as, st, err := Run([]Connection{hconn(1, 0, 3, 32)}, cfg())
+	pl, as, st, err := Run(context.Background(), []Connection{hconn(1, 0, 3, 32)}, cfg())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package wdm
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -159,7 +160,7 @@ func TestAssignConsolidates(t *testing.T) {
 		hconn(0.01, 0, 1, 20),
 		hconn(0.02, 0, 1, 20),
 	}
-	pl, as, st, err := Run(conns, cfg())
+	pl, as, st, err := Run(context.Background(), conns, cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestAssignRespectsCapacity(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		conns = append(conns, vconn(rng.Float64()*0.5, 0, 1, 1+rng.Intn(16)))
 	}
-	pl, as, st, err := Run(conns, cfg())
+	pl, as, st, err := Run(context.Background(), conns, cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestAssignNeverWorseThanPlacement(t *testing.T) {
 				conns = append(conns, vconn(rng.Float64(), 0, 1+rng.Float64(), 1+rng.Intn(24)))
 			}
 		}
-		_, _, st, err := Run(conns, cfg())
+		_, _, st, err := Run(context.Background(), conns, cfg())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +252,7 @@ func TestAssignNeverWorseThanPlacement(t *testing.T) {
 }
 
 func TestEmptyConnections(t *testing.T) {
-	pl, as, st, err := Run(nil, cfg())
+	pl, as, st, err := Run(context.Background(), nil, cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestEmptyConnections(t *testing.T) {
 
 func TestAssignPlacementMismatch(t *testing.T) {
 	conns := []Connection{hconn(0, 0, 1, 4)}
-	if _, err := Assign(conns, Placement{}, cfg()); err == nil {
+	if _, err := Assign(context.Background(), conns, Placement{}, cfg()); err == nil {
 		t.Error("mismatched placement accepted")
 	}
 }

@@ -651,7 +651,7 @@ func opticalNets(ctx context.Context, hnets []signal.HyperNet, cfg Config, arena
 		}
 		allO := scr.fillLabels(len(trees[i][0].Edges), codesign.Optical)
 		var cands []codesign.Candidate
-		if cand, feasible := codesign.EvaluateWS(in, allO, scr.codesign); feasible {
+		if cand, feasible := codesign.Evaluate(in, allO, scr.codesign); feasible {
 			cands = append(cands, cand)
 		}
 		fallback, err := electricalCandidate(hnets[i], cfg, scr)
@@ -690,7 +690,7 @@ func process(d signal.Design, cfg Config, prev [][]signal.HyperNet, clean []bool
 		Seed:                cfg.Seed,
 	}
 	groups := make([][]signal.HyperNet, len(d.Groups))
-	err := parallel.ForEach(len(d.Groups), cfg.Workers, func(gi int) error {
+	err := parallel.ForEach(context.Background(), len(d.Groups), cfg.Workers, func(gi int) error {
 		if clean != nil && clean[gi] {
 			groups[gi] = prev[gi]
 			return nil
@@ -718,14 +718,10 @@ func process(d signal.Design, cfg Config, prev [][]signal.HyperNet, clean []bool
 // possible error is ctx's: cancellation stops dispatch and surfaces
 // ctx.Err(), on which callers degrade to the electrical floor.
 func baselineTrees(ctx context.Context, hnets []signal.HyperNet, trees [][]steiner.Tree, cfg Config, arena *parallel.Arena) error {
-	max := cfg.MaxBaselines
-	if max <= 0 {
-		max = 3
-	}
 	todo := missing(len(trees), func(i int) bool { return trees[i] == nil })
 	return parallel.ForEachScratchContext(ctx, arena, len(todo), cfg.Workers, func(w int, s *parallel.Scratch, k int) error {
 		i := todo[k]
-		trees[i] = steiner.BaselinesWS(hnets[i].Terminals(), steiner.Euclidean, max, grabScratch(s, cfg.Obs).steiner)
+		trees[i] = steiner.Baselines(hnets[i].Terminals(), steiner.Euclidean, cfg.MaxBaselines, grabScratch(s, cfg.Obs).steiner)
 		return nil
 	})
 }
@@ -853,7 +849,7 @@ func generateNetCandidates(i int, hn signal.HyperNet, trees []steiner.Tree, env 
 		if cfg.SubdivideCM > 0 && lossPressed(tr, env, cfg.Lib, len(hn.Pins)-1) {
 			tr = steiner.Subdivide(tr, cfg.SubdivideCM)
 		}
-		cs, err := codesign.GenerateWS(codesign.Input{
+		cs, err := codesign.Generate(codesign.Input{
 			Tree:       tr,
 			Bits:       bits,
 			Lib:        cfg.Lib,
@@ -934,9 +930,9 @@ func thinCandidates(cands []codesign.Candidate, max int) []codesign.Candidate {
 // electricalCandidate builds the a_ie fallback: an all-electrical RSMT
 // route evaluated under Eq. (6), on the calling worker's scratch.
 func electricalCandidate(hn signal.HyperNet, cfg Config, scr *workerScratch) (codesign.Candidate, error) {
-	tree := steiner.BI1SWS(hn.Terminals(), steiner.Rectilinear, steiner.BI1SConfig{}, scr.steiner)
+	tree := steiner.BI1S(hn.Terminals(), steiner.Rectilinear, scr.steiner)
 	in := codesign.Input{Tree: tree, Bits: hn.BitCount(), Lib: cfg.Lib, Elec: cfg.Elec}
-	cand, _ := codesign.EvaluateWS(in, scr.fillLabels(len(tree.Edges), codesign.Electrical), scr.codesign)
+	cand, _ := codesign.Evaluate(in, scr.fillLabels(len(tree.Edges), codesign.Electrical), scr.codesign)
 	if !cand.AllElectrical {
 		return codesign.Candidate{}, fmt.Errorf("operon: electrical fallback is not all-electrical")
 	}
@@ -982,12 +978,12 @@ func (r *Result) wdmStage(ctx context.Context, cfg Config, from *Result) error {
 }
 
 // assignWDMs extracts the optical connections of the selection and runs
-// the §4 WDM pipeline under ctx. Cancellation never errors: wdm.RunContext
+// the §4 WDM pipeline under ctx. Cancellation never errors: wdm.Run
 // falls back to the placement-derived assignment and flags it in
 // Stats.Degraded, which the caller folds into Result.Degraded.
 func (r *Result) assignWDMs(ctx context.Context, cfg Config) error {
 	r.Connections = extractConnections(r.Nets, r.Selection.Choice)
-	pl, as, st, err := wdm.RunContext(ctx, r.Connections, wdm.Config{
+	pl, as, st, err := wdm.Run(ctx, r.Connections, wdm.Config{
 		Capacity:        cfg.Lib.WDMCapacity,
 		MinSpacingCM:    cfg.Lib.CrosstalkMinDistCM,
 		MaxAssignDistCM: cfg.Lib.AssignMaxDistCM,

@@ -1,6 +1,7 @@
 package operon
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -16,13 +17,13 @@ func TestWorkerPoolParallelMatchesSerial(t *testing.T) {
 	n := 100
 	serial := make([]int, n)
 	concurrent := make([]int, n)
-	if err := parallel.ForEach(n, 1, func(i int) error {
+	if err := parallel.ForEach(context.Background(), n, 1, func(i int) error {
 		serial[i] = i * i
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := parallel.ForEach(n, 8, func(i int) error {
+	if err := parallel.ForEach(context.Background(), n, 8, func(i int) error {
 		concurrent[i] = i * i
 		return nil
 	}); err != nil {
@@ -38,7 +39,7 @@ func TestWorkerPoolParallelMatchesSerial(t *testing.T) {
 func TestWorkerPoolPropagatesError(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		err := parallel.ForEach(50, workers, func(i int) error {
+		err := parallel.ForEach(context.Background(), 50, workers, func(i int) error {
 			if i == 37 {
 				return sentinel
 			}
@@ -52,7 +53,7 @@ func TestWorkerPoolPropagatesError(t *testing.T) {
 
 func TestWorkerPoolZeroItems(t *testing.T) {
 	called := false
-	if err := parallel.ForEach(0, 4, func(int) error { called = true; return nil }); err != nil {
+	if err := parallel.ForEach(context.Background(), 0, 4, func(int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {

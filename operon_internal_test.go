@@ -69,12 +69,12 @@ func TestThinCandidatesMonotone(t *testing.T) {
 
 func TestLossPressed(t *testing.T) {
 	lib := optics.DefaultLibrary()
-	short := steiner.MST([]geom.Point{{X: 0, Y: 0}, {X: 0.5, Y: 0}}, steiner.Euclidean)
+	short := steiner.MST([]geom.Point{{X: 0, Y: 0}, {X: 0.5, Y: 0}}, steiner.Euclidean, nil)
 	if lossPressed(short, nil, lib, 1) {
 		t.Error("short uncrossed net reported loss-pressed")
 	}
 	// A long net with many crossings approaches the budget.
-	long := steiner.MST([]geom.Point{{X: 0, Y: 0}, {X: 4, Y: 0}}, steiner.Euclidean)
+	long := steiner.MST([]geom.Point{{X: 0, Y: 0}, {X: 4, Y: 0}}, steiner.Euclidean, nil)
 	var env []geom.Segment
 	for i := 0; i < 25; i++ {
 		x := 0.1 + float64(i)*0.15
@@ -94,11 +94,11 @@ func TestLossPressedThresholdMath(t *testing.T) {
 	// Exactly at 70% of the budget: 0.7·20 dB = 14 dB → a 9.34 cm
 	// uncrossed 2-pin run sits barely above it (α = 1.5 dB/cm).
 	length := 0.7*lib.MaxLossDB/lib.AlphaDBPerCM + 0.01
-	tr := steiner.MST([]geom.Point{{X: 0, Y: 0}, {X: length, Y: 0}}, steiner.Euclidean)
+	tr := steiner.MST([]geom.Point{{X: 0, Y: 0}, {X: length, Y: 0}}, steiner.Euclidean, nil)
 	if !lossPressed(tr, nil, lib, 1) {
 		t.Error("net just above the 70% threshold not pressed")
 	}
-	tr = steiner.MST([]geom.Point{{X: 0, Y: 0}, {X: length - 0.02, Y: 0}}, steiner.Euclidean)
+	tr = steiner.MST([]geom.Point{{X: 0, Y: 0}, {X: length - 0.02, Y: 0}}, steiner.Euclidean, nil)
 	if lossPressed(tr, nil, lib, 1) {
 		t.Error("net just below the 70% threshold pressed")
 	}
