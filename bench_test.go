@@ -150,7 +150,7 @@ func selectionInstance(tb testing.TB, res *operon.Result, cfg operon.Config) *se
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := selection.SolveLR(inst, selection.LROptions{Workers: cfg.Workers}); err != nil {
+	if _, err := selection.SolveLR(context.Background(), inst, selection.LROptions{Workers: cfg.Workers}); err != nil {
 		tb.Fatal(err)
 	}
 	return inst
@@ -177,8 +177,7 @@ func wdmInputs(res *operon.Result, cfg operon.Config) ([]wdm.Connection, wdm.Con
 func solveILP(inst *selection.Instance, opt selection.ILPOptions) (selection.ILPResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	opt.Ctx = ctx
-	return selection.SolveILP(inst, opt)
+	return selection.SolveILP(ctx, inst, opt)
 }
 
 // flowRow runs one Table-1 flow on the named case.
@@ -249,7 +248,7 @@ func fig9Row(tb testing.TB, cfg operon.Config) func() error {
 func lrPricingRow(tb testing.TB, cfg operon.Config) func() error {
 	inst := selectionInstance(tb, selected(tb, design(tb, "I2"), cfg), cfg)
 	return func() error {
-		lr, err := selection.SolveLR(inst, selection.LROptions{Workers: cfg.Workers})
+		lr, err := selection.SolveLR(context.Background(), inst, selection.LROptions{Workers: cfg.Workers})
 		if err == nil && lr.Selection.Violations != 0 {
 			err = errors.New("unrepaired violations")
 		}

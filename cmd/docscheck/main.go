@@ -1,7 +1,11 @@
 // Command docscheck enforces doc-comment coverage on the repo's public
 // surface: every exported identifier — package, function, method, type,
 // constant, variable, struct field, and interface method — in the audited
-// packages must carry a doc comment. `make docs-lint` runs it in CI.
+// packages must carry a doc comment. It also enforces the context
+// convention: no exported struct has an exported context.Context field,
+// because an operation that observes cancellation takes ctx as its first
+// argument rather than in an options struct. `make docs-lint` runs it in
+// CI.
 //
 // Usage:
 //
@@ -10,7 +14,8 @@
 // With no arguments the audited set is the flow package, the solver
 // substrate, and the serving layer: ., internal/lp, internal/ilp,
 // internal/mcmf, internal/selection, internal/obs, internal/serve. Exit
-// status 1 lists every uncommented identifier as file:line: name.
+// status 1 lists every uncommented identifier as file:line: name and every
+// context field as file:line: Type.Field holds a context.Context.
 package main
 
 import (
@@ -46,36 +51,39 @@ func main() {
 	if len(dirs) == 0 {
 		dirs = defaultDirs
 	}
-	var missing []string
+	var missing, ctxFields []string
 	total := 0
 	for _, dir := range dirs {
-		m, n, err := checkDir(dir)
+		m, c, n, err := checkDir(dir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 			os.Exit(2)
 		}
 		missing = append(missing, m...)
+		ctxFields = append(ctxFields, c...)
 		total += n
 	}
-	if len(missing) > 0 {
-		sort.Strings(missing)
-		for _, m := range missing {
+	if len(missing) > 0 || len(ctxFields) > 0 {
+		all := append(missing, ctxFields...)
+		sort.Strings(all)
+		for _, m := range all {
 			fmt.Println(m)
 		}
-		fmt.Fprintf(os.Stderr, "docscheck: %d of %d exported identifiers lack doc comments\n",
-			len(missing), total)
+		fmt.Fprintf(os.Stderr, "docscheck: %d of %d exported identifiers lack doc comments; %d struct fields hold a context.Context\n",
+			len(missing), total, len(ctxFields))
 		os.Exit(1)
 	}
 	fmt.Printf("docscheck: %d exported identifiers documented across %d packages\n",
 		total, len(dirs))
 }
 
-// checkDir audits one package directory, returning the flagged identifiers
-// (as "file:line: name") and the total number of exported identifiers seen.
-func checkDir(dir string) (missing []string, total int, err error) {
+// checkDir audits one package directory, returning the undocumented
+// identifiers (as "file:line: name"), the exported context.Context fields of
+// exported structs, and the total number of exported identifiers seen.
+func checkDir(dir string) (missing, ctxFields []string, total int, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	fset := token.NewFileSet()
 	pkgDoc := false
@@ -89,7 +97,7 @@ func checkDir(dir string) (missing []string, total int, err error) {
 		path := filepath.Join(dir, name)
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
 		if f.Doc != nil {
 			pkgDoc = true
@@ -98,7 +106,7 @@ func checkDir(dir string) (missing []string, total int, err error) {
 		paths = append(paths, path)
 	}
 	if len(files) == 0 {
-		return nil, 0, fmt.Errorf("%s: no Go files", dir)
+		return nil, nil, 0, fmt.Errorf("%s: no Go files", dir)
 	}
 	total++ // the package clause itself
 	if !pkgDoc {
@@ -123,10 +131,49 @@ func checkDir(dir string) (missing []string, total int, err error) {
 				m, n := checkGenDecl(fset, d)
 				missing = append(missing, m...)
 				total += n
+				ctxFields = append(ctxFields, contextFields(fset, d)...)
 			}
 		}
 	}
-	return missing, total, nil
+	return missing, ctxFields, total, nil
+}
+
+// contextFields lists the exported fields of type context.Context (named or
+// embedded) in the exported struct types of one declaration group.
+// Unexported fields are not flagged: they are not caller-set options.
+func contextFields(fset *token.FileSet, d *ast.GenDecl) []string {
+	var found []string
+	for _, spec := range d.Specs {
+		s, ok := spec.(*ast.TypeSpec)
+		if !ok || !s.Name.IsExported() {
+			continue
+		}
+		st, ok := s.Type.(*ast.StructType)
+		if !ok {
+			continue
+		}
+		for _, f := range st.Fields.List {
+			sel, ok := f.Type.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Context" {
+				continue
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "context" {
+				continue
+			}
+			names := f.Names
+			if len(names) == 0 {
+				names = []*ast.Ident{sel.Sel} // embedded
+			}
+			for _, name := range names {
+				if name.IsExported() {
+					p := fset.Position(name.Pos())
+					found = append(found, fmt.Sprintf("%s:%d: %s.%s holds a context.Context (take ctx as the first argument)",
+						p.Filename, p.Line, s.Name.Name, name.Name))
+				}
+			}
+		}
+	}
+	return found
 }
 
 // exportedFunc reports whether a function or method is part of the public

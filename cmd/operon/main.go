@@ -61,15 +61,8 @@ func main() {
 	if *lossBudget > 0 {
 		cfg.Lib.MaxLossDB = *lossBudget
 	}
-	switch *mode {
-	case "lr":
-		cfg.Mode = operon.ModeLR
-	case "ilp":
-		cfg.Mode = operon.ModeILP
-	case "greedy":
-		cfg.Mode = operon.ModeGreedy
-	default:
-		log.Fatalf("unknown mode %q (want lr, ilp or greedy)", *mode)
+	if cfg.Mode, err = operon.ParseMode(*mode); err != nil {
+		log.Fatal(err)
 	}
 
 	var sinks []obs.Sink

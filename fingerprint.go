@@ -38,19 +38,15 @@ import (
 //	  MaxCandidatesPerNet       merged candidate cap
 //	  Mode                      selection algorithm
 //	  ILPTimeLimit, ILPMaxNodes exact-solver budgets (bound the incumbent)
-//	  LR.MaxIters, LR.ConvergeRatio, LR.StepScale
-//	                            Lagrangian trajectory knobs
+//	  LRMaxIters                Lagrangian iteration cap
 //	  Seed                      drives the deterministic clustering
 //	  SkipWDM                   drops the whole §4 stage
 //
 //	Config — non-semantic (excluded; results are bit-identical across them):
 //	  Workers                   worker-pool size (determinism contract)
 //	  Obs                       telemetry sink
-//	  LR.Workers, LR.Obs, LR.Ctx
-//	                            ignored by the flow, which runs the LR under
-//	                            its own Workers, Obs and context
 //
-// fingerprint_test.go walks Config and LROptions by reflection and fails
+// fingerprint_test.go walks Config by reflection and fails
 // when a new field is added without being classified above, so the split
 // cannot silently rot.
 //
@@ -59,7 +55,7 @@ import (
 // stable across processes, architectures, and releases that keep the tag.
 func Fingerprint(d signal.Design, cfg Config) [32]byte {
 	h := fpHasher{h: sha256.New()}
-	h.str("operon-fp-v2")
+	h.str("operon-fp-v3")
 
 	// Design.
 	h.str(d.Name)
@@ -105,11 +101,7 @@ func Fingerprint(d signal.Design, cfg Config) [32]byte {
 	h.num(int64(cfg.ILPMaxNodes))
 	h.num(cfg.Seed)
 	h.bool(cfg.SkipWDM)
-
-	// Config: Lagrangian trajectory knobs.
-	h.num(int64(cfg.LR.MaxIters))
-	h.f64(cfg.LR.ConvergeRatio)
-	h.f64(cfg.LR.StepScale)
+	h.num(int64(cfg.LRMaxIters))
 
 	var out [32]byte
 	h.h.Sum(out[:0])

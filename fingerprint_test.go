@@ -1,7 +1,7 @@
 package operon
 
 import (
-	"context"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -62,21 +62,15 @@ var fpSemanticConfig = map[string]fpMutator{
 	"ILPMaxNodes":         func(_ *signal.Design, c *Config) { c.ILPMaxNodes += 100 },
 	"Seed":                func(_ *signal.Design, c *Config) { c.Seed++ },
 	"SkipWDM":             func(_ *signal.Design, c *Config) { c.SkipWDM = !c.SkipWDM },
-
-	"LR.MaxIters":      func(_ *signal.Design, c *Config) { c.LR.MaxIters += 5 },
-	"LR.ConvergeRatio": func(_ *signal.Design, c *Config) { c.LR.ConvergeRatio += 0.005 },
-	"LR.StepScale":     func(_ *signal.Design, c *Config) { c.LR.StepScale += 0.5 },
+	"LRMaxIters":          func(_ *signal.Design, c *Config) { c.LRMaxIters += 5 },
 }
 
 // fpNonSemanticConfig classifies the execution-context fields: each mutator
 // must leave the fingerprint unchanged, because results are bit-identical
 // across these knobs.
 var fpNonSemanticConfig = map[string]fpMutator{
-	"Workers":    func(_ *signal.Design, c *Config) { c.Workers = 7 },
-	"Obs":        func(_ *signal.Design, c *Config) { c.Obs = obs.New(nil) },
-	"LR.Workers": func(_ *signal.Design, c *Config) { c.LR.Workers = 5 },
-	"LR.Obs":     func(_ *signal.Design, c *Config) { c.LR.Obs = obs.New(nil) },
-	"LR.Ctx":     func(_ *signal.Design, c *Config) { c.LR.Ctx = context.Background() },
+	"Workers": func(_ *signal.Design, c *Config) { c.Workers = 7 },
+	"Obs":     func(_ *signal.Design, c *Config) { c.Obs = obs.New(nil) },
 }
 
 // fpLeafFields lists every classification key a struct type demands: leaf
@@ -99,13 +93,13 @@ func fpLeafFields(t *testing.T, typ reflect.Type, prefix string, flatten map[str
 }
 
 // TestFingerprintFieldCoverage is the rot guard: every field reachable from
-// Config (with Lib, Elec, and LR flattened to their leaves) must be
+// Config (with Lib and Elec flattened to their leaves) must be
 // classified in exactly one of fpSemanticConfig / fpNonSemanticConfig, and
 // each classified mutator must behave as claimed — semantic deltas change
 // the hash, non-semantic deltas collide.
 func TestFingerprintFieldCoverage(t *testing.T) {
 	keys := fpLeafFields(t, reflect.TypeOf(Config{}), "",
-		map[string]bool{"Lib": true, "Elec": true, "LR": true})
+		map[string]bool{"Lib": true, "Elec": true})
 
 	for _, k := range keys {
 		_, sem := fpSemanticConfig[k]
@@ -202,4 +196,113 @@ func TestFingerprintNoBoundaryAliasing(t *testing.T) {
 	if Fingerprint(d1, cfg) == Fingerprint(d2, cfg) {
 		t.Fatal("string boundary not captured by the encoding")
 	}
+}
+
+// fuzzInstance decodes fuzz bytes into a small solve instance: 1–3 groups
+// of 1–3 bits with 1–3 sinks each, coordinates multiples of 1/8 in
+// [-16, 16), one- or two-letter group names, and a few config knobs moved
+// off their defaults. Missing bytes read as zero.
+func fuzzInstance(next func() byte) (signal.Design, Config) {
+	coord := func() float64 { return float64(int8(next())) / 8 }
+	pt := func() geom.Point { return geom.Point{X: coord(), Y: coord()} }
+	d := signal.Design{Name: "fuzz", Die: geom.Rect{Lo: pt(), Hi: pt()}}
+	for g, ng := 0, 1+int(next()%3); g < ng; g++ {
+		grp := signal.Group{Name: string(rune('a' + next()%26))}
+		if next()%2 == 1 {
+			grp.Name += string(rune('a' + next()%26))
+		}
+		for b, nb := 0, 1+int(next()%3); b < nb; b++ {
+			bit := signal.Bit{Driver: pt()}
+			for s, ns := 0, 1+int(next()%3); s < ns; s++ {
+				bit.Sinks = append(bit.Sinks, pt())
+			}
+			grp.Bits = append(grp.Bits, bit)
+		}
+		d.Groups = append(d.Groups, grp)
+	}
+	cfg := DefaultConfig()
+	cfg.Mode = Mode(next() % 3)
+	cfg.Seed = int64(int8(next()))
+	cfg.LRMaxIters = int(next() % 16)
+	cfg.Lib.MaxLossDB += coord()
+	return d, cfg
+}
+
+// cloneDesign deep-copies a design: no slice of the copy aliases d's.
+func cloneDesign(d signal.Design) signal.Design {
+	c := d
+	c.Groups = make([]signal.Group, len(d.Groups))
+	for gi, g := range d.Groups {
+		c.Groups[gi] = signal.Group{Name: g.Name, Bits: make([]signal.Bit, len(g.Bits))}
+		for bi, b := range g.Bits {
+			c.Groups[gi].Bits[bi] = signal.Bit{Driver: b.Driver, Sinks: append([]geom.Point(nil), b.Sinks...)}
+		}
+	}
+	return c
+}
+
+// FuzzFingerprint checks the fingerprint's contract on decoded instances: a
+// deep copy of the design and config hashes equal, changing Workers or Obs
+// never changes the key, and moving one hashed field — a sink point, a group
+// name, a Lib float, a flow knob, or LRMaxIters — always does. `go test`
+// runs the seed corpus in testdata/fuzz/FuzzFingerprint; `go test -fuzz
+// FuzzFingerprint` explores.
+func FuzzFingerprint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		d, cfg := fuzzInstance(next)
+		key := Fingerprint(d, cfg)
+		cd, ccfg := cloneDesign(d), cfg
+		if Fingerprint(cd, ccfg) != key {
+			t.Fatal("a deep copy hashes differently")
+		}
+		ccfg.Workers, ccfg.Obs = int(next()), obs.New(nil)
+		if Fingerprint(cd, ccfg) != key {
+			t.Fatalf("Workers=%d with a tracer changed the key", ccfg.Workers)
+		}
+
+		up := func(v *float64) { *v = math.Nextafter(*v, math.Inf(1)) }
+		kind, pick := next()%5, int(next())
+		switch kind {
+		case 0:
+			g := cd.Groups[pick%len(cd.Groups)]
+			b := g.Bits[pick%len(g.Bits)]
+			up(&b.Sinks[pick%len(b.Sinks)].Y)
+		case 1:
+			cd.Groups[pick%len(cd.Groups)].Name += "'"
+		case 2:
+			l := &ccfg.Lib
+			up([]*float64{&l.AlphaDBPerCM, &l.BetaDBPerCrossing, &l.ModulatorPJPerBit,
+				&l.DetectorPJPerBit, &l.BitRateGHz, &l.MaxLossDB, &l.CrosstalkMinDistCM,
+				&l.AssignMaxDistCM}[pick%8])
+		case 3:
+			[]func(){
+				func() { up(&ccfg.PinMergeThresholdCM) },
+				func() { ccfg.MaxBaselines++ },
+				func() { up(&ccfg.SubdivideCM) },
+				func() { ccfg.MaxCandidates++ },
+				func() { ccfg.MaxCandidatesPerNet++ },
+				func() { ccfg.Mode = (ccfg.Mode + 1) % 3 },
+				func() { ccfg.ILPTimeLimit++ },
+				func() { ccfg.ILPMaxNodes++ },
+				func() { ccfg.Seed++ },
+				func() { ccfg.SkipWDM = !ccfg.SkipWDM },
+			}[pick%10]()
+		case 4:
+			ccfg.LRMaxIters++
+		}
+		if Fingerprint(cd, ccfg) == key {
+			t.Fatalf("mutation %d/%d left the key unchanged", kind, pick)
+		}
+		if Fingerprint(d, cfg) != key {
+			t.Fatal("mutating the copy changed the original's key")
+		}
+	})
 }

@@ -99,11 +99,11 @@ func TestHyperNetStatisticsNearPaper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nets, err := signal.Process(d, signal.ProcessConfig{
+		_, nets, err := signal.Process(d, signal.ProcessConfig{
 			WDMCapacity:         lib.WDMCapacity,
 			PinMergeThresholdCM: 0.1,
 			Seed:                spec.Seed,
-		})
+		}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

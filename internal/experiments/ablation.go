@@ -37,7 +37,7 @@ func ablationVariants() []struct {
 		{"single baseline tree", func(c *operon.Config) { c.MaxBaselines = 1 }},
 		{"2 candidates per net", func(c *operon.Config) { c.MaxCandidatesPerNet = 2 }},
 		{"greedy selection", func(c *operon.Config) { c.Mode = operon.ModeGreedy }},
-		{"1 LR iteration", func(c *operon.Config) { c.LR.MaxIters = 1 }},
+		{"1 LR iteration", func(c *operon.Config) { c.LRMaxIters = 1 }},
 	}
 }
 

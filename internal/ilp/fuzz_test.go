@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -88,7 +89,7 @@ func FuzzSolve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeProblem(data)
 		want := bruteForce(t, p)
-		r, err := Solve(p, Options{})
+		r, err := Solve(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatalf("Solve: %v", err)
 		}

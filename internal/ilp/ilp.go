@@ -68,12 +68,6 @@ func (p Problem) Validate() error {
 
 // Options tunes the search.
 type Options struct {
-	// Ctx, when non-nil, bounds the search: the node loop polls it once per
-	// branch-and-bound node and the LP relaxations underneath poll it every
-	// few pivots. Cancellation or an expired deadline ends the solve with
-	// TimedOut set, returning the best incumbent found so far (the paper's
-	// ">3000 s" semantics). A nil Ctx means context.Background().
-	Ctx context.Context
 	// MaxNodes bounds the number of branch-and-bound nodes solved, root
 	// included; zero means 200000.
 	MaxNodes int
@@ -233,8 +227,12 @@ type search struct {
 }
 
 // Solve runs presolve and then serial best-first branch and bound on the
-// reduced problem.
-func Solve(p Problem, opt Options) (Result, error) {
+// reduced problem under ctx: the node loop polls it once per
+// branch-and-bound node and the LP relaxations underneath poll it every few
+// pivots. Cancellation or an expired deadline ends the solve with TimedOut
+// set, returning the best incumbent found so far (the paper's ">3000 s"
+// semantics). A nil ctx means context.Background().
+func Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -245,7 +243,7 @@ func Solve(p Problem, opt Options) (Result, error) {
 	}
 	// One time-budget mechanism: the context. The node loop and every LP
 	// relaxation underneath observe the same deadline.
-	ctx, deadline := lp.ResolveBudget(opt.Ctx)
+	ctx, deadline := lp.ResolveBudget(ctx)
 
 	// Full-space root bounds: binaries capped at 1, continuous variables
 	// keep the problem bounds.
@@ -320,7 +318,7 @@ func Solve(p Problem, opt Options) (Result, error) {
 		offset:   pre.Offset,
 		ctx:      ctx,
 		deadline: deadline,
-		lpOpt:    lp.Options{Ctx: ctx, MaxTableauBytes: opt.MaxTableauBytes, Obs: opt.Obs},
+		lpOpt:    lp.Options{MaxTableauBytes: opt.MaxTableauBytes, Obs: opt.Obs},
 		maxNodes: maxNodes,
 		solver:   solver,
 		res:      Result{Status: Limit, Objective: math.Inf(1), LPRows: solver.NumRows()},
@@ -367,10 +365,10 @@ func (s *search) materialize(nd *bnode) {
 // basis is numerically hopeless.
 func (s *search) relax(warm *lp.Basis, sol *lp.Solution, out *lp.Basis) error {
 	t0 := time.Now()
-	err := s.solver.SolveBoundsInto(s.lo, s.up, warm, s.lpOpt, sol, out)
+	err := s.solver.SolveBounds(s.ctx, s.lo, s.up, warm, s.lpOpt, sol, out)
 	s.res.LPSolves++
 	if warm != nil && errors.Is(err, lp.ErrNumerical) {
-		err = s.solver.SolveBoundsInto(s.lo, s.up, nil, s.lpOpt, sol, out)
+		err = s.solver.SolveBounds(s.ctx, s.lo, s.up, nil, s.lpOpt, sol, out)
 		s.res.LPSolves++
 	}
 	s.res.LPTime += time.Since(t0)

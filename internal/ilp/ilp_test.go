@@ -40,7 +40,7 @@ func TestKnapsack(t *testing.T) {
 		},
 		Binary: []int{0, 1, 2},
 	}
-	r, err := Solve(p, Options{})
+	r, err := Solve(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestFractionalRelaxationForcesBranching(t *testing.T) {
 		},
 		Binary: []int{0, 1},
 	}
-	r, err := Solve(p, Options{})
+	r, err := Solve(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestInfeasibleILP(t *testing.T) {
 		},
 		Binary: []int{0, 1},
 	}
-	r, err := Solve(p, Options{})
+	r, err := Solve(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRootInfeasible(t *testing.T) {
 		},
 		Binary: []int{0},
 	}
-	r, err := Solve(p, Options{})
+	r, err := Solve(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestMixedContinuousBinary(t *testing.T) {
 		},
 		Binary: []int{0},
 	}
-	r, err := Solve(p, Options{})
+	r, err := Solve(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func bruteForce(t *testing.T, p Problem) float64 {
 			})
 		}
 		q.Rows = rows
-		s, err := lp.Solve(q, lp.Options{})
+		s, err := lp.Solve(context.Background(), q, lp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func checkAgainstBruteForce(t *testing.T, seed int64, trials int) {
 	for trial := 0; trial < trials; trial++ {
 		p := randomILP(rng)
 		want := bruteForce(t, p)
-		r, err := Solve(p, Options{})
+		r, err := Solve(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestSelectionShape(t *testing.T) {
 		},
 		Binary: []int{0, 1, 2, 3},
 	}
-	r, err := Solve(p, Options{})
+	r, err := Solve(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestTimeLimit(t *testing.T) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	r, err := Solve(p, Options{Ctx: ctx})
+	r, err := Solve(ctx, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestNodeLimit(t *testing.T) {
 		},
 		Binary: []int{0, 1, 2, 3},
 	}
-	r, err := Solve(p, Options{MaxNodes: 1})
+	r, err := Solve(context.Background(), p, Options{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestFrontierStopProvesOptimum(t *testing.T) {
 		p := knapsackILP(seed)
 		col := &obs.Collector{}
 		tr := obs.New(col)
-		r, err := Solve(p, Options{Obs: tr})
+		r, err := Solve(context.Background(), p, Options{Obs: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +344,7 @@ func TestFrontierStopProvesOptimum(t *testing.T) {
 				seed, r.Nodes, counted, events)
 		}
 
-		exact, err := Solve(p, Options{MaxNodes: r.Nodes})
+		exact, err := Solve(context.Background(), p, Options{MaxNodes: r.Nodes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func TestFrontierStopProvesOptimum(t *testing.T) {
 				seed, r.Nodes, exact.Status, exact.TimedOut, exact.Nodes, exact.Objective, r.Objective)
 		}
 
-		short, err := Solve(p, Options{MaxNodes: r.Nodes - 1})
+		short, err := Solve(context.Background(), p, Options{MaxNodes: r.Nodes - 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +371,7 @@ func TestConcurrentSolves(t *testing.T) {
 	const n = 4
 	want := make([]Result, n)
 	for i := range want {
-		r, err := Solve(knapsackILP(int64(i+1)), Options{})
+		r, err := Solve(context.Background(), knapsackILP(int64(i+1)), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +384,7 @@ func TestConcurrentSolves(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = Solve(knapsackILP(int64(i+1)), Options{})
+			got[i], errs[i] = Solve(context.Background(), knapsackILP(int64(i+1)), Options{})
 		}(i)
 	}
 	wg.Wait()
@@ -426,7 +426,7 @@ const maxBranchyAllocs = 12500
 func TestBranchyAllocs(t *testing.T) {
 	p := branchyILP(20, 11)
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := Solve(p, Options{MaxNodes: 4000}); err != nil {
+		if _, err := Solve(context.Background(), p, Options{MaxNodes: 4000}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -456,7 +456,7 @@ func TestMemoryBudgetEndsSolve(t *testing.T) {
 		},
 		Binary: []int{0, 1, 2, 3},
 	}
-	r, err := Solve(p, Options{MaxTableauBytes: 8})
+	r, err := Solve(context.Background(), p, Options{MaxTableauBytes: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -45,7 +46,7 @@ func TestRowsInvariantAcrossTree(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		p := randomILP(rng)
 		wantRows := len(p.LP.Rows)
-		r, err := Solve(p, Options{})
+		r, err := Solve(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func TestWarmStartMatchesColdObjective(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 40; trial++ {
 		p := randomILP(rng)
-		warm, err := Solve(p, Options{})
+		warm, err := Solve(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +112,7 @@ func TestRootRoundingSeedsIncumbent(t *testing.T) {
 		},
 		Binary: []int{0, 1, 2},
 	}
-	r, err := Solve(p, Options{MaxNodes: 1})
+	r, err := Solve(context.Background(), p, Options{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestBinaryWithProblemUpperBounds(t *testing.T) {
 		},
 		Binary: []int{0},
 	}
-	r, err := Solve(p, Options{})
+	r, err := Solve(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

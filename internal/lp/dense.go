@@ -8,13 +8,13 @@ import (
 	"time"
 )
 
-// SolveDense runs the dense two-phase tableau simplex on p under the given
-// resource bounds. It is retained as a cross-check oracle for the revised
+// SolveDense runs the dense two-phase tableau simplex on p under ctx and
+// the given resource bounds. It is retained as a cross-check oracle for the revised
 // simplex (see Solve) and as a fallback on numerical breakdown; the
 // implementation favours clarity and robustness (Bland's anti-cycling rule
 // after a stall) over raw speed. Problem.Upper bounds are materialised as
 // LE rows (the dense engine has no native bound handling).
-func SolveDense(p Problem, opt Options) (Solution, error) {
+func SolveDense(ctx context.Context, p Problem, opt Options) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
 	}
@@ -40,7 +40,7 @@ func SolveDense(p Problem, opt Options) (Solution, error) {
 		return Solution{}, fmt.Errorf("%w: needs %d bytes", ErrTooLarge, bytes)
 	}
 	t := newTableau(p)
-	t.ctx, t.deadline = ResolveBudget(opt.Ctx)
+	t.ctx, t.deadline = ResolveBudget(ctx)
 	// Phase 1: drive artificial variables to zero.
 	if t.nArt > 0 {
 		status := t.iterate(t.phase1Cost(), t.nCols)

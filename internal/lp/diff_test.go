@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -67,11 +68,11 @@ func TestRevisedMatchesDenseOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 220; trial++ {
 		p := randomProblem(rng)
-		got, err := Solve(p, Options{})
+		got, err := Solve(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: revised: %v", trial, err)
 		}
-		want, err := SolveDense(p, Options{})
+		want, err := SolveDense(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
@@ -105,11 +106,11 @@ func TestRevisedDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		p := randomProblem(rng)
-		a, err := Solve(p, Options{})
+		a, err := Solve(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Solve(p, Options{})
+		b, err := Solve(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +137,7 @@ func TestBoundedSolverWarmStartMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		root, basis, err := s.SolveBounds(nil, nil, nil, Options{})
+		root, basis, err := solveBounds(s, nil, nil, nil)
 		if err != nil {
 			t.Fatalf("trial %d: root: %v", trial, err)
 		}
@@ -158,7 +159,7 @@ func TestBoundedSolverWarmStartMatchesCold(t *testing.T) {
 		}
 		lo[v], up[v] = val, val
 
-		warm, _, err := s.SolveBounds(lo, up, basis, Options{})
+		warm, _, err := solveBounds(s, lo, up, basis)
 		if err != nil {
 			t.Fatalf("trial %d: warm: %v", trial, err)
 		}
@@ -166,7 +167,7 @@ func TestBoundedSolverWarmStartMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, _, err := s2.SolveBounds(lo, up, nil, Options{})
+		cold, _, err := solveBounds(s2, lo, up, nil)
 		if err != nil {
 			t.Fatalf("trial %d: cold: %v", trial, err)
 		}
@@ -189,7 +190,7 @@ func TestUpperBoundsNative(t *testing.T) {
 		Objective: []float64{-1, -1},
 		Upper:     []float64{1.5, 2},
 	}
-	s, err := Solve(p, Options{})
+	s, err := Solve(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestUpperBoundsNative(t *testing.T) {
 		t.Fatalf("got %v obj %v, want optimal -3.5", s.Status, s.Objective)
 	}
 	// The dense oracle materialises the same bounds as rows.
-	d, err := SolveDense(p, Options{})
+	d, err := SolveDense(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestFixedVariableBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, _, err := s.SolveBounds([]float64{1, 0}, []float64{1, math.Inf(1)}, nil, Options{})
+	sol, _, err := solveBounds(s, []float64{1, 0}, []float64{1, math.Inf(1)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestSolverReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, basis, err := s.SolveBounds(nil, nil, nil, Options{})
+	_, basis, err := solveBounds(s, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestSolverReuse(t *testing.T) {
 		if trial%2 == 0 {
 			warm = basis
 		}
-		got, _, err := s.SolveBounds(lo, up, warm, Options{})
+		got, _, err := solveBounds(s, lo, up, warm)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -275,7 +276,7 @@ func TestSolverReuse(t *testing.T) {
 		q.Rows = append(append([]Row(nil), p.Rows...), Row{
 			Terms: []Term{{Var: v, Coeff: 1}}, Sense: EQ, RHS: val,
 		})
-		want, err := SolveDense(q, Options{})
+		want, err := SolveDense(context.Background(), q, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
@@ -336,11 +337,11 @@ func TestRevisedSelectionShapedOracle(t *testing.T) {
 	} {
 		for seed := int64(29); seed < 32; seed++ {
 			p := selectionShaped(tc.nets, tc.cands, seed)
-			got, err := Solve(p, Options{})
+			got, err := Solve(context.Background(), p, Options{})
 			if err != nil {
 				t.Fatalf("nets=%d cands=%d seed=%d: %v", tc.nets, tc.cands, seed, err)
 			}
-			want, err := SolveDense(p, Options{})
+			want, err := SolveDense(context.Background(), p, Options{})
 			if err != nil {
 				t.Fatalf("nets=%d cands=%d seed=%d dense: %v", tc.nets, tc.cands, seed, err)
 			}
@@ -363,14 +364,14 @@ func TestSelectionShapedAllocs(t *testing.T) {
 	p := selectionShaped(12, 4, 29)
 	for _, tc := range []struct {
 		name  string
-		solve func(Problem, Options) (Solution, error)
+		solve func(context.Context, Problem, Options) (Solution, error)
 		max   float64
 	}{
 		{"revised", Solve, 580},    // 523 measured
 		{"dense", SolveDense, 540}, // 491 measured
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
-			if s, err := tc.solve(p, Options{}); err != nil || s.Status != Optimal {
+			if s, err := tc.solve(context.Background(), p, Options{}); err != nil || s.Status != Optimal {
 				t.Fatalf("%s: status %v, err %v", tc.name, s.Status, err)
 			}
 		})
@@ -379,4 +380,14 @@ func TestSelectionShapedAllocs(t *testing.T) {
 			t.Errorf("%s engine allocates %.0f per solve, ceiling %.0f", tc.name, allocs, tc.max)
 		}
 	}
+}
+
+// solveBounds is SolveBounds into fresh outputs, returning them.
+func solveBounds(s *BoundedSolver, lo, up []float64, warm *Basis) (Solution, *Basis, error) {
+	var sol Solution
+	out := &Basis{}
+	if err := s.SolveBounds(context.Background(), lo, up, warm, Options{}, &sol, out); err != nil {
+		return Solution{}, nil, err
+	}
+	return sol, out, nil
 }

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -59,11 +60,11 @@ func decodeLP(data []byte) Problem {
 func FuzzPresolve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeLP(data)
-		got, err := Solve(p, Options{})
+		got, err := Solve(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatalf("Solve: %v", err)
 		}
-		want, err := SolveDense(p, Options{})
+		want, err := SolveDense(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatalf("SolveDense: %v", err)
 		}

@@ -156,14 +156,9 @@ type Solution struct {
 // budget; callers treat it like a resource limit.
 var ErrTooLarge = errors.New("lp: problem exceeds solver memory budget")
 
-// Options bound a solve beyond the problem statement.
+// Options bound a solve beyond the problem statement. The time budget is
+// not among them: it is the ctx argument of every solve.
 type Options struct {
-	// Ctx, when non-nil, bounds the solve: its deadline (if any) aborts the
-	// pivot loop with Status IterLimit once passed, and cancellation is
-	// observed every few pivots with the same effect. This is the single
-	// time-budget mechanism of the solver substrate. A nil Ctx means
-	// context.Background().
-	Ctx context.Context
 	// MaxTableauBytes caps the solver workspace allocation; Solve returns
 	// ErrTooLarge above it. Zero means 1.5 GiB. The revised simplex needs
 	// far less memory than the dense tableau, so the same budget admits
@@ -188,7 +183,12 @@ const (
 // (singular refactorisation that cannot be recovered). The solution is
 // postsolved back to the full variable space, so callers never see the
 // reduction.
-func Solve(p Problem, opt Options) (Solution, error) {
+//
+// ctx is the solver substrate's single time budget: its deadline (if any)
+// aborts the pivot loop with Status IterLimit once passed, and
+// cancellation is observed every few pivots with the same effect. A nil
+// ctx means context.Background().
+func Solve(ctx context.Context, p Problem, opt Options) (Solution, error) {
 	ps, err := Presolve(p, nil, nil, nil)
 	if err != nil {
 		return Solution{}, err
@@ -209,9 +209,10 @@ func Solve(p Problem, opt Options) (Solution, error) {
 	if err != nil {
 		return Solution{}, err
 	}
-	sol, _, err := s.SolveBounds(ps.Lo, ps.Up, nil, opt)
+	var sol Solution
+	err = s.SolveBounds(ctx, ps.Lo, ps.Up, nil, opt, &sol, &Basis{})
 	if errors.Is(err, ErrNumerical) {
-		return SolveDense(p, opt)
+		return SolveDense(ctx, p, opt)
 	}
 	if err != nil {
 		return Solution{}, err

@@ -27,7 +27,7 @@ func TestDeadlineAborts(t *testing.T) {
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	s, err := Solve(p, Options{Ctx: ctx})
+	s, err := Solve(ctx, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +46,12 @@ func TestTableauMemoryBudget(t *testing.T) {
 		})
 	}
 	// A budget too small for even this tiny tableau triggers ErrTooLarge.
-	_, err := Solve(p, Options{MaxTableauBytes: 8})
+	_, err := Solve(context.Background(), p, Options{MaxTableauBytes: 8})
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 	// The default budget solves it.
-	s, err := Solve(p, Options{})
+	s, err := Solve(context.Background(), p, Options{})
 	if err != nil || s.Status != Optimal {
 		t.Fatalf("default budget failed: %v %v", s.Status, err)
 	}
@@ -164,7 +164,7 @@ func BenchmarkSolveDense(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := Solve(p, Options{})
+		s, err := Solve(context.Background(), p, Options{})
 		if err != nil || s.Status != Optimal {
 			b.Fatalf("%v %v", s.Status, err)
 		}

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,7 +9,7 @@ import (
 
 func solveOK(t *testing.T, p Problem) Solution {
 	t.Helper()
-	s, err := Solve(p, Options{})
+	s, err := Solve(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

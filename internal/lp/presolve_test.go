@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,7 +27,7 @@ func solveViaPresolve(t *testing.T, p Problem) Solution {
 	if err != nil {
 		t.Fatalf("reduced solver: %v", err)
 	}
-	sol, _, err := s.SolveBounds(ps.Lo, ps.Up, nil, Options{})
+	sol, _, err := solveBounds(s, ps.Lo, ps.Up, nil)
 	if err != nil {
 		t.Fatalf("reduced solve: %v", err)
 	}
@@ -47,7 +48,7 @@ func TestPresolveMatchesDenseOracle(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		p := randomProblem(rng)
 		got := solveViaPresolve(t, p)
-		want, err := SolveDense(p, Options{})
+		want, err := SolveDense(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
@@ -86,7 +87,7 @@ func TestPresolveSelectionShapedOracle(t *testing.T) {
 		for seed := int64(29); seed < 32; seed++ {
 			p := selectionShaped(tc.nets, tc.cands, seed)
 			got := solveViaPresolve(t, p)
-			want, err := SolveDense(p, Options{})
+			want, err := SolveDense(context.Background(), p, Options{})
 			if err != nil {
 				t.Fatalf("dense: %v", err)
 			}
@@ -134,7 +135,7 @@ func TestPresolveDetectsInfeasible(t *testing.T) {
 			t.Fatalf("case %d: outcome %v, want infeasible", i, ps.Outcome)
 		}
 		// The full pipeline agrees with the dense oracle.
-		d, err := SolveDense(p, Options{})
+		d, err := SolveDense(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatalf("case %d dense: %v", i, err)
 		}
@@ -153,7 +154,7 @@ func TestPresolveKeepsNarrowContinuousRange(t *testing.T) {
 		{Terms: []Term{{0, 1.375}, {1, 11}}, Sense: EQ, RHS: 2},
 		{Terms: []Term{{0, 7}, {1, -15.25}}, Sense: EQ, RHS: 6.125},
 	}}
-	want, err := SolveDense(p, Options{})
+	want, err := SolveDense(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestPresolveDetectsUnbounded(t *testing.T) {
 	q := Problem{NumVars: 2, Objective: []float64{-1, 1}, Upper: []float64{math.Inf(1), 1}, Rows: []Row{
 		{Terms: []Term{{1, 1}}, Sense: GE, RHS: 5},
 	}}
-	sol, err := Solve(q, Options{})
+	sol, err := Solve(context.Background(), q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,26 +147,18 @@ func (s *BoundedSolver) workspaceBytes() int64 {
 
 // SolveBounds solves min cᵀx subject to the problem rows and lo <= x <= up
 // over the structural variables (nil slices mean the Problem defaults:
-// lower 0, upper Problem.Upper or +Inf). A non-nil warm basis — typically
-// the returned Basis of a parent solve with looser bounds — skips phase 1:
-// primal feasibility is restored by dual simplex pivots. The returned
-// Basis snapshot is independent of solver state and safe to retain.
-func (s *BoundedSolver) SolveBounds(lo, up []float64, warm *Basis, opt Options) (Solution, *Basis, error) {
-	var sol Solution
-	out := &Basis{}
-	if err := s.SolveBoundsInto(lo, up, warm, opt, &sol, out); err != nil {
-		return Solution{}, nil, err
-	}
-	return sol, out, nil
-}
-
-// SolveBoundsInto is the reusable-workspace form of SolveBounds: the
-// solution is written into sol (reusing sol.X's capacity) and the basis
+// lower 0, upper Problem.Upper or +Inf), under ctx as Solve does. A non-nil
+// warm basis — typically the basis snapshot of a parent solve with looser
+// bounds — skips phase 1: primal feasibility is restored by dual simplex
+// pivots.
+//
+// The solution is written into sol (reusing sol.X's capacity) and the basis
 // snapshot into out (reusing its slices), so a steady-state caller holding
-// both across solves allocates nothing here. sol and out must be non-nil;
-// out may be the same *Basis passed as warm (the warm basis is consumed
-// before the snapshot is written).
-func (s *BoundedSolver) SolveBoundsInto(lo, up []float64, warm *Basis, opt Options, sol *Solution, out *Basis) error {
+// both across solves allocates nothing here; the snapshot is independent of
+// solver state and safe to retain. sol and out must be non-nil; out may be
+// the same *Basis passed as warm (the warm basis is consumed before the
+// snapshot is written).
+func (s *BoundedSolver) SolveBounds(ctx context.Context, lo, up []float64, warm *Basis, opt Options, sol *Solution, out *Basis) error {
 	maxBytes := opt.MaxTableauBytes
 	if maxBytes == 0 {
 		maxBytes = 3 << 29 // 1.5 GiB
@@ -181,7 +173,7 @@ func (s *BoundedSolver) SolveBoundsInto(lo, up []float64, warm *Basis, opt Optio
 		return fmt.Errorf("lp: %d upper bounds for %d variables", len(up), s.n)
 	}
 	s.setBounds(lo, up)
-	s.ctx, s.deadline = ResolveBudget(opt.Ctx)
+	s.ctx, s.deadline = ResolveBudget(ctx)
 	s.iter = 0
 	s.maxIter = 200 * (s.m + s.nTot)
 	s.stall = 0

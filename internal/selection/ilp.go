@@ -14,16 +14,8 @@ import (
 
 // ILPOptions tunes the exact solver.
 type ILPOptions struct {
-	// Ctx, when non-nil, bounds the solve: the branch-and-bound node loop
-	// and the LP relaxations underneath observe it, and on cancellation or
-	// deadline SolveILP returns the best incumbent (or a repaired greedy
-	// selection) with TimedOut set instead of erroring. Nil means
-	// context.Background().
-	Ctx context.Context
 	// MaxNodes bounds branch-and-bound nodes; zero = library default.
 	MaxNodes int
-	// MaxTableauBytes caps the LP tableau memory (zero = library default).
-	MaxTableauBytes int64
 	// Obs, when non-nil, receives a selection/ilp span plus the branch-and-
 	// bound node events and LP counters of the underlying solvers.
 	Obs *obs.Tracer
@@ -58,21 +50,19 @@ type ILPResult struct {
 // variables between hyper nets with non-overlapping bounding boxes are
 // omitted, the paper's §3.3 speed-up.
 //
-// On timeout without a provably optimal solution, the best incumbent (or a
-// repaired greedy selection when none exists) is returned with TimedOut set.
-func SolveILP(inst *Instance, opt ILPOptions) (ILPResult, error) {
+// The branch-and-bound node loop and the LP relaxations underneath observe
+// ctx (nil means context.Background()). On cancellation, deadline or node
+// limit without a provably optimal solution, the best incumbent (or a
+// repaired greedy selection when none exists) is returned with TimedOut set
+// instead of an error.
+func SolveILP(ctx context.Context, inst *Instance, opt ILPOptions) (ILPResult, error) {
 	start := time.Now()
 	prob, varOf := buildProgram(inst)
 	res := ILPResult{NumVars: prob.LP.NumVars, NumRows: len(prob.LP.Rows)}
 
 	sp := opt.Obs.Span("selection/ilp", obs.LaneFlow,
 		obs.I("vars", res.NumVars), obs.I("rows", res.NumRows))
-	ir, err := ilp.Solve(prob, ilp.Options{
-		Ctx:             opt.Ctx,
-		MaxNodes:        opt.MaxNodes,
-		MaxTableauBytes: opt.MaxTableauBytes,
-		Obs:             opt.Obs,
-	})
+	ir, err := ilp.Solve(ctx, prob, ilp.Options{MaxNodes: opt.MaxNodes, Obs: opt.Obs})
 	sp.End(obs.I("nodes", ir.Nodes), obs.S("status", ir.Status.String()))
 	if err != nil {
 		return ILPResult{}, err

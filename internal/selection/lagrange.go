@@ -12,23 +12,9 @@ import (
 
 // LROptions tunes the Lagrangian-relaxation solver of §3.4.
 type LROptions struct {
-	// Ctx, when non-nil, bounds the solve: it is polled at each iteration
-	// boundary (never inside the parallel pricing loop, which keeps partial
-	// iterations — and with them nondeterminism — impossible). On
-	// cancellation the iteration stops early, LRResult.Stopped is set, and
-	// the current choice is still evaluated and repaired to legality, so
-	// callers always receive a feasible selection. Nil means
-	// context.Background().
-	Ctx context.Context
 	// MaxIters bounds the multiplier-update iterations; the paper stops at
 	// 10. Defaults to 10 when zero.
 	MaxIters int
-	// ConvergeRatio stops the iteration when both the power decrease and
-	// the violation decrease fall below this relative ratio. Defaults to
-	// 0.01 when zero.
-	ConvergeRatio float64
-	// StepScale scales the sub-gradient step. Defaults to 1 when zero.
-	StepScale float64
 	// Workers bounds the per-net parallelism of the pricing and
 	// multiplier-update steps (0 = NumCPU). Given fixed multipliers and the
 	// previous iteration's selection, nets are independent, so the result
@@ -40,6 +26,14 @@ type LROptions struct {
 	Obs *obs.Tracer
 }
 
+const (
+	// convergeRatio stops the iteration when both the power decrease and
+	// the violation decrease fall below this relative ratio.
+	convergeRatio = 0.01
+	// stepScale scales the sub-gradient step.
+	stepScale = 1
+)
+
 // LRResult is the outcome of SolveLR.
 type LRResult struct {
 	Selection
@@ -47,7 +41,7 @@ type LRResult struct {
 	Iters int
 	// Elapsed is the wall-clock time of the solve, repair included.
 	Elapsed time.Duration
-	// Stopped reports that LROptions.Ctx was cancelled before the iteration
+	// Stopped reports that SolveLR's ctx was cancelled before the iteration
 	// converged or reached MaxIters; the Selection is the repaired best
 	// effort at that point (always feasible).
 	Stopped bool
@@ -82,23 +76,21 @@ type LRIterate struct {
 // previous iteration's selection — then updates the multipliers by a
 // sub-gradient step on the detection violations. The final selection is
 // repaired to legality (violating nets drop to electrical wires).
-func SolveLR(inst *Instance, opt LROptions) (LRResult, error) {
+//
+// ctx is polled at each iteration boundary, never inside the parallel
+// pricing loop, which keeps partial iterations — and with them
+// nondeterminism — impossible. On cancellation the iteration stops early,
+// LRResult.Stopped is set, and the current choice is still evaluated and
+// repaired to legality, so callers always receive a feasible selection. A
+// nil ctx means context.Background().
+func SolveLR(ctx context.Context, inst *Instance, opt LROptions) (LRResult, error) {
 	start := time.Now()
-	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	maxIters := opt.MaxIters
 	if maxIters == 0 {
 		maxIters = 10
-	}
-	ratio := opt.ConvergeRatio
-	if ratio == 0 {
-		ratio = 0.01
-	}
-	stepScale := opt.StepScale
-	if stepScale == 0 {
-		stepScale = 1
 	}
 
 	// Multipliers, one per (net, cand, path); initialised proportional to
@@ -156,8 +148,7 @@ func SolveLR(inst *Instance, opt LROptions) (LRResult, error) {
 		// are independent given the fixed multipliers and the previous
 		// iteration's selection, so they are priced in parallel; each
 		// worker only writes choice[i] and its own diagnostic slots. The
-		// pool gets no ctx: an iteration is never cut short (see
-		// LROptions.Ctx).
+		// pool gets no ctx: an iteration is never cut short.
 		_ = parallel.ForEach(context.Background(), len(inst.Nets), opt.Workers, func(i int) error {
 			n := inst.Nets[i]
 			inter := inst.InteractingNets(i)
@@ -267,7 +258,7 @@ func SolveLR(inst *Instance, opt LROptions) (LRResult, error) {
 
 		// Convergence: both power and violations stopped improving.
 		if prevPower >= 0 {
-			powerImproves := sel.PowerMW < prevPower*(1-ratio)
+			powerImproves := sel.PowerMW < prevPower*(1-convergeRatio)
 			violImproves := sel.Violations < prevViol
 			if !powerImproves && !violImproves && sel.Violations == 0 {
 				break

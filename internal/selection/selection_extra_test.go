@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"context"
 	"testing"
 
 	"operon/internal/obs"
@@ -46,7 +47,7 @@ func TestLRHistoryRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := &obs.Collector{}
-	lr, err := SolveLR(inst, LROptions{MaxIters: 6, Obs: obs.New(col)})
+	lr, err := SolveLR(context.Background(), inst, LROptions{MaxIters: 6, Obs: obs.New(col)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestLROptionsRespected(t *testing.T) {
 	lib := optics.DefaultLibrary()
 	nets := []Net{twoCandNet(0.5, 0, 2, 1.0, 5, 3.0)}
 	inst, _ := NewInstance(nets, lib)
-	lr, err := SolveLR(inst, LROptions{MaxIters: 1})
+	lr, err := SolveLR(context.Background(), inst, LROptions{MaxIters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func BenchmarkSolveLR(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := SolveLR(inst, LROptions{}); err != nil {
+		if _, err := SolveLR(context.Background(), inst, LROptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -225,7 +225,7 @@ func TestILPMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveILP(inst, ILPOptions{})
+	res, err := SolveILP(context.Background(), inst, ILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestILPRandomInstancesMatchBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := SolveILP(inst, ILPOptions{})
+		res, err := SolveILP(context.Background(), inst, ILPOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestLRLegalAndReasonable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lr, err := SolveLR(inst, LROptions{})
+	lr, err := SolveLR(context.Background(), inst, LROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestILPTimeoutFallsBackLegally(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	res, err := SolveILP(inst, ILPOptions{Ctx: ctx})
+	res, err := SolveILP(ctx, inst, ILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,11 +376,11 @@ func TestEndToEndWithCodesignCandidates(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	ires, err := SolveILP(inst, ILPOptions{Ctx: ctx})
+	ires, err := SolveILP(ctx, inst, ILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lres, err := SolveLR(inst, LROptions{})
+	lres, err := SolveLR(context.Background(), inst, LROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -745,7 +745,7 @@ func (s *Server) resolveInstance(req SolveRequest) (instance, error) {
 	}
 	cfg := s.cfg
 	cfg.SkipWDM = req.SkipWDM
-	if cfg.Mode, err = ParseMode(req.Mode); err != nil {
+	if cfg.Mode, err = operon.ParseMode(req.Mode); err != nil {
 		return instance{}, err
 	}
 	return instance{
@@ -830,20 +830,6 @@ func resolveDesign(req SolveRequest) (signal.Design, error) {
 		return signal.Design{}, err
 	}
 	return *req.Design, nil
-}
-
-// ParseMode maps the wire mode string onto operon.Mode ("" = lr).
-func ParseMode(mode string) (operon.Mode, error) {
-	switch mode {
-	case "", "lr":
-		return operon.ModeLR, nil
-	case "ilp":
-		return operon.ModeILP, nil
-	case "greedy":
-		return operon.ModeGreedy, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (want lr, ilp or greedy)", mode)
-	}
 }
 
 // handleJob serves GET /jobs/{id}. Only async jobs and sync jobs whose

@@ -219,7 +219,7 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg := s.cfg
 	cfg.SkipWDM = req.SkipWDM
-	if cfg.Mode, err = ParseMode(req.Mode); err != nil {
+	if cfg.Mode, err = operon.ParseMode(req.Mode); err != nil {
 		writeJSONError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

@@ -163,45 +163,51 @@ type ProcessConfig struct {
 }
 
 // Process runs the full signal-processing stage over a design and returns
-// the hyper nets of all groups. Bits of a group are clustered into
-// capacity-respecting hyper nets by their centroids; within each hyper net,
-// all member electrical pins are agglomerated into hyper pins.
-func Process(d Design, cfg ProcessConfig) ([]HyperNet, error) {
+// the hyper nets of every group, per group and concatenated in group order.
+// Bits of a group are clustered into capacity-respecting hyper nets by their
+// centroids; within each hyper net, all member electrical pins are
+// agglomerated into hyper pins.
+//
+// A group gi with clean[gi] set takes its hyper nets from prev[gi] unchanged
+// instead of re-clustering: a group's hyper nets depend only on the group
+// and its index, so incremental re-synthesis passes the previous solve's
+// per-group output and marks the groups whose content and position did not
+// change. A nil clean processes every group.
+func Process(d Design, cfg ProcessConfig, prev [][]HyperNet, clean []bool) ([][]HyperNet, []HyperNet, error) {
 	if err := d.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if cfg.WDMCapacity <= 0 {
-		return nil, fmt.Errorf("signal: WDM capacity %d must be positive", cfg.WDMCapacity)
+		return nil, nil, fmt.Errorf("signal: WDM capacity %d must be positive", cfg.WDMCapacity)
 	}
 	// Groups are processed in parallel; perGroup[gi] keeps the hyper nets in
 	// group order so the concatenated result is independent of scheduling.
 	perGroup := make([][]HyperNet, len(d.Groups))
 	err := parallel.ForEach(context.Background(), len(d.Groups), cfg.Workers, func(gi int) error {
-		hns, err := ProcessGroup(d.Groups[gi], gi, cfg)
-		if err != nil {
-			return err
+		if clean != nil && clean[gi] {
+			perGroup[gi] = prev[gi]
+			return nil
 		}
+		hns, err := processGroup(d.Groups[gi], gi, cfg)
 		perGroup[gi] = hns
-		return nil
+		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var nets []HyperNet
 	for _, g := range perGroup {
 		nets = append(nets, g...)
 	}
-	return nets, nil
+	return perGroup, nets, nil
 }
 
-// ProcessGroup runs the signal-processing stage over a single group: bits
+// processGroup runs the signal-processing stage over a single group: bits
 // are clustered into capacity-respecting hyper nets by their centroids
 // (K-Means seeded with cfg.Seed plus the group's index gi, so a group's
 // clustering depends only on its contents and position), then each cluster's
-// electrical pins are agglomerated into hyper pins. Process is exactly the
-// concatenation of ProcessGroup over all groups; incremental re-synthesis
-// calls it directly to re-cluster only dirty groups.
-func ProcessGroup(g Group, gi int, cfg ProcessConfig) ([]HyperNet, error) {
+// electrical pins are agglomerated into hyper pins.
+func processGroup(g Group, gi int, cfg ProcessConfig) ([]HyperNet, error) {
 	centroids := make([]geom.Point, len(g.Bits))
 	for i, b := range g.Bits {
 		centroids[i] = b.Centroid()

@@ -43,7 +43,7 @@ func TestDesignJSONRoundTrip(t *testing.T) {
 func TestHyperNetBitsWithinGroup(t *testing.T) {
 	// Every bit index in a hyper net must refer into its own group.
 	d := Design{Groups: []Group{busGroup("a", 40, 2, 1), busGroup("b", 50, 1, 2)}}
-	nets, err := Process(d, ProcessConfig{WDMCapacity: 16, PinMergeThresholdCM: 0.05})
+	_, nets, err := Process(d, ProcessConfig{WDMCapacity: 16, PinMergeThresholdCM: 0.05}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestHyperNetBitsWithinGroup(t *testing.T) {
 
 func TestHyperPinPinCountsConsistent(t *testing.T) {
 	d := Design{Groups: []Group{busGroup("g", 20, 2, 9)}}
-	nets, err := Process(d, ProcessConfig{WDMCapacity: 32, PinMergeThresholdCM: 0.05})
+	_, nets, err := Process(d, ProcessConfig{WDMCapacity: 32, PinMergeThresholdCM: 0.05}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package signal
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"operon/internal/geom"
@@ -73,7 +74,7 @@ func TestProcessCapacity(t *testing.T) {
 		Die:    geom.Rect{Hi: geom.Point{X: 4, Y: 4}},
 		Groups: []Group{busGroup("bus", 70, 2, 3)},
 	}
-	nets, err := Process(d, ProcessConfig{WDMCapacity: 32, PinMergeThresholdCM: 0.05})
+	_, nets, err := Process(d, ProcessConfig{WDMCapacity: 32, PinMergeThresholdCM: 0.05}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestProcessHyperPinsStructure(t *testing.T) {
 		Name:   "t",
 		Groups: []Group{busGroup("bus", 16, 3, 5)},
 	}
-	nets, err := Process(d, ProcessConfig{WDMCapacity: 32, PinMergeThresholdCM: 0.1})
+	_, nets, err := Process(d, ProcessConfig{WDMCapacity: 32, PinMergeThresholdCM: 0.1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestProcessHyperPinsStructure(t *testing.T) {
 
 func TestProcessRejectsBadCapacity(t *testing.T) {
 	d := Design{Groups: []Group{busGroup("bus", 4, 1, 1)}}
-	if _, err := Process(d, ProcessConfig{WDMCapacity: 0}); err == nil {
+	if _, _, err := Process(d, ProcessConfig{WDMCapacity: 0}, nil, nil); err == nil {
 		t.Error("capacity 0 accepted")
 	}
 }
@@ -155,7 +156,7 @@ func TestProcessDegenerateLocalNet(t *testing.T) {
 		})
 	}
 	d := Design{Groups: []Group{g}}
-	nets, err := Process(d, ProcessConfig{WDMCapacity: 32, PinMergeThresholdCM: 10})
+	_, nets, err := Process(d, ProcessConfig{WDMCapacity: 32, PinMergeThresholdCM: 10}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +203,11 @@ func TestSummarize(t *testing.T) {
 func TestProcessDeterministic(t *testing.T) {
 	d := Design{Groups: []Group{busGroup("bus", 40, 2, 7), busGroup("b2", 33, 3, 8)}}
 	cfg := ProcessConfig{WDMCapacity: 16, PinMergeThresholdCM: 0.05, Seed: 42}
-	a, err := Process(d, cfg)
+	_, a, err := Process(d, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Process(d, cfg)
+	_, b, err := Process(d, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,5 +218,45 @@ func TestProcessDeterministic(t *testing.T) {
 		if a[i].BitCount() != b[i].BitCount() || len(a[i].Pins) != len(b[i].Pins) {
 			t.Fatalf("hyper net %d differs between runs", i)
 		}
+	}
+}
+
+// TestProcessCarryOver edits one group of three and re-processes with the
+// other two marked clean: the clean groups come back as the previous slices
+// themselves, the result equals a cold Process of the edited design, and it
+// is the same at Workers 1 and 4.
+func TestProcessCarryOver(t *testing.T) {
+	d := Design{Groups: []Group{busGroup("a", 40, 2, 7), busGroup("b", 33, 3, 8), busGroup("c", 21, 2, 9)}}
+	edited := d
+	edited.Groups = append([]Group(nil), d.Groups...)
+	edited.Groups[1] = busGroup("b", 33, 3, 10)
+	clean := []bool{true, false, true}
+	var results [][]HyperNet
+	for _, workers := range []int{1, 4} {
+		cfg := ProcessConfig{WDMCapacity: 16, PinMergeThresholdCM: 0.05, Seed: 42, Workers: workers}
+		prev, _, err := Process(d, cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups, nets, err := Process(edited, cfg, prev, clean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gi, c := range clean {
+			if reused := &groups[gi][0] == &prev[gi][0]; reused != c {
+				t.Errorf("workers=%d: group %d reused = %v, want %v", workers, gi, reused, c)
+			}
+		}
+		coldGroups, coldNets, err := Process(edited, cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(groups, coldGroups) || !reflect.DeepEqual(nets, coldNets) {
+			t.Errorf("workers=%d: carry-over result differs from a cold Process", workers)
+		}
+		results = append(results, nets)
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Error("Workers 1 and 4 give different hyper nets")
 	}
 }

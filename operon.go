@@ -66,6 +66,19 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is the inverse of Mode.String, with "" meaning ModeLR.
+func ParseMode(s string) (Mode, error) {
+	if s == "" {
+		return ModeLR, nil
+	}
+	for _, m := range []Mode{ModeLR, ModeILP, ModeGreedy} {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want lr, ilp or greedy)", s)
+}
+
 // Config collects every tunable of the flow. Obtain defaults from
 // DefaultConfig and override as needed.
 type Config struct {
@@ -96,10 +109,9 @@ type Config struct {
 	ILPTimeLimit time.Duration
 	// ILPMaxNodes bounds branch-and-bound nodes (0 = library default).
 	ILPMaxNodes int
-	// LR tunes the Lagrangian solver's trajectory (MaxIters, ConvergeRatio,
-	// StepScale) when Mode is ModeLR. Its Ctx, Workers and Obs are ignored:
-	// the LR always runs under the flow's context, Workers and Obs.
-	LR selection.LROptions
+	// LRMaxIters bounds the Lagrangian multiplier-update iterations of
+	// Algorithm 1 (§3.4) when the LR runs (0 = the paper's 10).
+	LRMaxIters int
 	// Seed drives the deterministic clustering.
 	Seed int64
 	// SkipWDM disables the WDM placement/assignment stage.
@@ -390,7 +402,7 @@ func solve(ctx context.Context, d signal.Design, cfg Config, ws *Workspace, prev
 func (next *sessionState) candidates(ctx context.Context, cfg Config, ws *Workspace, prev *sessionState, delta cfgDelta, groupClean []bool, st *ResolveStats) ([]int, error) {
 	nN := len(next.hnets)
 	// netPrev maps a net of a clean group to its previous index: clean groups
-	// sit at the same group index and ProcessGroup is deterministic, so the
+	// sit at the same group index and signal.Process is deterministic, so the
 	// within-group net order carries over verbatim.
 	netPrev := make([]int, nN)
 	next.groupStart = make([]int, len(next.groupHNets))
@@ -465,10 +477,7 @@ func contribsMatch(i int, netPrev []int, contribs [][]int, prev *sessionState) b
 // when a solver hit its budget. Config.ILPTimeLimit bounds only the ILP: the
 // LR fallback of rung 1 still runs under the caller's ctx.
 func runSelection(ctx context.Context, cfg Config, ws *Workspace, inst *selection.Instance, res *Result) error {
-	// The flow's context, worker count and tracer are the only ones: the
-	// LR's own execution fields in Config.LR are overwritten.
-	lrOpt := cfg.LR
-	lrOpt.Ctx, lrOpt.Workers, lrOpt.Obs = ctx, cfg.Workers, cfg.Obs
+	lrOpt := selection.LROptions{MaxIters: cfg.LRMaxIters, Workers: cfg.Workers, Obs: cfg.Obs}
 	switch cfg.Mode {
 	case ModeILP:
 		ilpCtx := ctx
@@ -477,9 +486,7 @@ func runSelection(ctx context.Context, cfg Config, ws *Workspace, inst *selectio
 			ilpCtx, cancel = context.WithTimeout(ctx, cfg.ILPTimeLimit)
 			defer cancel()
 		}
-		ir, err := selection.SolveILP(inst, selection.ILPOptions{
-			Ctx: ilpCtx, MaxNodes: cfg.ILPMaxNodes, Obs: cfg.Obs,
-		})
+		ir, err := selection.SolveILP(ilpCtx, inst, selection.ILPOptions{MaxNodes: cfg.ILPMaxNodes, Obs: cfg.Obs})
 		if err != nil {
 			return err
 		}
@@ -489,7 +496,7 @@ func runSelection(ctx context.Context, cfg Config, ws *Workspace, inst *selectio
 			// Rung 1 of the ladder: the paper falls back to the Lagrangian
 			// relaxation when the ILP exceeds its budget. Both selections are
 			// feasible; keep the cheaper one (ties go to the incumbent).
-			lr, err := selection.SolveLR(inst, lrOpt)
+			lr, err := selection.SolveLR(ctx, inst, lrOpt)
 			if err != nil {
 				return err
 			}
@@ -506,7 +513,7 @@ func runSelection(ctx context.Context, cfg Config, ws *Workspace, inst *selectio
 		}
 		res.Selection = sel
 	default:
-		lr, err := selection.SolveLR(inst, lrOpt)
+		lr, err := selection.SolveLR(ctx, inst, lrOpt)
 		if err != nil {
 			return err
 		}
@@ -521,18 +528,10 @@ func runSelection(ctx context.Context, cfg Config, ws *Workspace, inst *selectio
 
 // RunElectrical is the Streak-style baseline [14]: every hyper net is
 // routed with an electrical rectilinear Steiner tree; power follows Eq. (6).
+// It takes no context: the electrical baseline is itself the flow's
+// degradation floor, so it always runs to completion and never sets
+// Result.Degraded.
 func RunElectrical(d signal.Design, cfg Config) (*Result, error) {
-	return RunElectricalContext(context.Background(), d, cfg)
-}
-
-// RunElectricalContext is RunElectrical under a context — offered for API
-// symmetry with RunContext. The electrical baseline is itself the flow's
-// degradation floor, so it always runs to completion regardless of ctx and
-// never sets Result.Degraded: aborting it could only return an error where
-// a cheap feasible routing was available. A nil ctx means
-// context.Background().
-func RunElectricalContext(ctx context.Context, d signal.Design, cfg Config) (*Result, error) {
-	_ = ctx // the floor ignores cancellation by design; see doc comment
 	res := &Result{Design: d.Name, Flow: "electrical", Obs: cfg.Obs}
 	stop := startStage(cfg.Obs, "stage/process", &res.Times.Process)
 	_, hnets, err := process(d, cfg, nil, nil)
@@ -668,12 +667,9 @@ func opticalNets(ctx context.Context, hnets []signal.HyperNet, cfg Config, arena
 	return nets, err
 }
 
-// process validates the inputs and runs signal processing (§3.1) group by
-// group; it is the caller-timed "stage/process". A group gi with clean[gi]
-// set takes its hyper nets from prev[gi] unchanged (ProcessGroup depends only
-// on the group and its index); a nil clean processes every group. It returns
-// the per-group hyper nets and their concatenation in group order, which is
-// exactly signal.Process's output.
+// process validates the inputs and runs signal processing (§3.1) through
+// signal.Process, carrying the hyper nets of every group with clean[gi] set
+// over from prev[gi]; it is the caller-timed "stage/process".
 func process(d signal.Design, cfg Config, prev [][]signal.HyperNet, clean []bool) ([][]signal.HyperNet, []signal.HyperNet, error) {
 	if err := cfg.Lib.Validate(); err != nil {
 		return nil, nil, err
@@ -681,30 +677,14 @@ func process(d signal.Design, cfg Config, prev [][]signal.HyperNet, clean []bool
 	if err := cfg.Elec.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if err := d.Validate(); err != nil {
-		return nil, nil, err
-	}
-	procCfg := signal.ProcessConfig{
+	groups, hnets, err := signal.Process(d, signal.ProcessConfig{
 		WDMCapacity:         cfg.Lib.WDMCapacity,
 		PinMergeThresholdCM: cfg.PinMergeThresholdCM,
 		Seed:                cfg.Seed,
-	}
-	groups := make([][]signal.HyperNet, len(d.Groups))
-	err := parallel.ForEach(context.Background(), len(d.Groups), cfg.Workers, func(gi int) error {
-		if clean != nil && clean[gi] {
-			groups[gi] = prev[gi]
-			return nil
-		}
-		hns, err := signal.ProcessGroup(d.Groups[gi], gi, procCfg)
-		groups[gi] = hns
-		return err
-	})
+		Workers:             cfg.Workers,
+	}, prev, clean)
 	if err != nil {
 		return nil, nil, err
-	}
-	var hnets []signal.HyperNet
-	for _, g := range groups {
-		hnets = append(hnets, g...)
 	}
 	if len(hnets) == 0 {
 		return nil, nil, fmt.Errorf("operon: design %q produced no hyper nets", d.Name)

@@ -121,6 +121,27 @@ func TestModeGreedy(t *testing.T) {
 	}
 }
 
+// TestParseMode round-trips every Mode through its String, reads "" as lr,
+// and rejects an unknown name.
+func TestParseMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Mode
+	}{
+		{ModeLR.String(), ModeLR},
+		{ModeILP.String(), ModeILP},
+		{ModeGreedy.String(), ModeGreedy},
+		{"", ModeLR},
+	} {
+		if got, err := ParseMode(tc.in); err != nil || got != tc.want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	if _, err := ParseMode("annealing"); err == nil {
+		t.Error("ParseMode accepted an unknown mode")
+	}
+}
+
 func TestRunDeterministic(t *testing.T) {
 	d := smallDesign(t)
 	cfg := DefaultConfig()

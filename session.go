@@ -423,8 +423,7 @@ func diffConfig(a, b Config) cfgDelta {
 		d.cands = true
 	}
 	if a.Lib != b.Lib || a.Mode != b.Mode || a.ILPTimeLimit != b.ILPTimeLimit ||
-		a.ILPMaxNodes != b.ILPMaxNodes || a.LR.MaxIters != b.LR.MaxIters ||
-		a.LR.ConvergeRatio != b.LR.ConvergeRatio || a.LR.StepScale != b.LR.StepScale {
+		a.ILPMaxNodes != b.ILPMaxNodes || a.LRMaxIters != b.LRMaxIters {
 		d.sel = true
 	}
 	if a.Lib.WDMCapacity != b.Lib.WDMCapacity ||
