@@ -98,14 +98,14 @@ dup-smoke:
 	$(GO) run ./cmd/loadgen -mix dup -requests 40 -min-reduction 5 -min-cache-hits 1 -max-errors 0 -no-write
 
 # Fuzz smoke: ten seconds of fresh inputs for each fuzz target (the ILP
-# against enumeration, BI1S trees, LP presolve against the dense oracle,
-# the fingerprint's equal/differ/ignore contract).
+# against enumeration, BI1S trees, the LP revised simplex against the dense
+# oracle, the fingerprint's equal/differ/ignore contract).
 # `go test ./...` runs only their committed seed corpora; commit any crasher
 # a run writes under testdata/fuzz/ as a new seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime 10s ./internal/ilp
 	$(GO) test -run '^$$' -fuzz '^FuzzBI1S$$' -fuzztime 10s ./internal/steiner
-	$(GO) test -run '^$$' -fuzz '^FuzzPresolve$$' -fuzztime 10s ./internal/lp
+	$(GO) test -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime 10s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s .
 
 # Code-size gauge: non-test Go lines outside the perfbench module. Deleting

@@ -412,9 +412,15 @@ const (
 )
 
 // gateSpeedup times base and fast b.N times each, in alternating order,
-// reports base/fast as the "speedup" metric and fails below min.
+// reports base/fast as the "speedup" metric and fails below min. Under
+// -benchtime Nx the testing package first calls the benchmark with
+// b.N = 1 as a probe; that call returns at once, so the verdict rests only
+// on the N requested runs.
 func gateSpeedup(b *testing.B, base, fast func() error, min float64) {
 	b.Helper()
+	if b.N < requestedRuns() {
+		return
+	}
 	ops := [2]func() error{base, fast}
 	var elapsed [2]time.Duration
 	b.ResetTimer()
@@ -435,11 +441,20 @@ func gateSpeedup(b *testing.B, base, fast func() error, min float64) {
 	}
 }
 
+// requestedRuns is N when the benchmarks run under -benchtime Nx, else 0.
+func requestedRuns() int {
+	f := flag.Lookup("test.benchtime")
+	if f == nil {
+		return 0
+	}
+	n, _ := strconv.Atoi(strings.TrimSuffix(f.Value.String(), "x"))
+	return n
+}
+
 // BenchmarkParallelSpeedup gates the worker pool: the I2 flow and the I2
 // LR pricing with the default pool must beat Workers=1 by
 // minParallelSpeedup. With GOMAXPROCS=1 it skips, because the pair would
-// measure pool overhead, not parallelism. internal/ilp gates the parallel
-// branch and bound the same way.
+// measure pool overhead, not parallelism.
 func BenchmarkParallelSpeedup(b *testing.B) {
 	if runtime.GOMAXPROCS(0) == 1 {
 		b.Skip("GOMAXPROCS=1: parallel speedup is not measurable")

@@ -82,8 +82,8 @@ func checkFeasible(p Problem, x []float64) (string, bool) {
 }
 
 // FuzzSolve checks Solve against exhaustive enumeration: the status, the
-// objective, and the feasibility of the returned assignment. Presolve and
-// the frontier stop rule are both on the path. `go test` runs the seed
+// objective, and the feasibility of the returned assignment. Root rounding
+// and the frontier stop rule are both on the path. `go test` runs the seed
 // corpus in testdata/fuzz/FuzzSolve; `go test -fuzz FuzzSolve` explores.
 func FuzzSolve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -10,13 +10,6 @@
 // basis via the solver's dual-simplex warm start. The row set is therefore
 // invariant across the whole tree — a property the tests assert.
 //
-// Before the search starts, the problem goes through integer-aware LP
-// presolve (lp.Presolve): fixed and dominated binaries are eliminated,
-// singleton rows fold into bounds, and the branch and bound runs on the
-// reduced problem. The incumbent is postsolved back to the full variable
-// space, so callers never see the reduction (Result.X always has
-// LP.NumVars entries; Result.LPRows reports the reduced row count).
-//
 // The search is serial and deterministic: one decision loop expands nodes
 // in strict (bound, node-id) order and solves every relaxation inline.
 // Node ids are assigned at creation, so the explored tree, the Result and
@@ -135,9 +128,9 @@ type Result struct {
 	LPSolves int
 	// LPTime is the part of Elapsed spent inside the LP solver.
 	LPTime time.Duration
-	// LPRows is the constraint-row count of the relaxation solver after
-	// presolve; it is invariant across the branch-and-bound tree because
-	// nodes are expressed purely as variable-bound changes.
+	// LPRows is the constraint-row count of the relaxation solver: always
+	// len(LP.Rows), because nodes are expressed purely as variable-bound
+	// changes and never add rows.
 	LPRows int
 }
 
@@ -198,12 +191,10 @@ func (q *nodeQueue) Pop() interface{} {
 	return it
 }
 
-// search carries the state of one branch-and-bound run over the presolved
-// problem.
+// search carries the state of one branch-and-bound run.
 type search struct {
-	p        Problem // presolved (reduced) problem; Binary reindexed
+	p        Problem
 	opt      Options
-	offset   float64 // presolve objective offset, added to reported events
 	ctx      context.Context
 	deadline time.Time
 	lpOpt    lp.Options
@@ -212,7 +203,7 @@ type search struct {
 	solver *lp.BoundedSolver
 	res    Result
 
-	rootLo, rootUp    []float64
+	rootUp            []float64 // root lower bounds are all 0
 	lo, up            []float64 // bound scratch of the node being solved
 	savedLo, savedUp  []float64
 	nodeSol, roundSol *lp.Solution
@@ -226,12 +217,11 @@ type search struct {
 	basisFree []*basisRef
 }
 
-// Solve runs presolve and then serial best-first branch and bound on the
-// reduced problem under ctx: the node loop polls it once per
-// branch-and-bound node and the LP relaxations underneath poll it every few
-// pivots. Cancellation or an expired deadline ends the solve with TimedOut
-// set, returning the best incumbent found so far (the paper's ">3000 s"
-// semantics). A nil ctx means context.Background().
+// Solve runs serial best-first branch and bound on p under ctx: the node
+// loop polls it once per branch-and-bound node and the LP relaxations
+// underneath poll it every few pivots. Cancellation or an expired deadline
+// ends the solve with TimedOut set, returning the best incumbent found so
+// far (the paper's ">3000 s" semantics). A nil ctx means context.Background().
 func Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -245,8 +235,8 @@ func Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 	// relaxation underneath observe the same deadline.
 	ctx, deadline := lp.ResolveBudget(ctx)
 
-	// Full-space root bounds: binaries capped at 1, continuous variables
-	// keep the problem bounds.
+	// Root bounds: binaries capped at 1, continuous variables keep the
+	// problem bounds.
 	n := p.LP.NumVars
 	fullUp := make([]float64, n)
 	for i := range fullUp {
@@ -256,83 +246,35 @@ func Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 			fullUp[i] = math.Inf(1)
 		}
 	}
-	integer := make([]bool, n)
 	for _, v := range p.Binary {
-		integer[v] = true
 		if fullUp[v] > 1 {
 			fullUp[v] = 1
 		}
 	}
-
-	// Integer-aware presolve: every reduction respects integrality (bounds
-	// round inward, dominated binaries fix to 0), so a fully presolved
-	// problem is already an optimal integral assignment.
-	pre, err := lp.Presolve(p.LP, nil, fullUp, integer)
-	if err != nil {
-		return Result{}, err
-	}
-	if opt.Obs != nil {
-		opt.Obs.Counter("lp.presolve_rows").Add(int64(pre.RowsRemoved))
-		opt.Obs.Counter("lp.presolve_cols").Add(int64(pre.ColsRemoved))
-	}
-	cNodes := opt.Obs.Counter("ilp.nodes")
-	cIncumbents := opt.Obs.Counter("ilp.incumbents")
-	switch pre.Outcome {
-	case lp.PresolveInfeasible:
-		return Result{Status: Infeasible, Objective: math.Inf(1), Elapsed: time.Since(start)}, nil
-	case lp.PresolveUnbounded:
-		return Result{}, errors.New("ilp: relaxation unbounded")
-	case lp.PresolveSolved:
-		cNodes.Inc()
-		cIncumbents.Inc()
-		if opt.Obs != nil {
-			opt.Obs.Event("ilp/node", obs.LaneFlow,
-				obs.I("node", 1), obs.I("depth", 0),
-				obs.F("bound", pre.Offset), obs.I("pivots", 0),
-				obs.S("status", "optimal"))
-			opt.Obs.Event("ilp/incumbent", obs.LaneFlow,
-				obs.I("node", 1), obs.F("objective", pre.Offset))
-		}
-		return Result{
-			Status: Optimal, X: pre.Postsolve(nil, nil), Objective: pre.Offset,
-			Nodes: 1, Elapsed: time.Since(start),
-		}, nil
-	}
-
-	// Branch and bound over the reduced problem.
-	rp := Problem{LP: pre.P}
-	for r, isInt := range pre.Integer {
-		if isInt {
-			rp.Binary = append(rp.Binary, r)
-		}
-	}
-	solver, err := lp.NewBoundedSolver(pre.P)
+	solver, err := lp.NewBoundedSolver(p.LP)
 	if err != nil {
 		return Result{}, err
 	}
 
-	rn := pre.P.NumVars
 	s := &search{
-		p:        rp,
+		p:        p,
 		opt:      opt,
-		offset:   pre.Offset,
 		ctx:      ctx,
 		deadline: deadline,
 		lpOpt:    lp.Options{MaxTableauBytes: opt.MaxTableauBytes, Obs: opt.Obs},
 		maxNodes: maxNodes,
 		solver:   solver,
 		res:      Result{Status: Limit, Objective: math.Inf(1), LPRows: solver.NumRows()},
-		rootLo:   pre.Lo,
-		rootUp:   pre.Up,
-		lo:       make([]float64, rn),
-		up:       make([]float64, rn),
-		savedLo:  make([]float64, rn),
-		savedUp:  make([]float64, rn),
+		rootUp:   fullUp,
+		lo:       make([]float64, n),
+		up:       make([]float64, n),
+		savedLo:  make([]float64, n),
+		savedUp:  make([]float64, n),
 		nodeSol:  &lp.Solution{},
 		roundSol: &lp.Solution{},
 
-		cNodes:      cNodes,
-		cIncumbents: cIncumbents,
+		cNodes:      opt.Obs.Counter("ilp.nodes"),
+		cIncumbents: opt.Obs.Counter("ilp.incumbents"),
 		cBasisReuse: opt.Obs.Counter("ilp.basis_reuse"),
 	}
 
@@ -341,8 +283,7 @@ func Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 	}
 	res := s.res
 	if s.incumbent != nil {
-		res.X = pre.Postsolve(s.incumbent, nil)
-		res.Objective += pre.Offset
+		res.X = append([]float64(nil), s.incumbent...)
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -352,7 +293,7 @@ func Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 // along a root path touch distinct variables (a fixed binary is never
 // branched again), so application order is irrelevant.
 func (s *search) materialize(nd *bnode) {
-	copy(s.lo, s.rootLo)
+	clear(s.lo)
 	copy(s.up, s.rootUp)
 	for c := nd; c != nil; c = c.parent {
 		if c.v >= 0 {
@@ -405,7 +346,7 @@ func (s *search) record(x []float64, obj float64) {
 	s.cIncumbents.Inc()
 	if s.opt.Obs != nil {
 		s.opt.Obs.Event("ilp/incumbent", obs.LaneFlow,
-			obs.I("node", s.res.Nodes), obs.F("objective", obj+s.offset))
+			obs.I("node", s.res.Nodes), obs.F("objective", obj))
 	}
 }
 
@@ -461,7 +402,7 @@ func (s *search) countNode(depth int, sol *lp.Solution, bound float64) {
 	}
 	s.opt.Obs.Event("ilp/node", obs.LaneFlow,
 		obs.I("node", s.res.Nodes), obs.I("depth", depth),
-		obs.F("bound", bound+s.offset), obs.I("pivots", sol.Iterations),
+		obs.F("bound", bound), obs.I("pivots", sol.Iterations),
 		obs.S("status", sol.Status.String()))
 }
 
@@ -533,7 +474,7 @@ func (s *search) processNode(nd *bnode) (stop bool, err error) {
 // expands nodes in (bound, id) order until the frontier is empty, its best
 // bound cannot beat the incumbent, or a budget runs out.
 func (s *search) run() error {
-	copy(s.lo, s.rootLo)
+	clear(s.lo)
 	copy(s.up, s.rootUp)
 	rootRef := s.newBasisRef()
 	err := s.relax(nil, s.nodeSol, &rootRef.b)

@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -176,40 +177,64 @@ func bruteForce(t *testing.T, p Problem) float64 {
 }
 
 // TestAgainstBruteForce checks Solve against exhaustive enumeration on
-// randomILP programmes.
+// randomILP programmes and on fixed instances: a two-candidate assignment
+// whose dearer candidate is dominated, and a binary whose row alone
+// (2x <= 3) would let it exceed 1.
 func TestAgainstBruteForce(t *testing.T) {
-	checkAgainstBruteForce(t, 5, 25)
+	checkRandomAgainstBruteForce(t, 5, 25)
+	t.Run("DominatedCandidate", func(t *testing.T) {
+		checkAgainstBruteForce(t, "dominated candidate", Problem{LP: lp.Problem{
+			NumVars: 2, Objective: []float64{1, 4}, Upper: []float64{1, 1},
+			Rows: []lp.Row{
+				{Terms: []lp.Term{{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}}, Sense: lp.EQ, RHS: 1},
+				{Terms: []lp.Term{{Var: 0, Coeff: 2}, {Var: 1, Coeff: 2}}, Sense: lp.LE, RHS: 8},
+			},
+		}, Binary: []int{0, 1}})
+	})
+	t.Run("FractionalRowBound", func(t *testing.T) {
+		checkAgainstBruteForce(t, "fractional row bound", Problem{LP: lp.Problem{
+			NumVars: 2, Objective: []float64{-1, 0}, Upper: []float64{5, 1},
+			Rows: []lp.Row{
+				{Terms: []lp.Term{{Var: 0, Coeff: 2}}, Sense: lp.LE, RHS: 3},
+				{Terms: []lp.Term{{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}}, Sense: lp.GE, RHS: 0.5},
+			},
+		}, Binary: []int{0}})
+	})
 }
 
 // TestParallelILPMatchesBruteForce keeps its historical name from when the
 // search ran speculative workers; it now checks the serial search against
 // exhaustive enumeration on a second randomILP seed.
 func TestParallelILPMatchesBruteForce(t *testing.T) {
-	checkAgainstBruteForce(t, 41, 15)
+	checkRandomAgainstBruteForce(t, 41, 15)
 }
 
-func checkAgainstBruteForce(t *testing.T, seed int64, trials int) {
+func checkRandomAgainstBruteForce(t *testing.T, seed int64, trials int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < trials; trial++ {
-		p := randomILP(rng)
-		want := bruteForce(t, p)
-		r, err := Solve(context.Background(), p, Options{})
-		if err != nil {
-			t.Fatal(err)
+		checkAgainstBruteForce(t, fmt.Sprintf("seed %d trial %d", seed, trial), randomILP(rng))
+	}
+}
+
+func checkAgainstBruteForce(t *testing.T, name string, p Problem) {
+	t.Helper()
+	want := bruteForce(t, p)
+	r, err := Solve(context.Background(), p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsInf(want, 1) {
+		if r.Status != Infeasible {
+			t.Errorf("%s: brute force infeasible but solver says %v", name, r.Status)
 		}
-		if math.IsInf(want, 1) {
-			if r.Status != Infeasible {
-				t.Errorf("seed %d trial %d: brute force infeasible but solver says %v", seed, trial, r.Status)
-			}
-			continue
-		}
-		if r.Status != Optimal {
-			t.Fatalf("seed %d trial %d: status %v", seed, trial, r.Status)
-		}
-		if math.Abs(r.Objective-want) > 1e-5 {
-			t.Errorf("seed %d trial %d: objective %v, want %v", seed, trial, r.Objective, want)
-		}
+		return
+	}
+	if r.Status != Optimal {
+		t.Fatalf("%s: status %v", name, r.Status)
+	}
+	if math.Abs(r.Objective-want) > 1e-5 {
+		t.Errorf("%s: objective %v, want %v", name, r.Objective, want)
 	}
 }
 

@@ -51,13 +51,12 @@ func decodeLP(data []byte) Problem {
 	return p
 }
 
-// FuzzPresolve checks Solve (presolve, revised simplex, postsolve) against
-// the dense oracle on small pure LPs: the same status, objectives within
-// 1e-6 relative, and a postsolved X that satisfies the original rows and
-// bounds and prices at the reported objective. `go test` runs the seed
-// corpus in testdata/fuzz/FuzzPresolve; `go test -fuzz FuzzPresolve`
-// explores.
-func FuzzPresolve(f *testing.F) {
+// FuzzSolve checks Solve (the revised simplex) against the dense oracle on
+// small pure LPs: the same status, objectives within 1e-6 relative, and an
+// X that satisfies the rows and bounds and prices at the reported
+// objective. `go test` runs the seed corpus in testdata/fuzz/FuzzSolve;
+// `go test -fuzz FuzzSolve` explores.
+func FuzzSolve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeLP(data)
 		got, err := Solve(context.Background(), p, Options{})
@@ -78,7 +77,7 @@ func FuzzPresolve(f *testing.F) {
 			t.Fatalf("Solve objective %v, dense %v", got.Objective, want.Objective)
 		}
 		if what := violation(p, got.X); what != "" {
-			t.Fatalf("postsolved X = %v violates %s", got.X, what)
+			t.Fatalf("X = %v violates %s", got.X, what)
 		}
 		obj := 0.0
 		for i, c := range p.Objective {
@@ -90,7 +89,7 @@ func FuzzPresolve(f *testing.F) {
 	})
 }
 
-// violation names the first original row or bound x violates, or returns
+// violation names the first row or bound x violates, or returns
 // "" when x is feasible for p.
 func violation(p Problem, x []float64) string {
 	const tol = 1e-6

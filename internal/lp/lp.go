@@ -7,11 +7,11 @@
 // It is the substrate under OPERON's ILP stage (paper §3.3), standing in
 // for the commercial solver the authors used. Two engines are provided:
 //
-//   - Solve — presolve, then a revised simplex over sparse column
-//     storage (CSC) with a product-form eta representation of B⁻¹, partial
-//     pricing, native bounded variables, and a dual-simplex phase used to
-//     warm-start from a near-optimal basis (see BoundedSolver). This is the
-//     production path.
+//   - Solve — a revised simplex over sparse column storage (CSC) with a
+//     product-form eta representation of B⁻¹, partial pricing, native
+//     bounded variables, and a dual-simplex phase used to warm-start from
+//     a near-optimal basis (see BoundedSolver). This is the production
+//     path.
 //   - SolveDense — the original dense two-phase
 //     tableau simplex, retained as a cross-check oracle for tests and as a
 //     fallback on numerical breakdown of the revised engine.
@@ -177,49 +177,27 @@ const (
 	blandAfter = 64
 )
 
-// Solve runs presolve and then the revised simplex method on the reduced
-// problem under the given resource bounds (the zero Options are
-// unbounded), falling back to the dense oracle on numerical breakdown
-// (singular refactorisation that cannot be recovered). The solution is
-// postsolved back to the full variable space, so callers never see the
-// reduction.
+// Solve runs the revised simplex method on p under the given resource
+// bounds (the zero Options are unbounded), falling back to the dense oracle
+// on numerical breakdown (singular refactorisation that cannot be
+// recovered).
 //
 // ctx is the solver substrate's single time budget: its deadline (if any)
 // aborts the pivot loop with Status IterLimit once passed, and
 // cancellation is observed every few pivots with the same effect. A nil
 // ctx means context.Background().
 func Solve(ctx context.Context, p Problem, opt Options) (Solution, error) {
-	ps, err := Presolve(p, nil, nil, nil)
-	if err != nil {
-		return Solution{}, err
-	}
-	if opt.Obs != nil {
-		opt.Obs.Counter("lp.presolve_rows").Add(int64(ps.RowsRemoved))
-		opt.Obs.Counter("lp.presolve_cols").Add(int64(ps.ColsRemoved))
-	}
-	switch ps.Outcome {
-	case PresolveInfeasible:
-		return Solution{Status: Infeasible}, nil
-	case PresolveUnbounded:
-		return Solution{Status: Unbounded}, nil
-	case PresolveSolved:
-		return Solution{Status: Optimal, Objective: ps.Offset, X: ps.Postsolve(nil, nil)}, nil
-	}
-	s, err := NewBoundedSolver(ps.P)
+	s, err := NewBoundedSolver(p)
 	if err != nil {
 		return Solution{}, err
 	}
 	var sol Solution
-	err = s.SolveBounds(ctx, ps.Lo, ps.Up, nil, opt, &sol, &Basis{})
+	err = s.SolveBounds(ctx, nil, nil, nil, opt, &sol, &Basis{})
 	if errors.Is(err, ErrNumerical) {
 		return SolveDense(ctx, p, opt)
 	}
 	if err != nil {
 		return Solution{}, err
-	}
-	if sol.Status == Optimal {
-		sol.X = ps.Postsolve(sol.X, nil)
-		sol.Objective += ps.Offset
 	}
 	return sol, nil
 }

@@ -37,8 +37,7 @@ func TestDeadlineAborts(t *testing.T) {
 }
 
 func TestTableauMemoryBudget(t *testing.T) {
-	// Coupled GE rows so presolve cannot solve the problem outright (a
-	// presolve-solved problem never allocates solver workspace at all).
+	// A small covering LP: four coupled GE rows.
 	p := Problem{NumVars: 4, Objective: []float64{1, 1, 1, 1}}
 	for i := 0; i < 4; i++ {
 		p.Rows = append(p.Rows, Row{

@@ -303,3 +303,73 @@ func TestAssignmentLikeLP(t *testing.T) {
 		t.Fatalf("X = %v", s.X)
 	}
 }
+
+// TestSolveAgreesWithDense pins small instances whose status is easy to get
+// wrong: conflicting singleton rows, a feasible region too narrow for bound
+// propagation, a free negative-cost column with and without an infeasible
+// row elsewhere, and fully pinned or one-candidate-dominates optima. Solve
+// must report the expected status, and so must the dense oracle, with
+// objectives within 1e-7 when optimal.
+func TestSolveAgreesWithDense(t *testing.T) {
+	t.Run("DetectsInfeasible", func(t *testing.T) {
+		// x >= 3 and x <= 1.
+		checkAgainstDense(t, Problem{NumVars: 1, Objective: []float64{1}, Rows: []Row{
+			{Terms: []Term{{0, 1}}, Sense: GE, RHS: 3},
+			{Terms: []Term{{0, 1}}, Sense: LE, RHS: 1},
+		}}, Infeasible)
+		// x + y >= 5 with x, y <= 1.
+		checkAgainstDense(t, Problem{NumVars: 2, Objective: []float64{1, 1}, Upper: []float64{1, 1}, Rows: []Row{
+			{Terms: []Term{{0, 1}, {1, 1}}, Sense: GE, RHS: 5},
+		}}, Infeasible)
+		// x = 1 and x = 3.
+		checkAgainstDense(t, Problem{NumVars: 2, Objective: []float64{1, 1}, Rows: []Row{
+			{Terms: []Term{{0, 1}}, Sense: EQ, RHS: 1},
+			{Terms: []Term{{0, 1}}, Sense: EQ, RHS: 3},
+		}}, Infeasible)
+	})
+	t.Run("KeepsNarrowContinuousRange", func(t *testing.T) {
+		checkAgainstDense(t, Problem{NumVars: 2, Objective: []float64{6, 6}, Upper: []float64{1, 1}, Rows: []Row{
+			{Terms: []Term{{0, 1.375}, {1, 11}}, Sense: EQ, RHS: 2},
+			{Terms: []Term{{0, 7}, {1, -15.25}}, Sense: EQ, RHS: 6.125},
+		}}, Optimal)
+	})
+	t.Run("DetectsUnbounded", func(t *testing.T) {
+		checkAgainstDense(t, Problem{NumVars: 2, Objective: []float64{-1, 2}, Rows: []Row{
+			{Terms: []Term{{1, 1}}, Sense: LE, RHS: 4},
+		}}, Unbounded)
+		// The same free column beside an infeasible row is infeasible.
+		checkAgainstDense(t, Problem{NumVars: 2, Objective: []float64{-1, 1}, Upper: []float64{math.Inf(1), 1}, Rows: []Row{
+			{Terms: []Term{{1, 1}}, Sense: GE, RHS: 5},
+		}}, Infeasible)
+	})
+	t.Run("SolvesFully", func(t *testing.T) {
+		// Singleton equalities pin every variable; objective 6.5.
+		checkAgainstDense(t, Problem{NumVars: 3, Objective: []float64{2, 3, 5}, Rows: []Row{
+			{Terms: []Term{{0, 1}}, Sense: EQ, RHS: 1},
+			{Terms: []Term{{1, 2}}, Sense: EQ, RHS: 3},
+			{Terms: []Term{{0, 1}, {1, 1}, {2, 1}}, Sense: LE, RHS: 10},
+		}}, Optimal)
+	})
+	t.Run("TwoCandidateAssignment", func(t *testing.T) {
+		// The dearer candidate is dominated; objective 1.
+		checkAgainstDense(t, Problem{NumVars: 2, Objective: []float64{1, 4}, Upper: []float64{1, 1}, Rows: []Row{
+			{Terms: []Term{{0, 1}, {1, 1}}, Sense: EQ, RHS: 1},
+			{Terms: []Term{{0, 2}, {1, 2}}, Sense: LE, RHS: 8},
+		}}, Optimal)
+	})
+}
+
+func checkAgainstDense(t *testing.T, p Problem, status Status) {
+	t.Helper()
+	got := solveOK(t, p)
+	want, err := SolveDense(context.Background(), p, Options{})
+	if err != nil {
+		t.Fatalf("dense: %v", err)
+	}
+	if got.Status != status || want.Status != status {
+		t.Fatalf("status %v (Solve), %v (dense), want %v", got.Status, want.Status, status)
+	}
+	if got.Status == Optimal && math.Abs(got.Objective-want.Objective) > 1e-7 {
+		t.Fatalf("objective %v, dense %v", got.Objective, want.Objective)
+	}
+}
