@@ -75,6 +75,7 @@ var workloads = []workload{
 	{"Fig8/WDM/I4", false, fig8Row("I4")},
 	{"Fig9/I2", false, fig9Row},
 	{"LRPricing/I2", true, lrPricingRow},
+	{"CrossTable/I5", true, crossTableRow},
 	{"ILP/Selection/I3s", true, ilpSelectionRow},
 	{"ECO/Cold/I3", true, ecoColdRow},
 	{"ECO/SmallEdit/I3", true, ecoEditRow(true, false)},
@@ -142,15 +143,12 @@ func selected(tb testing.TB, d signal.Design, cfg operon.Config) *operon.Result 
 	return res
 }
 
-// selectionInstance builds the selection instance of res with a warm
-// cross-loss cache, so the selection stage can be measured alone.
+// selectionInstance builds the selection instance of res, crossing-loss
+// table included, so the selection stage can be measured alone.
 func selectionInstance(tb testing.TB, res *operon.Result, cfg operon.Config) *selection.Instance {
 	tb.Helper()
-	inst, err := selection.NewInstance(res.Nets, cfg.Lib)
+	inst, err := selection.NewInstance(res.Nets, cfg.Lib, selection.InstanceOptions{Workers: cfg.Workers})
 	if err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := selection.SolveLR(context.Background(), inst, selection.LROptions{Workers: cfg.Workers}); err != nil {
 		tb.Fatal(err)
 	}
 	return inst
@@ -252,6 +250,16 @@ func lrPricingRow(tb testing.TB, cfg operon.Config) func() error {
 		if err == nil && lr.Selection.Violations != 0 {
 			err = errors.New("unrepaired violations")
 		}
+		return err
+	}
+}
+
+// crossTableRow builds the selection instance alone on I5's candidate
+// nets: the interaction lists and the crossing-loss table fill.
+func crossTableRow(tb testing.TB, cfg operon.Config) func() error {
+	res := selected(tb, design(tb, "I5"), cfg)
+	return func() error {
+		_, err := selection.NewInstance(res.Nets, cfg.Lib, selection.InstanceOptions{Workers: cfg.Workers})
 		return err
 	}
 }
@@ -491,7 +499,7 @@ func BenchmarkScaleI6(b *testing.B) {
 			b.Fatal(err)
 		}
 		flow += time.Since(start)
-		inst, err := selection.NewInstance(res.Nets[:megaILPNets], cfg.Lib)
+		inst, err := selection.NewInstance(res.Nets[:megaILPNets], cfg.Lib, selection.InstanceOptions{Workers: cfg.Workers})
 		if err != nil {
 			b.Fatal(err)
 		}

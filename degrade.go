@@ -95,7 +95,7 @@ func (r *Result) degradeToElectricalFloor(ctx context.Context, cfg Config, ws *W
 	r.Nets = nets
 	stop(obs.I("nets", len(nets)), obs.S("degraded", "electrical-floor"))
 
-	inst, err := selection.NewInstance(nets, cfg.Lib)
+	inst, err := selection.NewInstance(nets, cfg.Lib, selection.InstanceOptions{Workers: cfg.Workers})
 	if err != nil {
 		return err
 	}

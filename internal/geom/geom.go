@@ -230,6 +230,25 @@ func CountCrossings(a, b []Segment) int {
 	return n
 }
 
+// CountCrossingsBoxed is CountCrossings with the segment bounding boxes
+// precomputed by the caller: ab[k] must equal a[k].BBox() and bb[k]
+// b[k].BBox(). It returns the same count, for callers that count the same
+// segment lists against many others.
+func CountCrossingsBoxed(a []Segment, ab []Rect, b []Segment, bb []Rect) int {
+	n := 0
+	for k, s := range a {
+		for l, t := range b {
+			if !ab[k].Overlaps(bb[l]) {
+				continue
+			}
+			if ProperCrossing(s, t) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // CrossingsWithSegment returns the number of segments in set that properly
 // cross s.
 func CrossingsWithSegment(s Segment, set []Segment) int {

@@ -213,6 +213,29 @@ func TestCountCrossings(t *testing.T) {
 	}
 }
 
+func TestCountCrossingsBoxedMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	boxes := func(segs []Segment) []Rect {
+		out := make([]Rect, len(segs))
+		for k, s := range segs {
+			out[k] = s.BBox()
+		}
+		return out
+	}
+	for i := 0; i < 500; i++ {
+		a := make([]Segment, 1+rng.Intn(6))
+		b := make([]Segment, 1+rng.Intn(6))
+		for _, segs := range [][]Segment{a, b} {
+			for k := range segs {
+				segs[k] = Segment{randPt(rng), randPt(rng)}
+			}
+		}
+		if got, want := CountCrossingsBoxed(a, boxes(a), b, boxes(b)), CountCrossings(a, b); got != want {
+			t.Fatalf("CountCrossingsBoxed = %d, CountCrossings = %d for %v × %v", got, want, a, b)
+		}
+	}
+}
+
 func TestPointSegmentDist(t *testing.T) {
 	s := Segment{Point{0, 0}, Point{10, 0}}
 	cases := []struct {

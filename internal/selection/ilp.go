@@ -141,6 +141,7 @@ func buildProgram(inst *Instance) (ilp.Problem, [][]int) {
 	}
 
 	// Pair variables y_{ij,mn}, created on demand.
+	type pairKey struct{ i, j, m, n int }
 	pairVar := map[pairKey]int{}
 	getPair := func(i, j, m, n int) int {
 		// Canonical orientation: y is shared by both directions of the pair.
@@ -168,16 +169,16 @@ func buildProgram(inst *Instance) (ilp.Problem, [][]int) {
 
 	// Detection constraint per optical path of every candidate.
 	for i, n := range inst.Nets {
-		inter := inst.InteractingNets(i)
+		inter := inst.interactions[i]
 		for j, c := range n.Cands {
 			for p, path := range c.Paths {
 				row := lp.Row{Sense: lp.LE, RHS: inst.Lib.MaxLossDB}
 				row.Terms = append(row.Terms, lp.Term{
 					Var: varOf[i][j], Coeff: path.FixedLossDB,
 				})
-				for _, m := range inter {
+				for k, m := range inter {
 					for nn := range inst.Nets[m].Cands {
-						lx := inst.CrossLossDB(i, j, m, nn)[p]
+						lx := inst.pairLoss(i, k, j, nn)[p]
 						if lx <= geom.Eps {
 							continue
 						}

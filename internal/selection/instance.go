@@ -11,13 +11,15 @@
 package selection
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 
 	"operon/internal/codesign"
 	"operon/internal/geom"
 	"operon/internal/optics"
+	"operon/internal/parallel"
 )
 
 // Net is one hyper net with its candidate solutions. The last candidate is
@@ -42,6 +44,11 @@ func (n Net) ElectricalIndex() int {
 }
 
 // Instance is a complete selection problem.
+//
+// NewInstance precomputes every §3.3 crossing-loss term the solvers can
+// read into one dense table, so an Instance is read-only afterwards: the
+// parallel pricing and multiplier-update steps of SolveLR read it with no
+// lock and no hashing. Only Evaluate and Repair use instance-owned scratch.
 type Instance struct {
 	// Nets is the hyper nets with their candidate lists.
 	Nets []Net
@@ -52,45 +59,60 @@ type Instance struct {
 	// segments; hasOpt[i][j] reports whether it has any.
 	candBox [][]geom.Rect
 	hasOpt  [][]bool
-	// crossCache memoises per-path crossing loss between candidate pairs.
-	// Guarded by crossMu: the LR pricing step queries it from many workers.
-	// Values are pure functions of the instance, so a racing recompute
-	// stores the same slice contents either way.
-	crossMu    sync.RWMutex
-	crossCache map[pairKey][]float64
-	// crossSlab is the current slab block cached values are sub-sliced from
-	// (guarded by crossMu); handing out slab regions instead of one heap
-	// allocation per cache entry keeps the miss path to ~1 allocation per
-	// 4096 path slots.
-	crossSlab []float64
-	crossOff  int
-	// interactions[i] lists the nets whose candidate boxes overlap net i's;
-	// precomputed in NewInstance so concurrent readers need no locking.
+	// interactions[i] lists, ascending, the nets whose candidate boxes
+	// overlap net i's box; rev[i][k] is the position of i in
+	// interactions[interactions[i][k]], or -1 when i is not listed there.
 	interactions [][]int
+	rev          [][]int
 	// pathOff[i][j] is the offset of candidate (i,j)'s paths in any flat
-	// per-path vector of length numPaths (the LR multiplier layout).
+	// per-path vector of length numPaths (the LR multiplier layout);
+	// netPaths[i] counts net i's paths over all its candidates.
 	pathOff  [][]int
+	netPaths []int
 	numPaths int
-	// evalExtra is scratch for evaluateInto (the sequential evaluate/repair
-	// path); Evaluate stays pure and allocates its own.
+	// cross is the crossing-loss table. For the directed net pair
+	// (i, m = interactions[i][k]) it holds a block of cands(m) rows of
+	// netPaths[i] entries at crossBase[i][k]: row n lists, for every path of
+	// net i in pathOff order, the loss in dB that candidate (m,n) inflicts
+	// on it. Pairs not in interactions inflict no loss and have no block.
+	cross     []float64
+	crossBase [][]int
+	// zeros backs CrossLossDB's answer for pairs without a block.
+	zeros []float64
+	// seeded and counted are reported by FillStats.
+	seeded, counted int
+	// evalExtra is scratch for Evaluate and Repair (the sequential path).
 	evalExtra []float64
 }
 
-type pairKey struct{ i, j, m, n int }
+// InstanceOptions tunes NewInstance.
+type InstanceOptions struct {
+	// Workers bounds the per-net parallelism of the crossing-loss fill
+	// (0 = NumCPU, 1 = serial). The table is identical for every count.
+	Workers int
+	// Prev, when non-nil, is an earlier instance whose crossing-loss blocks
+	// are copied instead of recomputed for every pair of nets that both
+	// carried over (see PrevIndex). Its library must equal the new one's,
+	// or nothing is copied.
+	Prev *Instance
+	// PrevIndex[i] is the index in Prev of new net i, or -1 when the net is
+	// new or rebuilt. A mapped net must carry its candidate list verbatim
+	// from Prev (same geometry, same order): the copied losses are a pure
+	// function of the two candidate lists. Ignored unless its length is the
+	// new net count.
+	PrevIndex []int
+}
 
-// NewInstance validates the nets and prepares interaction bookkeeping.
-func NewInstance(nets []Net, lib optics.Library) (*Instance, error) {
+// NewInstance validates the nets, prepares the interaction bookkeeping and
+// fills the crossing-loss table.
+func NewInstance(nets []Net, lib optics.Library, opt InstanceOptions) (*Instance, error) {
 	if len(nets) == 0 {
 		return nil, fmt.Errorf("selection: no nets")
 	}
 	if err := lib.Validate(); err != nil {
 		return nil, err
 	}
-	inst := &Instance{
-		Nets:       nets,
-		Lib:        lib,
-		crossCache: make(map[pairKey][]float64),
-	}
+	inst := &Instance{Nets: nets, Lib: lib}
 	inst.candBox = make([][]geom.Rect, len(nets))
 	inst.hasOpt = make([][]bool, len(nets))
 	for i, n := range nets {
@@ -115,27 +137,37 @@ func NewInstance(nets []Net, lib optics.Library) (*Instance, error) {
 		}
 	}
 	inst.pathOff = make([][]int, len(nets))
-	off := 0
+	inst.netPaths = make([]int, len(nets))
+	off, maxPaths := 0, 0
 	for i, n := range nets {
 		inst.pathOff[i] = make([]int, len(n.Cands))
 		for j, c := range n.Cands {
 			inst.pathOff[i][j] = off
 			off += len(c.Paths)
+			maxPaths = max(maxPaths, len(c.Paths))
 		}
+		inst.netPaths[i] = off - inst.pathOff[i][0]
 	}
 	inst.numPaths = off
+	inst.zeros = make([]float64, maxPaths)
 	inst.precomputeInteractions()
+	inst.fillCross(opt)
 	return inst, nil
 }
 
-// precomputeInteractions fills interactions[i] for every net: the §3.3
+// precomputeInteractions fills interactions[i] for every net — the §3.3
 // bounding-box pruning that drops crossing terms between non-overlapping
-// hyper nets. Doing it eagerly keeps InteractingNets a lock-free read for
-// the parallel pricing step.
+// hyper nets — and rev. Net m interacts with net i when one of m's
+// candidate boxes overlaps net i's box (the union of its candidate boxes).
+// The net boxes are bucketed in a uniform grid, so only nets sharing a cell
+// are box-tested.
 func (inst *Instance) precomputeInteractions() {
 	n := len(inst.Nets)
 	netBox := make([]geom.Rect, n)
 	netHas := make([]bool, n)
+	var span geom.Rect
+	var extent float64
+	optNets := 0
 	for i := range inst.Nets {
 		for j := range inst.Nets[i].Cands {
 			if inst.hasOpt[i][j] {
@@ -147,81 +179,319 @@ func (inst *Instance) precomputeInteractions() {
 				}
 			}
 		}
+		if !netHas[i] {
+			continue
+		}
+		if optNets == 0 {
+			span = netBox[i]
+		} else {
+			span = span.Union(netBox[i])
+		}
+		extent += netBox[i].Width() + netBox[i].Height()
+		optNets++
 	}
-	inst.interactions = make([][]int, n)
-	for i := 0; i < n; i++ {
-		out := []int{}
+	g := newGrid(span, extent/float64(2*max(optNets, 1)), optNets)
+	for i := range netBox {
 		if netHas[i] {
-			for m := 0; m < n; m++ {
-				if m == i {
-					continue
+			g.insert(i, netBox[i])
+		}
+	}
+
+	// The lists, rev and crossBase are views into flat arrays, one
+	// allocation each rather than one per net.
+	var flat []int
+	start := make([]int, n+1)
+	stamp := make([]int, n)
+	for i := 0; i < n; i++ {
+		if netHas[i] {
+			g.visit(netBox[i].Expand(2*geom.Eps), func(m int) {
+				if m == i || stamp[m] == i+1 {
+					return
+				}
+				stamp[m] = i + 1
+				if !netBox[i].Overlaps(netBox[m]) {
+					return
 				}
 				for j := range inst.Nets[m].Cands {
 					if inst.hasOpt[m][j] && netBox[i].Overlaps(inst.candBox[m][j]) {
-						out = append(out, m)
-						break
+						flat = append(flat, m)
+						return
 					}
 				}
+			})
+			slices.Sort(flat[start[i]:])
+		}
+		start[i+1] = len(flat)
+	}
+	inst.interactions = views(flat, start)
+	inst.rev = views(make([]int, len(flat)), start)
+	for i, inter := range inst.interactions {
+		for k, m := range inter {
+			inst.rev[i][k] = -1
+			if r, ok := slices.BinarySearch(inst.interactions[m], i); ok {
+				inst.rev[i][k] = r
 			}
 		}
-		inst.interactions[i] = out
 	}
+	inst.crossBase = views(make([]int, len(flat)), start)
 }
 
-// CrossLossDB returns, for each path of candidate (i,j), the crossing loss
-// in dB inflicted by candidate (m,n)'s waveguides. Results are memoised;
-// the cache is safe for concurrent use.
-func (inst *Instance) CrossLossDB(i, j, m, n int) []float64 {
-	key := pairKey{i, j, m, n}
-	inst.crossMu.RLock()
-	v, ok := inst.crossCache[key]
-	inst.crossMu.RUnlock()
-	if ok {
-		return v
+// views splits flat into the capped sub-slices flat[start[i]:start[i+1]].
+func views(flat []int, start []int) [][]int {
+	out := make([][]int, len(start)-1)
+	for i := range out {
+		out[i] = flat[start[i]:start[i+1]:start[i+1]]
 	}
-	ci := inst.Nets[i].Cands[j]
-	inst.crossMu.Lock()
-	out := inst.slabAlloc(len(ci.Paths))
-	inst.crossMu.Unlock()
-	if i != m && inst.hasOpt[i][j] && inst.hasOpt[m][n] &&
-		inst.candBox[i][j].Overlaps(inst.candBox[m][n]) {
-		other := inst.Nets[m].Cands[n].OpticalSegs
-		for p, path := range ci.Paths {
-			crossings := geom.CountCrossings(path.Segs, other)
-			out[p] = inst.Lib.CrossingLossDB(crossings)
-		}
-	}
-	inst.crossMu.Lock()
-	inst.crossCache[key] = out
-	inst.crossMu.Unlock()
 	return out
 }
 
-// slabAlloc carves a zeroed n-slot region out of the crossing-loss slab,
-// starting a fresh block when the current one is exhausted. Callers must
-// hold crossMu. Regions are handed out once and never recycled, so a fresh
-// block's zeroing is all the initialisation they need.
-func (inst *Instance) slabAlloc(n int) []float64 {
-	if n == 0 {
+// A grid buckets rectangles by the uniform cells they cover.
+type grid struct {
+	lo     geom.Point
+	cell   float64
+	nx, ny int
+	cells  [][]int
+}
+
+// newGrid covers span with square cells of side about size, at most
+// 4·count cells in all (count is the number of rectangles to come).
+func newGrid(span geom.Rect, size float64, count int) *grid {
+	w, h := span.Width(), span.Height()
+	c := float64(4 * max(count, 1))
+	if limit := max(math.Sqrt(w*h/c), (w+h)/c); !(size >= limit) {
+		size = limit
+	}
+	if !(size > 0) {
+		size = 1
+	}
+	g := &grid{lo: span.Lo, cell: size}
+	g.nx = int(w/size) + 1
+	g.ny = int(h/size) + 1
+	g.cells = make([][]int, g.nx*g.ny)
+	return g
+}
+
+// cellRange returns the clamped cell index range [c0, c1] of [a, b] along
+// an axis starting at lo with n cells.
+func (g *grid) cellRange(a, b, lo float64, n int) (int, int) {
+	c0 := int(math.Floor((a - lo) / g.cell))
+	c1 := int(math.Floor((b - lo) / g.cell))
+	return min(max(c0, 0), n-1), min(max(c1, 0), n-1)
+}
+
+// insert adds id to every cell r covers.
+func (g *grid) insert(id int, r geom.Rect) {
+	g.visitCells(r, func(c int) { g.cells[c] = append(g.cells[c], id) })
+}
+
+// visit calls fn for every id in a cell r covers; an id in several such
+// cells is passed once per cell.
+func (g *grid) visit(r geom.Rect, fn func(id int)) {
+	g.visitCells(r, func(c int) {
+		for _, id := range g.cells[c] {
+			fn(id)
+		}
+	})
+}
+
+// visitCells calls fn with the index of every cell r covers.
+func (g *grid) visitCells(r geom.Rect, fn func(c int)) {
+	x0, x1 := g.cellRange(r.Lo.X, r.Hi.X, g.lo.X, g.nx)
+	y0, y1 := g.cellRange(r.Lo.Y, r.Hi.Y, g.lo.Y, g.ny)
+	for y := y0; y <= y1; y++ {
+		for x := x0; x <= x1; x++ {
+			fn(y*g.nx + x)
+		}
+	}
+}
+
+// fillCross lays out and fills the crossing-loss table: one block per
+// interacting net pair, computed per net on a worker pool (each worker
+// writes only its own net's blocks) or, for a pair whose two nets both
+// carried over from opt.Prev, copied from Prev's block.
+func (inst *Instance) fillCross(opt InstanceOptions) {
+	n := len(inst.Nets)
+	size := 0
+	for i, inter := range inst.interactions {
+		for k, m := range inter {
+			inst.crossBase[i][k] = size
+			size += inst.netPaths[i] * len(inst.Nets[m].Cands)
+		}
+	}
+	if size == 0 {
+		return // no two nets interact
+	}
+	inst.cross = make([]float64, size)
+
+	prev, prevIndex := opt.Prev, opt.PrevIndex
+	if prev == nil || prev.Lib != inst.Lib || len(prevIndex) != n {
+		prev, prevIndex = nil, nil
+	}
+	// Segment bounding boxes are computed once here rather than inside every
+	// crossing count: per candidate (indexed candStart[m]+c) and per path
+	// (indexed by pathOff).
+	candStart := make([]int, n+1)
+	for m, net := range inst.Nets {
+		candStart[m+1] = candStart[m] + len(net.Cands)
+	}
+	candSegs, pathSegs := newBoxTable(candStart[n]), newBoxTable(inst.numPaths)
+	for i := range inst.Nets {
+		for j := range inst.Nets[i].Cands {
+			c := &inst.Nets[i].Cands[j]
+			candSegs.add(c.OpticalSegs)
+			for p := range c.Paths {
+				pathSegs.add(c.Paths[p].Segs)
+			}
+		}
+	}
+	f := filler{inst: inst, candStart: candStart, candSegs: candSegs, pathSegs: pathSegs}
+
+	seeded := make([]int, n)
+	counted := make([]int, n)
+	// ForEach can fail only through fn or ctx, and neither ever does here.
+	_ = parallel.ForEach(context.Background(), n, opt.Workers, func(i int) error {
+		for k, m := range inst.interactions[i] {
+			block := inst.pairBlock(i, k)
+			if prev != nil {
+				if src := prev.block(prevIndex[i], prevIndex[m]); len(src) == len(block) {
+					copy(block, src)
+					seeded[i] += len(inst.Nets[i].Cands) * len(inst.Nets[m].Cands)
+					continue
+				}
+			}
+			counted[i] += f.count(block, i, m)
+		}
+		return nil
+	})
+	for i := range seeded {
+		inst.seeded += seeded[i]
+		inst.counted += counted[i]
+	}
+}
+
+// A boxTable holds the segment bounding boxes of a family of segment lists
+// and each list's hull: list l's boxes are box[off[l]:off[l+1]].
+type boxTable struct {
+	off  []int
+	box  []geom.Rect
+	hull []geom.Rect
+}
+
+// newBoxTable returns an empty table with room for n lists.
+func newBoxTable(n int) *boxTable {
+	return &boxTable{off: make([]int, 1, n+1), hull: make([]geom.Rect, 0, n)}
+}
+
+// add appends the boxes of one list.
+func (t *boxTable) add(segs []geom.Segment) {
+	var hull geom.Rect
+	for k, s := range segs {
+		b := s.BBox()
+		t.box = append(t.box, b)
+		if k == 0 {
+			hull = b
+		} else {
+			hull = hull.Union(b)
+		}
+	}
+	t.off = append(t.off, len(t.box))
+	t.hull = append(t.hull, hull)
+}
+
+// of returns list l's boxes.
+func (t *boxTable) of(l int) []geom.Rect { return t.box[t.off[l]:t.off[l+1]] }
+
+// A filler computes table blocks from the instance's geometry and the
+// precomputed segment boxes; it is read-only and shared by the workers.
+type filler struct {
+	inst               *Instance
+	candStart          []int
+	candSegs, pathSegs *boxTable
+}
+
+// count fills block, the table block of the net pair (i,m), by counting
+// crossings, and returns the number of counts it ran. A path whose hull
+// does not overlap the other candidate's box is skipped: it crosses none of
+// its segments, and the block is zero already.
+func (f *filler) count(block []float64, i, m int) int {
+	inst := f.inst
+	calls := 0
+	for nn := range inst.Nets[m].Cands {
+		if !inst.hasOpt[m][nn] {
+			continue
+		}
+		other, obox := inst.Nets[m].Cands[nn].OpticalSegs, inst.candBox[m][nn]
+		oboxes := f.candSegs.of(f.candStart[m] + nn)
+		row := block[nn*inst.netPaths[i]:]
+		for j := range inst.Nets[i].Cands {
+			if !inst.hasOpt[i][j] || !inst.candBox[i][j].Overlaps(obox) {
+				continue
+			}
+			paths := inst.Nets[i].Cands[j].Paths
+			at := inst.pathOff[i][j]
+			for p := range paths {
+				if !f.pathSegs.hull[at+p].Overlaps(obox) {
+					continue
+				}
+				crossings := geom.CountCrossingsBoxed(paths[p].Segs, f.pathSegs.of(at+p), other, oboxes)
+				row[at-inst.pathOff[i][0]+p] = inst.Lib.CrossingLossDB(crossings)
+				calls++
+			}
+		}
+	}
+	return calls
+}
+
+// block returns the table block of the net pair (i, m), or nil when either
+// index is out of range or m is not in interactions[i].
+func (inst *Instance) block(i, m int) []float64 {
+	if i < 0 || m < 0 || i >= len(inst.Nets) || m >= len(inst.Nets) {
 		return nil
 	}
-	if len(inst.crossSlab)-inst.crossOff < n {
-		size := 4096
-		if n > size {
-			size = n
-		}
-		inst.crossSlab = make([]float64, size)
-		inst.crossOff = 0
+	k, ok := slices.BinarySearch(inst.interactions[i], m)
+	if !ok {
+		return nil
 	}
-	s := inst.crossSlab[inst.crossOff : inst.crossOff+n : inst.crossOff+n]
-	inst.crossOff += n
-	return s
+	return inst.pairBlock(i, k)
 }
+
+// pairBlock returns the table block of the net pair (i, interactions[i][k]).
+func (inst *Instance) pairBlock(i, k int) []float64 {
+	b := inst.crossBase[i][k]
+	e := b + inst.netPaths[i]*len(inst.Nets[inst.interactions[i][k]].Cands)
+	return inst.cross[b:e:e]
+}
+
+// pairLoss returns, for each path of candidate (i,j), the crossing loss in
+// dB inflicted by candidate n of net interactions[i][k]. The slice aliases
+// the table.
+func (inst *Instance) pairLoss(i, k, j, n int) []float64 {
+	b := inst.crossBase[i][k] + n*inst.netPaths[i] + inst.pathOff[i][j] - inst.pathOff[i][0]
+	e := b + len(inst.Nets[i].Cands[j].Paths)
+	return inst.cross[b:e:e]
+}
+
+// CrossLossDB returns, for each path of candidate (i,j), the crossing loss
+// in dB inflicted by candidate (m,n)'s waveguides. The slice aliases the
+// instance's read-only table and must not be modified; the call is safe
+// for concurrent use.
+func (inst *Instance) CrossLossDB(i, j, m, n int) []float64 {
+	if k, ok := slices.BinarySearch(inst.interactions[i], m); ok {
+		return inst.pairLoss(i, k, j, n)
+	}
+	return inst.zeros[:len(inst.Nets[i].Cands[j].Paths)]
+}
+
+// FillStats reports how NewInstance filled the crossing-loss table: seeded
+// counts the (i,j,m,n) entries copied from InstanceOptions.Prev, counted
+// the crossing counts (one per path and opposing candidate) run for the
+// rest.
+func (inst *Instance) FillStats() (seeded, counted int) { return inst.seeded, inst.counted }
 
 // InteractingNets returns, for net i, the other nets whose candidate
 // bounding boxes overlap any of net i's — the §3.3 speed-up that drops
 // crossing variables between non-overlapping hyper nets. The lists are
-// precomputed, so this is a lock-free read.
+// ascending and precomputed, so this is a lock-free read.
 func (inst *Instance) InteractingNets(i int) []int {
 	return inst.interactions[i]
 }
@@ -242,8 +512,8 @@ type Selection struct {
 
 // Evaluate computes the exact power and loss legality of a choice vector.
 // It reuses instance-owned scratch, so like Repair it must not be called
-// from concurrent goroutines (the parallel pricing step only reads
-// CrossLossDB, which stays safe for concurrent use).
+// from concurrent goroutines (the parallel pricing step reads only the
+// crossing-loss table, which is never written after NewInstance).
 func (inst *Instance) Evaluate(choice []int) (Selection, error) {
 	if len(choice) != len(inst.Nets) {
 		return Selection{}, fmt.Errorf("selection: choice length %d for %d nets",
@@ -257,7 +527,7 @@ func (inst *Instance) Evaluate(choice []int) (Selection, error) {
 		sel.PowerMW += inst.Nets[i].Cands[j].PowerMW
 	}
 	for i, j := range choice {
-		cand := inst.Nets[i].Cands[j]
+		cand := &inst.Nets[i].Cands[j]
 		if len(cand.Paths) == 0 {
 			continue
 		}
@@ -268,8 +538,8 @@ func (inst *Instance) Evaluate(choice []int) (Selection, error) {
 		for p := range extra {
 			extra[p] = 0
 		}
-		for _, m := range inst.InteractingNets(i) {
-			lx := inst.CrossLossDB(i, j, m, choice[m])
+		for k, m := range inst.interactions[i] {
+			lx := inst.pairLoss(i, k, j, choice[m])
 			for p := range extra {
 				extra[p] += lx[p]
 			}
@@ -296,14 +566,14 @@ func (inst *Instance) Repair(sel Selection) (Selection, error) {
 		// Demote the net owning the worst violating path.
 		worstNet, worstViol := -1, 0.0
 		for i, j := range cur.Choice {
-			cand := inst.Nets[i].Cands[j]
+			cand := &inst.Nets[i].Cands[j]
 			if len(cand.Paths) == 0 {
 				continue
 			}
 			for p, path := range cand.Paths {
 				loss := path.FixedLossDB
-				for _, m := range inst.InteractingNets(i) {
-					loss += inst.CrossLossDB(i, j, m, cur.Choice[m])[p]
+				for k, m := range inst.interactions[i] {
+					loss += inst.pairLoss(i, k, j, cur.Choice[m])[p]
 				}
 				if v := loss - inst.Lib.MaxLossDB; v > worstViol {
 					worstViol = v

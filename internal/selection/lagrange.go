@@ -149,9 +149,8 @@ func SolveLR(ctx context.Context, inst *Instance, opt LROptions) (LRResult, erro
 		// iteration's selection, so they are priced in parallel; each
 		// worker only writes choice[i] and its own diagnostic slots. The
 		// pool gets no ctx: an iteration is never cut short.
-		_ = parallel.ForEach(context.Background(), len(inst.Nets), opt.Workers, func(i int) error {
+		forNets(len(inst.Nets), opt.Workers, func(i int) {
 			n := inst.Nets[i]
-			inter := inst.InteractingNets(i)
 			var ls, lq float64
 			for j, c := range n.Cands {
 				off := inst.pathOff[i][j]
@@ -163,35 +162,14 @@ func SolveLR(ctx context.Context, inst *Instance, opt LROptions) (LRResult, erro
 			}
 			lamSum[i], lamSq[i] = ls, lq
 			bestJ, bestW := -1, 0.0
-			for j, c := range n.Cands {
-				w := c.PowerMW
-				off := inst.pathOff[i][j]
-				// Own paths: λ_p × (propagation + splitting + crossing from
-				// the previous selection).
-				for p, path := range c.Paths {
-					loss := path.FixedLossDB
-					for _, m := range inter {
-						loss += inst.CrossLossDB(i, j, m, prev[m])[p]
-					}
-					w += lambda[off+p] * loss
-				}
-				// Symmetric linearised term: crossing loss this candidate
-				// inflicts on the previously selected candidates' paths.
-				for _, m := range inter {
-					mj := prev[m]
-					lx := inst.CrossLossDB(m, mj, i, j)
-					moff := inst.pathOff[m][mj]
-					for p := range lx {
-						w += lambda[moff+p] * lx[p]
-					}
-				}
+			for j := range n.Cands {
+				w := inst.price(i, j, prev, lambda)
 				if bestJ < 0 || w < bestW-geom.Eps {
 					bestJ, bestW = j, w
 				}
 			}
 			choice[i] = bestJ
 			bestWArr[i] = bestW
-			return nil
 		})
 		var sumBestW, sumLam, sumLamSq float64
 		for i := range inst.Nets {
@@ -210,32 +188,31 @@ func SolveLR(ctx context.Context, inst *Instance, opt LROptions) (LRResult, erro
 		step := stepScale / float64(iter+1)
 		// The sub-gradient update is likewise independent per net: worker i
 		// writes only lambda[i] and reads the now-fixed choice vector.
-		_ = parallel.ForEach(context.Background(), len(inst.Nets), opt.Workers, func(i int) error {
+		forNets(len(inst.Nets), opt.Workers, func(i int) {
 			n := inst.Nets[i]
-			inter := inst.InteractingNets(i)
-			for j, c := range n.Cands {
+			inter := inst.interactions[i]
+			pe := n.Cands[n.ElectricalIndex()].PowerMW
+			for j := range n.Cands {
 				selected := choice[i] == j
 				off := inst.pathOff[i][j]
-				for p, path := range c.Paths {
+				for p := range n.Cands[j].Paths {
 					var g float64
 					if selected {
-						loss := path.FixedLossDB
-						for _, m := range inter {
-							loss += inst.CrossLossDB(i, j, m, choice[m])[p]
+						loss := n.Cands[j].Paths[p].FixedLossDB
+						for k, m := range inter {
+							loss += inst.pairLoss(i, k, j, choice[m])[p]
 						}
 						g = loss - inst.Lib.MaxLossDB
 					} else {
 						// Constraint (3c) reads 0 <= l_m when a_ij = 0.
 						g = -inst.Lib.MaxLossDB
 					}
-					lambda[off+p] += step * g * 0.01 * n.Cands[n.ElectricalIndex()].PowerMW /
-						inst.Lib.MaxLossDB
+					lambda[off+p] += step * g * 0.01 * pe / inst.Lib.MaxLossDB
 					if lambda[off+p] < 0 {
 						lambda[off+p] = 0
 					}
 				}
 			}
-			return nil
 		})
 
 		res.History = append(res.History, LRIterate{
@@ -282,4 +259,52 @@ func SolveLR(ctx context.Context, inst *Instance, opt LROptions) (LRResult, erro
 	res.Elapsed = time.Since(start)
 	sp.End(obs.I("iters", res.Iters), obs.I("violations", sel.Violations))
 	return res, nil
+}
+
+// price returns candidate (i,j)'s pricing weight: its power, plus λ times
+// each own path's loss (fixed loss and the crossing loss from the previous
+// selection prev), plus the symmetric linearised term of Eq. (5): λ times
+// the crossing loss the candidate inflicts on prev's paths.
+func (inst *Instance) price(i, j int, prev []int, lambda []float64) float64 {
+	c := &inst.Nets[i].Cands[j]
+	inter := inst.interactions[i]
+	w := c.PowerMW
+	off := inst.pathOff[i][j]
+	for p := range c.Paths {
+		loss := c.Paths[p].FixedLossDB
+		for k, m := range inter {
+			loss += inst.pairLoss(i, k, j, prev[m])[p]
+		}
+		w += lambda[off+p] * loss
+	}
+	for k, m := range inter {
+		// rev is -1 when i is not in interactions[m]; then no candidate box
+		// of i overlaps net m's box, so i inflicts no loss on m's paths.
+		r := inst.rev[i][k]
+		if r < 0 {
+			continue
+		}
+		mj := prev[m]
+		moff := inst.pathOff[m][mj]
+		for p, lx := range inst.pairLoss(m, r, mj, j) {
+			w += lambda[moff+p] * lx
+		}
+	}
+	return w
+}
+
+// netChunk is how many consecutive nets one pool item of forNets covers:
+// pricing a net takes microseconds, so dispatching nets one at a time would
+// cost more than it parallelises.
+const netChunk = 64
+
+// forNets runs fn(i) for every net index i in [0,n) on the worker pool, in
+// chunks of netChunk consecutive nets. fn must write only per-index state.
+func forNets(n, workers int, fn func(i int)) {
+	_ = parallel.ForEach(context.Background(), (n+netChunk-1)/netChunk, workers, func(c int) error {
+		for i := c * netChunk; i < min(n, (c+1)*netChunk); i++ {
+			fn(i)
+		}
+		return nil
+	})
 }

@@ -52,16 +52,16 @@ func crossingNet(x, y0, y1, optPower, fixedLoss, elecPower float64) Net {
 
 func TestNewInstanceValidation(t *testing.T) {
 	lib := optics.DefaultLibrary()
-	if _, err := NewInstance(nil, lib); err == nil {
+	if _, err := NewInstance(nil, lib, InstanceOptions{}); err == nil {
 		t.Error("empty instance accepted")
 	}
 	noFallback := Net{Bits: 1, Cands: []codesign.Candidate{{PowerMW: 1}}}
-	if _, err := NewInstance([]Net{noFallback}, lib); err == nil {
+	if _, err := NewInstance([]Net{noFallback}, lib, InstanceOptions{}); err == nil {
 		t.Error("net without electrical fallback accepted")
 	}
 	bad := lib
 	bad.MaxLossDB = -1
-	if _, err := NewInstance([]Net{twoCandNet(0, 0, 1, 1, 1, 2)}, bad); err == nil {
+	if _, err := NewInstance([]Net{twoCandNet(0, 0, 1, 1, 1, 2)}, bad, InstanceOptions{}); err == nil {
 		t.Error("invalid library accepted")
 	}
 }
@@ -72,7 +72,7 @@ func TestEvaluatePowerAndLegal(t *testing.T) {
 		twoCandNet(0, 0, 2, 1.0, 3.0, 4.0),
 		twoCandNet(1, 0, 2, 1.5, 3.0, 5.0),
 	}
-	inst, err := NewInstance(nets, lib)
+	inst, err := NewInstance(nets, lib, InstanceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestEvaluatePowerAndLegal(t *testing.T) {
 
 func TestEvaluateRejectsBadChoice(t *testing.T) {
 	lib := optics.DefaultLibrary()
-	inst, _ := NewInstance([]Net{twoCandNet(0, 0, 1, 1, 1, 2)}, lib)
+	inst, _ := NewInstance([]Net{twoCandNet(0, 0, 1, 1, 1, 2)}, lib, InstanceOptions{})
 	if _, err := inst.Evaluate([]int{5}); err == nil {
 		t.Error("out-of-range choice accepted")
 	}
@@ -113,7 +113,7 @@ func TestCrossingLossDetected(t *testing.T) {
 		twoCandNet(0.5, 0, 2, 1.0, lib.MaxLossDB-0.1, 4.0),
 		crossingNet(1.0, 0, 1, 1.0, 1.0, 4.0),
 	}
-	inst, err := NewInstance(nets, lib)
+	inst, err := NewInstance(nets, lib, InstanceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestRepairProducesLegalSelection(t *testing.T) {
 		twoCandNet(0.5, 0, 2, 1.0, lib.MaxLossDB-0.1, 4.0),
 		crossingNet(1.0, 0, 1, 1.0, lib.MaxLossDB-0.1, 4.0),
 	}
-	inst, _ := NewInstance(nets, lib)
+	inst, _ := NewInstance(nets, lib, InstanceOptions{})
 	sel, _ := inst.Evaluate([]int{0, 0})
 	if sel.Violations == 0 {
 		t.Fatal("test setup: expected initial violations")
@@ -176,7 +176,7 @@ func TestInteractingNetsBBoxPrune(t *testing.T) {
 		crossingNet(0.5, -0.5, 0.5, 1, 1, 2), // crosses net 0's span
 		twoCandNet(50, 50, 51, 1, 1, 2),      // far away
 	}
-	inst, _ := NewInstance(nets, lib)
+	inst, _ := NewInstance(nets, lib, InstanceOptions{})
 	inter := inst.InteractingNets(0)
 	if len(inter) != 1 || inter[0] != 1 {
 		t.Fatalf("InteractingNets(0) = %v, want [1]", inter)
@@ -221,7 +221,7 @@ func TestILPMatchesBruteForce(t *testing.T) {
 		twoCandNet(1.5, 0, 2, 1.2, lib.MaxLossDB-0.6, 3.5),
 		crossingNet(1.0, 0, 2, 0.8, lib.MaxLossDB-0.6, 2.5),
 	}
-	inst, err := NewInstance(nets, lib)
+	inst, err := NewInstance(nets, lib, InstanceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestILPRandomInstancesMatchBruteForce(t *testing.T) {
 					0.5+rng.Float64(), loss, 2+rng.Float64()*2))
 			}
 		}
-		inst, err := NewInstance(nets, lib)
+		inst, err := NewInstance(nets, lib, InstanceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestLRLegalAndReasonable(t *testing.T) {
 		twoCandNet(1.5, 0, 2, 1.2, lib.MaxLossDB-0.6, 3.5),
 		crossingNet(1.0, 0, 2, 0.8, lib.MaxLossDB-0.6, 2.5),
 	}
-	inst, err := NewInstance(nets, lib)
+	inst, err := NewInstance(nets, lib, InstanceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestGreedyIndependentLegal(t *testing.T) {
 		twoCandNet(0.5, 0, 2, 1.0, lib.MaxLossDB-0.1, 3.0),
 		crossingNet(1.0, 0, 1, 1.0, lib.MaxLossDB-0.1, 3.0),
 	}
-	inst, _ := NewInstance(nets, lib)
+	inst, _ := NewInstance(nets, lib, InstanceOptions{})
 	sel, err := inst.GreedyIndependent()
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +332,7 @@ func TestILPTimeoutFallsBackLegally(t *testing.T) {
 		nets = append(nets, crossingNet(rng.Float64()*2, 0, 2, 0.5+rng.Float64(),
 			lib.MaxLossDB-1+rng.Float64(), 2+rng.Float64()))
 	}
-	inst, err := NewInstance(nets, lib)
+	inst, err := NewInstance(nets, lib, InstanceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestEndToEndWithCodesignCandidates(t *testing.T) {
 		}
 		nets = append(nets, Net{Bits: 16, Cands: cands})
 	}
-	inst, err := NewInstance(nets, lib)
+	inst, err := NewInstance(nets, lib, InstanceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,9 @@ func TestJoinerCancelsEarly(t *testing.T) {
 
 // TestLeaderCancelPromotesJoiner degrades the leader by its own short
 // budget while a joiner with plenty of budget waits: the joiner must be
-// promoted to a fresh solve of its own and come back un-degraded.
+// promoted to a fresh solve of its own and come back un-degraded. The
+// stubbed leader gives up only once the joiner has attached, so the outcome
+// does not depend on the joiner arriving inside the leader's budget.
 func TestLeaderCancelPromotesJoiner(t *testing.T) {
 	srv := newTestServer(4, 1, time.Minute, 0)
 	started := make(chan struct{}, 4)
@@ -150,6 +152,11 @@ func TestLeaderCancelPromotesJoiner(t *testing.T) {
 		mu.Unlock()
 		if first {
 			started <- struct{}{}
+			// Bounded, so a joiner that never attaches fails the
+			// assertions below instead of hanging the test.
+			for wait := time.Now().Add(10 * time.Second); counter(srv, "http.coalesce_joins") < 1 && time.Now().Before(wait); {
+				time.Sleep(time.Millisecond)
+			}
 			<-ctx.Done() // the leader's 30 ms budget expires
 			return ctxDegraded(d), nil
 		}

@@ -358,18 +358,21 @@ func solve(ctx context.Context, d signal.Design, cfg Config, ws *Workspace, prev
 		return res, nil, nil
 	}
 
-	// The instance is rebuilt (its index bookkeeping is cheap) but seeded
-	// with every crossing-loss memo entry whose two nets both carried their
-	// candidates over — a pure memo, so seeding cannot change results.
-	inst, err := selection.NewInstance(next.nets, cfg.Lib)
+	// The instance is rebuilt, but its crossing-loss table copies the block
+	// of every net pair whose two nets both carried their candidates over:
+	// the losses are a pure function of the two candidate lists, so copying
+	// cannot change results. The table fill counts as selection time.
+	stop = startStage(cfg.Obs, "stage/selection", &res.Times.Selection)
+	instOpt := selection.InstanceOptions{Workers: cfg.Workers}
+	if prev != nil {
+		instOpt.Prev, instOpt.PrevIndex = prev.inst, candMap
+	}
+	inst, err := selection.NewInstance(next.nets, cfg.Lib, instOpt)
 	if err != nil {
 		return nil, nil, err
 	}
 	next.inst = inst
-	if prev != nil {
-		st.CrossCacheSeeded = inst.SeedCrossCache(prev.inst, candMap)
-	}
-	stop = startStage(cfg.Obs, "stage/selection", &res.Times.Selection)
+	st.CrossCacheSeeded, _ = inst.FillStats()
 	if err := runSelection(ctx, cfg, ws, inst, res); err != nil {
 		return nil, nil, err
 	}
@@ -549,7 +552,7 @@ func RunElectrical(d signal.Design, cfg Config) (*Result, error) {
 	res.Nets = nets
 	stop(obs.I("nets", len(nets)))
 
-	inst, err := selection.NewInstance(nets, cfg.Lib)
+	inst, err := selection.NewInstance(nets, cfg.Lib, selection.InstanceOptions{Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -599,11 +602,11 @@ func RunOpticalContext(ctx context.Context, d signal.Design, cfg Config) (*Resul
 	}
 
 	nets := res.Nets
-	inst, err := selection.NewInstance(nets, cfg.Lib)
+	stop = startStage(cfg.Obs, "stage/selection", &res.Times.Selection)
+	inst, err := selection.NewInstance(nets, cfg.Lib, selection.InstanceOptions{Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}
-	stop = startStage(cfg.Obs, "stage/selection", &res.Times.Selection)
 	// GLOW semantics: optical wherever feasible (candidate 0), electrical
 	// only on loss violation (Repair demotes the violators).
 	choice := make([]int, len(nets))

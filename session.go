@@ -17,8 +17,8 @@ import (
 // mutates the pending design/config; Resolve re-runs the flow reusing, for
 // untouched signal groups, the per-group clustering, the baseline Steiner
 // trees, and the co-design candidate sets of the previous solve, plus the
-// crossing-loss memo of the selection instance for every carried-over net
-// pair. The BPM simulation cache is process-global and is reused verbatim by
+// crossing-loss table block of the selection instance for every
+// carried-over net pair. The BPM simulation cache is process-global and is reused verbatim by
 // construction.
 //
 // Correctness contract: Resolve is bit-identical to a cold RunContext on the
@@ -304,8 +304,9 @@ type ResolveStats struct {
 	CandsReused int `json:"cands_reused"`
 	// CandsRebuilt counts hyper nets whose candidate sets were regenerated.
 	CandsRebuilt int `json:"cands_rebuilt"`
-	// CrossCacheSeeded counts crossing-loss memo entries transplanted into
-	// the new selection instance.
+	// CrossCacheSeeded counts the (i,j,m,n) crossing-loss entries the new
+	// selection instance copied from the previous one instead of
+	// recomputing.
 	CrossCacheSeeded int `json:"crosscache_seeded"`
 	// WDMReused reports that the WDM placement/assignment was carried over
 	// (identical nets and selection choice).

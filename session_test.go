@@ -3,6 +3,7 @@ package operon
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"operon/internal/benchgen"
 	"operon/internal/geom"
+	"operon/internal/selection"
 	"operon/internal/signal"
 )
 
@@ -187,6 +189,67 @@ func TestSessionSmallEditReuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdentical(t, "small edit", got, want)
+}
+
+// TestSessionCrossTableReuse checks the block copy of the crossing-loss
+// table on a one-pin edit: the session's seeded instance holds a table
+// bit-identical to a cold instance on the same nets, reports the copied
+// entries, and runs fewer crossing counts than the cold build.
+func TestSessionCrossTableReuse(t *testing.T) {
+	spec, err := benchgen.SpecByName("I3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := benchgen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.SkipWDM = true
+	s := NewSession(d, cfg)
+	if _, _, err := s.Resolve(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	p := d.Groups[0].Bits[0].Driver
+	if _, err := s.Apply(MoveTerminal(0, 0, -1, geom.Point{X: p.X + 0.01, Y: p.Y})); err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := s.Resolve(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := s.last.inst
+	cold, err := selection.NewInstance(s.last.nets, cfg.Lib, selection.InstanceOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, net := range s.last.nets {
+		inter := cold.InteractingNets(i)
+		if !reflect.DeepEqual(warm.InteractingNets(i), inter) {
+			t.Fatalf("net %d: interactions %v, cold %v", i, warm.InteractingNets(i), inter)
+		}
+		for _, m := range inter {
+			for j := range net.Cands {
+				for n := range s.last.nets[m].Cands {
+					got, want := warm.CrossLossDB(i, j, m, n), cold.CrossLossDB(i, j, m, n)
+					for p := range want {
+						if math.Float64bits(got[p]) != math.Float64bits(want[p]) {
+							t.Fatalf("CrossLossDB(%d,%d,%d,%d)[%d] = %v, cold %v", i, j, m, n, p, got[p], want[p])
+						}
+					}
+				}
+			}
+		}
+	}
+	seeded, counted := warm.FillStats()
+	_, coldCounted := cold.FillStats()
+	if seeded == 0 || st.CrossCacheSeeded != seeded {
+		t.Fatalf("seeded %d entries, ResolveStats reports %d: want the same non-zero count (%+v)", seeded, st.CrossCacheSeeded, st)
+	}
+	if counted >= coldCounted {
+		t.Fatalf("seeded build ran %d crossing counts, cold build %d: want fewer", counted, coldCounted)
+	}
+	t.Logf("seeded %d entries; %d crossing counts against %d cold", seeded, counted, coldCounted)
 }
 
 // TestSessionEditEveryGroup checks the degenerate case: an edit script
