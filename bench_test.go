@@ -167,7 +167,6 @@ func wdmInputs(res *operon.Result, cfg operon.Config) ([]wdm.Connection, wdm.Con
 		Capacity:        cfg.Lib.WDMCapacity,
 		MinSpacingCM:    cfg.Lib.CrosstalkMinDistCM,
 		MaxAssignDistCM: cfg.Lib.AssignMaxDistCM,
-		Workers:         cfg.Workers,
 	}
 }
 

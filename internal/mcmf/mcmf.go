@@ -182,6 +182,14 @@ func (q *pq) pop() pqItem {
 // maximal; callers that need a complete answer treat the error as a signal
 // to fall back (see wdm.Assign). A run that completes before cancellation
 // is bit-identical to an uncancelled one.
+//
+// Every augmenting path is a simple s→t path, so it stays inside one weakly
+// connected component of the network without s and t (or is a direct s→t
+// arc). The problem therefore separates: MaxFlow runs successive shortest
+// paths on one component at a time, each Dijkstra seeded with s's arcs
+// into that component, touching only its nodes and stopping once t is
+// settled. Flow value and cost equal those of one search over the whole
+// network; only the choice among equal-cost paths may differ.
 func (g *Graph) MaxFlow(ctx context.Context, s, t int) (Result, error) {
 	if s < 0 || s >= g.n || t < 0 || t >= g.n {
 		return Result{}, fmt.Errorf("mcmf: source/sink out of range")
@@ -196,77 +204,159 @@ func (g *Graph) MaxFlow(ctx context.Context, s, t int) (Result, error) {
 			return Result{}, err
 		}
 	}
+	comps := g.components(s, t)
 	var res Result
 	const unreached = math.MaxInt64
 	dist := make([]int64, g.n)
 	prevEdge := make([]int32, g.n)
+	dist[s] = 0 // arcs back into s never improve it: reduced costs are non-negative
 	q := make(pq, 0, g.n)
-	for {
-		if err := ctx.Err(); err != nil {
-			return res, err
+	potT := pot[t]
+	for k := 0; k+1 < len(comps.seedAt); k++ {
+		seeds := comps.seeds[comps.seedAt[k]:comps.seedAt[k+1]]
+		if len(seeds) == 0 {
+			continue // s reaches no node of this component
 		}
-		// Dijkstra on reduced costs (exact integer arithmetic). The queue
-		// backing array is reused across augmentations.
-		for i := range dist {
-			dist[i] = unreached
-			prevEdge[i] = -1
-		}
-		dist[s] = 0
-		q = q[:0]
-		q.push(pqItem{node: int32(s)})
-		for len(q) > 0 {
-			it := q.pop()
-			if it.dist > dist[it.node] {
-				continue
+		nodes := comps.nodes[comps.nodeAt[k]:comps.nodeAt[k+1]]
+		// t is shared by every component, but an earlier component raised
+		// pot[t] while this one's potentials stayed put; restarting from
+		// the initial value keeps the reduced costs of arcs into t
+		// non-negative.
+		pot[t] = potT
+		for {
+			if err := ctx.Err(); err != nil {
+				return res, err
 			}
-			for a, end := g.csrHead[it.node], g.csrHead[it.node+1]; a < end; a++ {
-				id := g.csrArcs[a]
-				e := &g.edges[id]
-				if e.cap <= 0 {
+			// Dijkstra on reduced costs (exact integer arithmetic). The
+			// queue backing array is reused across augmentations.
+			for _, v := range nodes {
+				dist[v] = unreached
+				prevEdge[v] = -1
+			}
+			dist[t] = unreached
+			prevEdge[t] = -1
+			q = append(q[:0], pqItem{node: int32(s)})
+			for len(q) > 0 {
+				it := q.pop()
+				if it.dist > dist[it.node] {
 					continue
 				}
-				nd := it.dist + e.cost + pot[it.node] - pot[e.to]
-				if nd < dist[e.to] {
-					dist[e.to] = nd
-					prevEdge[e.to] = id
-					q.push(pqItem{node: e.to, dist: nd})
+				if it.node == int32(t) {
+					// Every node closer than t is settled, and the
+					// capped potential update below gives the rest
+					// dist[t] whether or not they are: stopping here
+					// changes neither the path nor the potentials.
+					break
+				}
+				arcs := seeds
+				if it.node != int32(s) {
+					arcs = g.csrArcs[g.csrHead[it.node]:g.csrHead[it.node+1]]
+				}
+				for _, id := range arcs {
+					e := &g.edges[id]
+					if e.cap <= 0 {
+						continue
+					}
+					nd := it.dist + e.cost + pot[it.node] - pot[e.to]
+					if nd < dist[e.to] {
+						dist[e.to] = nd
+						prevEdge[e.to] = id
+						q.push(pqItem{node: e.to, dist: nd})
+					}
+				}
+			}
+			if dist[t] == unreached {
+				break // no augmenting path remains in this component
+			}
+			// Update potentials with dist capped at dist[t]: nodes beyond
+			// the sink (or unreached this round) advance by dist[t], which
+			// keeps every residual reduced cost non-negative even when
+			// reachability changes between augmentations.
+			for _, v := range nodes {
+				pot[v] += min(dist[v], dist[t])
+			}
+			pot[t] += dist[t]
+			// Bottleneck along the path.
+			bottleneck := math.MaxInt
+			for v := int32(t); v != int32(s); {
+				id := prevEdge[v]
+				if g.edges[id].cap < bottleneck {
+					bottleneck = g.edges[id].cap
+				}
+				v = g.edges[id^1].to
+			}
+			for v := int32(t); v != int32(s); {
+				id := prevEdge[v]
+				g.edges[id].cap -= bottleneck
+				g.edges[id^1].cap += bottleneck
+				res.Cost += int64(bottleneck) * g.edges[id].cost
+				v = g.edges[id^1].to
+			}
+			res.Flow += bottleneck
+			g.cAug.Inc()
+		}
+	}
+	return res, nil
+}
+
+// components partitions the flow problem. Component 0 holds no nodes and
+// seeds with s's direct arcs to t; each further component is one weakly
+// connected component of the network without s and t, in order of its
+// lowest node, seeded with s's arcs into it.
+type components struct {
+	nodes, nodeAt []int32 // nodes of component k: nodes[nodeAt[k]:nodeAt[k+1]]
+	seeds, seedAt []int32 // s's arcs into component k: seeds[seedAt[k]:seedAt[k+1]]
+}
+
+// components labels the components by breadth-first search over the CSR,
+// which lists every arc and its twin, so arc direction and residual
+// capacity play no part: an arc into s from a component's node is the twin
+// of one of s's arcs into it.
+func (g *Graph) components(s, t int) components {
+	sArcs := g.csrArcs[g.csrHead[s]:g.csrHead[s+1]]
+	// One allocation, cut into: a visited mark per node, the nodes, at most
+	// n offsets per offset list (one per component, at most n-2, plus two),
+	// and at most one seed per arc of s.
+	buf := make([]int32, 4*g.n+len(sArcs))
+	seen := buf[:g.n]
+	c := components{
+		nodes:  buf[g.n : g.n : 2*g.n],
+		nodeAt: buf[2*g.n : 2*g.n : 3*g.n],
+		seedAt: buf[3*g.n : 3*g.n : 4*g.n],
+		seeds:  buf[4*g.n : 4*g.n],
+	}
+	c.nodeAt = append(c.nodeAt, 0, 0)
+	c.seedAt = append(c.seedAt, 0)
+	for _, id := range sArcs {
+		if int(g.edges[id].to) == t {
+			c.seeds = append(c.seeds, id)
+		}
+	}
+	c.seedAt = append(c.seedAt, int32(len(c.seeds)))
+	seen[s], seen[t] = 1, 1
+	for root := range g.n {
+		if seen[root] != 0 {
+			continue
+		}
+		seen[root] = 1
+		c.nodes = append(c.nodes, int32(root))
+		for next := len(c.nodes) - 1; next < len(c.nodes); next++ {
+			v := c.nodes[next]
+			for _, id := range g.csrArcs[g.csrHead[v]:g.csrHead[v+1]] {
+				w := g.edges[id].to
+				if int(w) == s {
+					c.seeds = append(c.seeds, id^1)
+				}
+				if seen[w] == 0 {
+					seen[w] = 1
+					c.nodes = append(c.nodes, w)
 				}
 			}
 		}
-		if dist[t] == unreached {
-			break // no augmenting path remains
-		}
-		// Update potentials with dist capped at dist[t]: nodes beyond the
-		// sink (or unreached this round) advance by dist[t], which keeps
-		// every residual reduced cost non-negative even when reachability
-		// changes between augmentations.
-		for i := range pot {
-			if dist[i] < dist[t] {
-				pot[i] += dist[i]
-			} else {
-				pot[i] += dist[t]
-			}
-		}
-		// Bottleneck along the path.
-		bottleneck := math.MaxInt
-		for v := int32(t); v != int32(s); {
-			id := prevEdge[v]
-			if g.edges[id].cap < bottleneck {
-				bottleneck = g.edges[id].cap
-			}
-			v = g.edges[id^1].to
-		}
-		for v := int32(t); v != int32(s); {
-			id := prevEdge[v]
-			g.edges[id].cap -= bottleneck
-			g.edges[id^1].cap += bottleneck
-			res.Cost += int64(bottleneck) * g.edges[id].cost
-			v = g.edges[id^1].to
-		}
-		res.Flow += bottleneck
-		g.cAug.Inc()
+		c.nodeAt = append(c.nodeAt, int32(len(c.nodes)))
+		c.seedAt = append(c.seedAt, int32(len(c.seeds)))
 	}
-	return res, nil
+	return c
 }
 
 func (g *Graph) hasNegativeCost() bool {

@@ -2,6 +2,7 @@ package mcmf
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -277,37 +278,6 @@ func TestWDMConsolidationShape(t *testing.T) {
 	}
 }
 
-func BenchmarkMaxFlowWDMNetwork(b *testing.B) {
-	// A WDM-assignment-shaped network: 200 connections, 60 WDMs.
-	rng := rand.New(rand.NewSource(6))
-	type arcSpec struct {
-		u, v, cap int
-		cost      int64
-	}
-	var arcs []arcSpec
-	nConn, nWDM := 200, 60
-	src, snk := 0, nConn+nWDM+1
-	for c := 0; c < nConn; c++ {
-		arcs = append(arcs, arcSpec{src, 1 + c, 2 + rng.Intn(20), 0})
-		for w := 0; w < 4; w++ {
-			arcs = append(arcs, arcSpec{1 + c, 1 + nConn + rng.Intn(nWDM), 32, int64(rng.Intn(1000))})
-		}
-	}
-	for w := 0; w < nWDM; w++ {
-		arcs = append(arcs, arcSpec{1 + nConn + w, snk, 32, int64(1+w) * 5000})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := New(nConn + nWDM + 2)
-		for _, a := range arcs {
-			g.AddEdge(a.u, a.v, a.cap, a.cost)
-		}
-		if _, err := g.MaxFlow(context.Background(), src, snk); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // wdmShapedNetwork is a WDM-assignment-shaped flow network: 200
 // connections, 60 WDMs, four candidate arcs per connection.
 type wdmShapedNetwork struct {
@@ -377,4 +347,208 @@ func BenchmarkMCMF(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// maxFlowRef is the reference for MaxFlow: successive shortest paths with
+// one exhaustive Dijkstra over the whole network per augmentation.
+func maxFlowRef(ctx context.Context, g *Graph, s, t int) (Result, error) {
+	if s < 0 || s >= g.n || t < 0 || t >= g.n {
+		return Result{}, fmt.Errorf("mcmf: source/sink out of range")
+	}
+	if s == t {
+		return Result{}, fmt.Errorf("mcmf: source equals sink")
+	}
+	g.buildCSR()
+	pot := make([]int64, g.n)
+	if g.hasNegativeCost() {
+		if err := g.bellmanFord(s, pot); err != nil {
+			return Result{}, err
+		}
+	}
+	var res Result
+	const unreached = math.MaxInt64
+	dist := make([]int64, g.n)
+	prevEdge := make([]int32, g.n)
+	q := make(pq, 0, g.n)
+	for {
+		if err := ctx.Err(); err != nil {
+			return res, err
+		}
+		for i := range dist {
+			dist[i] = unreached
+			prevEdge[i] = -1
+		}
+		dist[s] = 0
+		q = q[:0]
+		q.push(pqItem{node: int32(s)})
+		for len(q) > 0 {
+			it := q.pop()
+			if it.dist > dist[it.node] {
+				continue
+			}
+			for a, end := g.csrHead[it.node], g.csrHead[it.node+1]; a < end; a++ {
+				id := g.csrArcs[a]
+				e := &g.edges[id]
+				if e.cap <= 0 {
+					continue
+				}
+				nd := it.dist + e.cost + pot[it.node] - pot[e.to]
+				if nd < dist[e.to] {
+					dist[e.to] = nd
+					prevEdge[e.to] = id
+					q.push(pqItem{node: e.to, dist: nd})
+				}
+			}
+		}
+		if dist[t] == unreached {
+			break
+		}
+		for i := range pot {
+			pot[i] += min(dist[i], dist[t])
+		}
+		bottleneck := math.MaxInt
+		for v := int32(t); v != int32(s); {
+			id := prevEdge[v]
+			bottleneck = min(bottleneck, g.edges[id].cap)
+			v = g.edges[id^1].to
+		}
+		for v := int32(t); v != int32(s); {
+			id := prevEdge[v]
+			g.edges[id].cap -= bottleneck
+			g.edges[id^1].cap += bottleneck
+			res.Cost += int64(bottleneck) * g.edges[id].cost
+			v = g.edges[id^1].to
+		}
+		res.Flow += bottleneck
+	}
+	return res, nil
+}
+
+// flowNetwork is a network to solve twice: once by MaxFlow, once by
+// maxFlowRef.
+type flowNetwork struct {
+	n, s, t int
+	arcs    []wdmShapedArc
+}
+
+func (fn flowNetwork) build() *Graph {
+	g := New(fn.n)
+	for _, a := range fn.arcs {
+		g.AddEdge(a.u, a.v, a.cap, a.cost)
+	}
+	return g
+}
+
+// decodeNetwork turns bytes into a WDM-shaped network of at most 32 nodes:
+// source → 1–12 connections → 1–8 WDMs → sink, the connection→WDM layer
+// split into 1–4 groups, so the network without s and t has several
+// components. Node ids are shuffled (s and t land anywhere). Costs are
+// negative on some source and connection arcs, capacities are often zero,
+// and there may be isolated nodes, direct s→t arcs and arcs into s or out
+// of t. Those last two have costs that keep every cycle non-negative.
+// Missing bytes read as zero.
+func decodeNetwork(data []byte) flowNetwork {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	signed := func(m int) int64 { return int64(int8(next())) % int64(m) }
+	shape, extra := next(), next()
+	nConn, nWDM, nGroup := 1+shape%12, 1+(shape/12)%8, 1+extra%4
+	nIso, nDirect, backArcs := (extra/4)%4, (extra/16)%3, extra/48 == 0
+	fn := flowNetwork{n: 2 + nConn + nWDM + nIso}
+	perm := make([]int, fn.n)
+	for i := range perm {
+		j := next() % (i + 1)
+		perm[i], perm[j] = perm[j], i
+	}
+	// Logical layout: 0 source, 1 sink, then connections, WDMs, isolated.
+	fn.s, fn.t = perm[0], perm[1]
+	conn := func(c int) int { return perm[2+c] }
+	wdm := func(w int) int { return perm[2+nConn+w] }
+	add := func(u, v, cap int, cost int64) {
+		fn.arcs = append(fn.arcs, wdmShapedArc{u, v, cap, cost})
+	}
+	connGroup := make([]int, nConn)
+	for c := range connGroup {
+		connGroup[c] = next() % nGroup
+		add(fn.s, conn(c), next()%9, signed(4))
+	}
+	for w := 0; w < nWDM; w++ {
+		group := next() % nGroup
+		for c := 0; c < nConn; c++ {
+			if b := next(); connGroup[c] == group && b%3 != 0 {
+				add(conn(c), wdm(w), b/3%9, signed(16))
+			}
+		}
+		add(wdm(w), fn.t, next()%12, int64(next()%32))
+	}
+	for k := 0; k < nDirect; k++ {
+		add(fn.s, fn.t, next()%6, signed(8))
+	}
+	if backArcs {
+		add(conn(next()%nConn), fn.s, next()%3, 3+int64(next()%8))
+		add(fn.t, wdm(next()%nWDM), next()%3, int64(next()%8))
+	}
+	return fn
+}
+
+// checkAgainstRef solves fn with MaxFlow and with maxFlowRef and fails
+// unless both return the same Result and error, and MaxFlow's arc flows
+// respect capacities, conserve flow and add up to its Result.
+func checkAgainstRef(t *testing.T, fn flowNetwork) {
+	t.Helper()
+	g := fn.build()
+	got, gotErr := g.MaxFlow(context.Background(), fn.s, fn.t)
+	want, wantErr := maxFlowRef(context.Background(), fn.build(), fn.s, fn.t)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got != want {
+		t.Fatalf("MaxFlow = %+v, %v; reference %+v, %v\nnetwork %+v",
+			got, gotErr, want, wantErr, fn)
+	}
+	if gotErr != nil {
+		return
+	}
+	net := make([]int, fn.n)
+	var cost int64
+	for k, a := range fn.arcs {
+		f := g.Flow(2 * k)
+		if f < 0 || f > a.cap {
+			t.Fatalf("arc %d flow %d outside [0,%d]\nnetwork %+v", k, f, a.cap, fn)
+		}
+		net[a.u] -= f
+		net[a.v] += f
+		cost += int64(f) * a.cost
+	}
+	if net[fn.t] != got.Flow || cost != got.Cost {
+		t.Fatalf("arc flows deliver %d at cost %d, Result %+v\nnetwork %+v", net[fn.t], cost, got, fn)
+	}
+	for v, b := range net {
+		if v != fn.s && v != fn.t && b != 0 {
+			t.Fatalf("node %d violates conservation by %d\nnetwork %+v", v, b, fn)
+		}
+	}
+}
+
+// TestMaxFlowMatchesReference checks the per-component search against the
+// single whole-network search on random WDM-shaped networks.
+func TestMaxFlowMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	data := make([]byte, 160)
+	for trial := 0; trial < 3000; trial++ {
+		rng.Read(data)
+		checkAgainstRef(t, decodeNetwork(data))
+	}
+}
+
+// FuzzMaxFlow checks MaxFlow against maxFlowRef on the networks
+// decodeNetwork builds. `go test` runs the seed corpus in
+// testdata/fuzz/FuzzMaxFlow; `go test -fuzz FuzzMaxFlow` explores.
+func FuzzMaxFlow(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstRef(t, decodeNetwork(data))
+	})
 }

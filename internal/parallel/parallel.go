@@ -1,6 +1,8 @@
 // Package parallel provides the shared bounded worker pool every
 // independent-per-item stage of the flow runs on: candidate generation,
-// per-group signal processing, Lagrangian pricing, and WDM arc costing.
+// per-group signal processing, the crossing-loss table fill and Lagrangian
+// pricing. Items should take well over the pool's per-item hand-off cost;
+// the WDM arc costing, about a microsecond per connection, runs serially.
 //
 // The pool guarantees deterministic behaviour regardless of worker count:
 // callers write results by item index (never by completion order), and on

@@ -21,7 +21,6 @@ import (
 	"operon/internal/geom"
 	"operon/internal/mcmf"
 	"operon/internal/obs"
-	"operon/internal/parallel"
 )
 
 // Connection is one point-to-point optical link of a routed hyper net.
@@ -55,10 +54,6 @@ type Config struct {
 	// MaxAssignDistCM is dis_u: the maximum displacement allowed when
 	// assigning a connection to a WDM.
 	MaxAssignDistCM float64
-	// Workers bounds the per-connection candidate-costing parallelism in
-	// Assign (0 = NumCPU). Arc order, and therefore the flow result, does
-	// not depend on the worker count.
-	Workers int
 	// Obs, when non-nil, receives wdm/place and wdm/assign spans, the
 	// wdm.arcs counter, and the mcmf.augmentations counter of the
 	// assignment flow. Nil disables all instrumentation.
@@ -199,12 +194,13 @@ func (a Assignment) Used() int { return len(a.UsedWDMs) }
 // (capacity = WDM capacity, cost = usage, growing with WDM order so the
 // flow consolidates onto fewer waveguides). WDMs left idle are dropped.
 //
-// Cancellation is observed by the candidate-costing worker pool and by the
-// min-cost-flow augmentation loop; once ctx is done, Assign abandons the
-// re-assignment and returns ctx.Err(). Callers that must produce an answer
-// anyway fall back to PlacementAssignment, which derives a feasible
-// (capacity-respecting) assignment straight from the sweep placement. A run
-// that completes before cancellation is bit-identical to an uncancelled one.
+// Cancellation is observed once per connection by the candidate costing
+// and once per augmenting path by the min-cost flow; once ctx is done,
+// Assign abandons the re-assignment and returns ctx.Err(). Callers that
+// must produce an answer anyway fall back to PlacementAssignment, which
+// derives a feasible (capacity-respecting) assignment straight from the
+// sweep placement. A run that completes before cancellation is
+// bit-identical to an uncancelled one.
 func Assign(ctx context.Context, conns []Connection, pl Placement, cfg Config) (Assignment, error) {
 	if err := cfg.Validate(); err != nil {
 		return Assignment{}, err
@@ -217,9 +213,17 @@ func Assign(ctx context.Context, conns []Connection, pl Placement, cfg Config) (
 	used := make([]bool, len(pl.WDMs))
 	cArcs := cfg.Obs.Counter("wdm.arcs")
 
-	// Index scratch shared by the two orientation passes.
+	// One candidate connection→WDM arc of the flow network.
+	type connArc struct {
+		k, q   int // indices into connIdx and wdmIdx
+		cost   int64
+		distCM float64
+		id     int // mcmf edge handle
+	}
+	// Scratch shared by the two orientation passes.
 	connIdx := make([]int, 0, len(conns))
 	wdmIdx := make([]int, 0, len(pl.WDMs))
+	var arcs []connArc
 
 	for _, horizontal := range []bool{true, false} {
 		connIdx, wdmIdx = connIdx[:0], wdmIdx[:0]
@@ -246,82 +250,50 @@ func Assign(ctx context.Context, conns []Connection, pl Placement, cfg Config) (
 			obs.S("orient", orient),
 			obs.I("connections", len(connIdx)),
 			obs.I("wdms", len(wdmIdx)))
-		// Node layout: 0 source, 1..C connections, C+1..C+W WDMs, last sink.
-		// Worst-case arc count: one per connection and WDM plus a full
-		// connection×WDM bipartite layer.
-		g := mcmf.NewWithEdgeHint(len(connIdx)+len(wdmIdx)+2,
-			len(connIdx)+len(wdmIdx)+len(connIdx)*len(wdmIdx))
-		src, snk := 0, len(connIdx)+len(wdmIdx)+1
-		for k, ci := range connIdx {
-			g.AddEdge(src, 1+k, conns[ci].Bits, 0)
-		}
+		// Candidate arcs in (connection, WDM) order: every WDM within dis_u
+		// of the connection, plus the one the placement packed it onto.
 		// Costs are integers for exact flow arithmetic: displacement is
-		// quantised to dispScale steps of dis_u; usage costs dominate —
-		// one usage step exceeds any total displacement cost.
+		// quantised to dispScale steps of dis_u.
 		const dispScale = 1000
-		usageUnit := int64(totalBits)*dispScale + 1
-		for q := range wdmIdx {
-			g.AddEdge(1+len(connIdx)+q, snk, cfg.Capacity, usageUnit*int64(q+1))
-		}
-		// Candidate costing per connection (distance + quantised cost against
-		// every WDM) is the O(C·W) part; connections are independent, so it
-		// runs on the worker pool. Edges are then added sequentially in
-		// (connection, WDM) order so the network — and the min-cost flow it
-		// yields — is identical for every worker count.
-		type arcCand struct {
-			q      int // index into wdmIdx
-			cost   int64
-			distCM float64
-		}
-		// One flat candidate buffer with a per-connection stride (a
-		// connection has at most one candidate per WDM): workers fill
-		// disjoint rows, so the pass needs two allocations instead of one
-		// per connection.
-		stride := len(wdmIdx)
-		candBuf := make([]arcCand, len(connIdx)*stride)
-		candN := make([]int, len(connIdx))
 		spCost := cfg.Obs.Span("wdm/cost-arcs", obs.LaneFlow, obs.S("orient", orient))
-		err := parallel.ForEach(ctx, len(connIdx), cfg.Workers, func(k int) error {
-			ci := connIdx[k]
-			c := conns[ci]
-			row := candBuf[k*stride : k*stride]
+		arcs = arcs[:0]
+		var err error
+		for k, ci := range connIdx {
+			if err = ctx.Err(); err != nil {
+				break
+			}
+			coord, first := conns[ci].coord(), len(arcs)
 			for q, w := range wdmIdx {
-				d := math.Abs(c.coord() - pl.WDMs[w].CoordCM)
+				d := math.Abs(coord - pl.WDMs[w].CoordCM)
 				if d <= cfg.MaxAssignDistCM+geom.Eps || w == pl.InitialAssign[ci] {
-					cost := int64(d / cfg.MaxAssignDistCM * dispScale)
-					if cost > dispScale {
-						cost = dispScale
-					}
-					row = append(row, arcCand{q: q, cost: cost, distCM: d})
+					cost := min(int64(d/cfg.MaxAssignDistCM*dispScale), dispScale)
+					arcs = append(arcs, connArc{k: k, q: q, cost: cost, distCM: d})
 				}
 			}
-			candN[k] = len(row)
-			if len(row) == 0 {
-				return fmt.Errorf("wdm: connection %d reaches no WDM", ci)
+			if len(arcs) == first {
+				err = fmt.Errorf("wdm: connection %d reaches no WDM", ci)
+				break
 			}
-			return nil
-		})
+		}
 		spCost.End()
 		if err != nil {
 			return Assignment{}, err
 		}
-		type connArc struct {
-			id     int
-			conn   int // index into conns
-			wdm    int // index into pl.WDMs
-			distCM float64
-		}
-		nArcs := 0
-		for _, n := range candN {
-			nArcs += n
-		}
-		arcs := make([]connArc, 0, nArcs)
+		// Node layout: 0 source, 1..C connections, C+1..C+W WDMs, last sink.
+		nConn := len(connIdx)
+		g := mcmf.NewWithEdgeHint(nConn+len(wdmIdx)+2, nConn+len(wdmIdx)+len(arcs))
+		src, snk := 0, nConn+len(wdmIdx)+1
 		for k, ci := range connIdx {
-			c := conns[ci]
-			for _, a := range candBuf[k*stride : k*stride+candN[k]] {
-				id := g.AddEdge(1+k, 1+len(connIdx)+a.q, c.Bits, a.cost)
-				arcs = append(arcs, connArc{id: id, conn: ci, wdm: wdmIdx[a.q], distCM: a.distCM})
-			}
+			g.AddEdge(src, 1+k, conns[ci].Bits, 0)
+		}
+		// Usage costs dominate: one usage step exceeds any total
+		// displacement cost.
+		usageUnit := int64(totalBits)*dispScale + 1
+		for q := range wdmIdx {
+			g.AddEdge(1+nConn+q, snk, cfg.Capacity, usageUnit*int64(q+1))
+		}
+		for i, a := range arcs {
+			arcs[i].id = g.AddEdge(1+a.k, 1+nConn+a.q, conns[connIdx[a.k]].Bits, a.cost)
 		}
 		cArcs.Add(int64(len(arcs)))
 		g.Instrument(cfg.Obs)
@@ -335,9 +307,10 @@ func Assign(ctx context.Context, conns []Connection, pl Placement, cfg Config) (
 		}
 		for _, a := range arcs {
 			if f := g.Flow(a.id); f > 0 {
-				out.Shares[a.conn] = append(out.Shares[a.conn], Share{WDM: a.wdm, Bits: f})
+				ci, w := connIdx[a.k], wdmIdx[a.q]
+				out.Shares[ci] = append(out.Shares[ci], Share{WDM: w, Bits: f})
 				out.DisplacedBitCM += a.distCM * float64(f)
-				used[a.wdm] = true
+				used[w] = true
 			}
 		}
 		spAssign.End(obs.I("arcs", len(arcs)), obs.I("flow_bits", res.Flow))

@@ -118,7 +118,8 @@ type Config struct {
 	SkipWDM bool
 	// Workers bounds the worker pool shared by every parallel stage of the
 	// flow — per-group signal processing, baseline construction, candidate
-	// generation, Lagrangian pricing, and WDM arc costing (0 = NumCPU).
+	// generation, the crossing-loss table and Lagrangian pricing
+	// (0 = NumCPU).
 	// Results are bit-identical regardless of the worker count.
 	Workers int
 	// Obs, when non-nil, receives the flow's spans, events, and counters:
@@ -970,7 +971,6 @@ func (r *Result) assignWDMs(ctx context.Context, cfg Config) error {
 		Capacity:        cfg.Lib.WDMCapacity,
 		MinSpacingCM:    cfg.Lib.CrosstalkMinDistCM,
 		MaxAssignDistCM: cfg.Lib.AssignMaxDistCM,
-		Workers:         cfg.Workers,
 		Obs:             cfg.Obs,
 	})
 	if err != nil {

@@ -41,7 +41,7 @@ func determinismCases(t *testing.T) []signal.Design {
 
 // TestRunDeterministicAcrossWorkerCounts is the output-equivalence guarantee
 // of the worker pool: every parallel stage (signal processing, baseline
-// construction, candidate generation, LR pricing, WDM arc costing) must
+// construction, candidate generation, crossing-loss table, LR pricing) must
 // produce byte-identical results at Workers: 1 and Workers: 8.
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, d := range determinismCases(t) {
