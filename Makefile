@@ -100,7 +100,8 @@ dup-smoke:
 # Fuzz smoke: ten seconds of fresh inputs for each fuzz target (the ILP
 # against enumeration, BI1S trees, the LP revised simplex against the dense
 # oracle, the per-component min-cost flow against the whole-network search,
-# the fingerprint's equal/differ/ignore contract).
+# hyper-pin agglomeration against the all-pairs scan, the fingerprint's
+# equal/differ/ignore contract).
 # `go test ./...` runs only their committed seed corpora; commit any crasher
 # a run writes under testdata/fuzz/ as a new seed.
 fuzz-smoke:
@@ -108,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBI1S$$' -fuzztime 10s ./internal/steiner
 	$(GO) test -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime 10s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxFlow$$' -fuzztime 10s ./internal/mcmf
+	$(GO) test -run '^$$' -fuzz '^FuzzAgglomerate$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s .
 
 # Code-size gauge: non-test Go lines outside the perfbench module. Deleting

@@ -1,16 +1,20 @@
 package cluster
 
-import (
-	"sort"
-
-	"operon/internal/geom"
-)
+import "operon/internal/geom"
 
 // Agglomerate performs the bottom-up hyper-pin clustering of §3.1.2: every
 // point starts as its own cluster; at each step the pair of clusters whose
 // gravity centres are closest is merged, provided their centre distance is
 // below threshold; merging updates the gravity centre. It returns the member
 // indices of each final cluster, ordered by the smallest member index.
+//
+// A cluster is named by its smallest member. Among pairs at exactly the same
+// distance the one with the lowest (lo, hi) names merges first, and hi is
+// merged into lo. Every alive cluster keeps its nearest alive neighbour under
+// threshold (nearest, then lowest name), so a step is one O(n) scan for the
+// closest pair plus the refresh after the merge: a cluster whose neighbour
+// was lo or hi rescans, every other one only compares against lo's new
+// centre.
 //
 // With a non-positive threshold no merging happens and every point is its
 // own cluster.
@@ -20,75 +24,96 @@ func Agglomerate(pts []geom.Point, threshold float64) [][]int {
 		return nil
 	}
 	parent := make([]int, n)
-	size := make([]int, n)
-	centre := make([]geom.Point, n)
-	alive := make([]bool, n)
 	for i := range parent {
 		parent[i] = i
-		size[i] = 1
-		centre[i] = pts[i]
-		alive[i] = true
 	}
-	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-
 	if threshold > 0 && n > 1 {
-		pq := newPairQueue(centre)
-		for pq.Len() > 0 {
-			pr := pq.pop()
-			a, b := find(pr.a), find(pr.b)
-			if a == b || !alive[a] || !alive[b] {
-				continue
-			}
-			// The queue entry may be stale: centres move as clusters merge.
-			d := centre[a].Dist(centre[b])
-			if d > pr.d+geom.Eps {
-				if d < threshold {
-					pq.push(pair{a: a, b: b, d: d})
-				}
-				continue
-			}
-			if d >= threshold {
-				continue
-			}
-			// Merge b into a with gravity-centre update.
-			tot := size[a] + size[b]
-			centre[a] = centre[a].Scale(float64(size[a]) / float64(tot)).
-				Add(centre[b].Scale(float64(size[b]) / float64(tot)))
-			size[a] = tot
-			parent[b] = a
-			alive[b] = false
-			// New candidate pairs against the merged centre.
-			for c := 0; c < n; c++ {
-				if c != a && alive[c] {
-					if d := centre[a].Dist(centre[c]); d < threshold {
-						pq.push(pair{a: a, b: c, d: d})
-					}
-				}
-			}
-		}
+		merge(pts, threshold, parent)
 	}
 
-	groups := map[int][]int{}
-	for i := 0; i < n; i++ {
-		r := find(i)
-		groups[r] = append(groups[r], i)
-	}
-	roots := make([]int, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool { return groups[roots[i]][0] < groups[roots[j]][0] })
-	out := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, groups[r])
+	// A cluster is named by its smallest member, so parent[i] <= i and, in
+	// ascending order, parent[parent[i]] is already i's root; roots in
+	// ascending order are the output order.
+	slot := make([]int, n)
+	var out [][]int
+	for i := range parent {
+		r := parent[parent[i]]
+		parent[i] = r
+		if r == i {
+			slot[i] = len(out)
+			out = append(out, nil)
+		}
+		out[slot[r]] = append(out[slot[r]], i)
 	}
 	return out
+}
+
+// merge runs the closest-pair merges of Agglomerate, recording each merged
+// cluster's surviving cluster in parent.
+func merge(pts []geom.Point, threshold float64, parent []int) {
+	n := len(pts)
+	size := make([]int, n) // members of each cluster, 0 once merged away
+	centre := append([]geom.Point(nil), pts...)
+	nn := make([]int, n)      // nearest alive neighbour under threshold, or -1
+	nnd := make([]float64, n) // its distance, or threshold
+	for i := range size {
+		size[i] = 1
+	}
+	// rescan recomputes nn[i] over every alive cluster.
+	rescan := func(i int) {
+		nn[i], nnd[i] = -1, threshold
+		for j := 0; j < n; j++ {
+			if j != i && size[j] > 0 {
+				if d := centre[i].Dist(centre[j]); d < nnd[i] {
+					nn[i], nnd[i] = j, d
+				}
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		rescan(i)
+	}
+
+	for {
+		// The first cluster (ascending) whose neighbour is nearest is lo:
+		// had lo's nearest pair a lower index, that one would come first.
+		lo, best := -1, threshold
+		for i, d := range nnd {
+			if d < best {
+				lo, best = i, d
+			}
+		}
+		if lo < 0 {
+			return
+		}
+		hi := nn[lo]
+		// Merge hi into lo with the gravity-centre update.
+		tot := size[lo] + size[hi]
+		centre[lo] = centre[lo].Scale(float64(size[lo]) / float64(tot)).
+			Add(centre[hi].Scale(float64(size[hi]) / float64(tot)))
+		size[lo] = tot
+		size[hi], nn[hi], nnd[hi] = 0, -1, threshold
+		parent[hi] = lo
+
+		// Refresh the neighbours: lo's from scratch, a cluster that pointed
+		// at lo or hi by a rescan, every other one against lo's new centre.
+		nn[lo], nnd[lo] = -1, threshold
+		for c := 0; c < n; c++ {
+			if c == lo || size[c] == 0 {
+				continue
+			}
+			d := centre[lo].Dist(centre[c])
+			if d < nnd[lo] {
+				nn[lo], nnd[lo] = c, d
+			}
+			switch {
+			case nn[c] == lo || nn[c] == hi:
+				rescan(c)
+			case d < nnd[c] || d == nnd[c] && lo < nn[c]:
+				nn[c], nnd[c] = lo, d
+			}
+		}
+	}
 }
 
 // Centres returns the gravity centre of each cluster (as produced by
@@ -103,85 +128,4 @@ func Centres(pts []geom.Point, clusters [][]int) []geom.Point {
 		out[i] = geom.Centroid(members)
 	}
 	return out
-}
-
-type pair struct {
-	a, b int
-	d    float64
-}
-
-// pairQueue is a hand-rolled binary min-heap on centre distance. It mirrors
-// container/heap's sift algorithms exactly (same comparisons, same swaps, so
-// the pop order — and with it the clustering — is bit-identical to the
-// container/heap version it replaced) while avoiding the interface boxing
-// that made every Push/Pop allocate on the signal-processing hot path.
-type pairQueue []pair
-
-// Len returns the number of queued candidate pairs.
-func (q pairQueue) Len() int { return len(q) }
-
-// push adds a candidate pair and restores the heap order.
-func (q *pairQueue) push(p pair) {
-	*q = append(*q, p)
-	q.up(len(*q) - 1)
-}
-
-// pop removes and returns the closest pair.
-func (q *pairQueue) pop() pair {
-	h := *q
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	q.down(0, n)
-	it := (*q)[n]
-	*q = (*q)[:n]
-	return it
-}
-
-// up sifts element j towards the root (container/heap's up).
-func (q pairQueue) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !(q[j].d < q[i].d) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
-}
-
-// down sifts element i0 towards the leaves within q[:n] (container/heap's
-// down).
-func (q pairQueue) down(i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && q[j2].d < q[j1].d {
-			j = j2
-		}
-		if !(q[j].d < q[i].d) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-}
-
-// newPairQueue seeds the merge queue with all point pairs. Quadratic seeding
-// is acceptable: hyper-pin clustering runs per hyper net on tens of pins.
-func newPairQueue(centre []geom.Point) *pairQueue {
-	n := len(centre)
-	q := make(pairQueue, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			q = append(q, pair{a: i, b: j, d: centre[i].Dist(centre[j])})
-		}
-	}
-	for i := len(q)/2 - 1; i >= 0; i-- {
-		q.down(i, len(q))
-	}
-	return &q
 }

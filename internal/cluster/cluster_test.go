@@ -3,6 +3,8 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -240,21 +242,315 @@ func TestAgglomeratePartitionProperty(t *testing.T) {
 }
 
 func TestAgglomerateChainStops(t *testing.T) {
-	// A long chain of points spaced 0.9 apart with threshold 1.0: merging
-	// moves gravity centres, so chaining may stop early, but every adjacent
-	// pair closer than threshold when both are singletons must at least be
-	// considered. We only assert no cluster pair of *final* centres violates
-	// an obvious invariant: centres of distinct clusters are >= some margin.
+	// Twelve points exactly 0.875 apart (a binary fraction, so every
+	// adjacent gap is the same float) with threshold 1: all eleven adjacent
+	// pairs tie. The lowest pair (0, 1) merges first; its centre then sits
+	// 1.3125 from point 2, so (2, 3) merges next, and so on. Every merged
+	// centre is 1.75 from its neighbours, and the chain stops at six pairs.
 	var pts []geom.Point
 	for i := 0; i < 12; i++ {
-		pts = append(pts, geom.Point{X: float64(i) * 0.9, Y: 0})
+		pts = append(pts, geom.Point{X: float64(i) * 0.875, Y: 0})
 	}
-	clusters := Agglomerate(pts, 1.0)
-	// The chain must collapse into far fewer clusters than points.
-	if len(clusters) >= 12 {
-		t.Fatalf("chain did not merge at all: %d clusters", len(clusters))
+	want := [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}, {10, 11}}
+	if got := Agglomerate(pts, 1.0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("chain: got %v, want %v", got, want)
 	}
-	checkPartition(t, clusters, 12)
+}
+
+func TestAgglomerateDuplicatePoints(t *testing.T) {
+	a, b := geom.Point{X: 0.5, Y: 0.5}, geom.Point{X: 5, Y: 5}
+	pts := []geom.Point{a, b, a, b, a}
+	want := [][]int{{0, 2, 4}, {1, 3}}
+	if got := Agglomerate(pts, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("duplicates: got %v, want %v", got, want)
+	}
+	// All points coincide: one cluster at any positive threshold, none
+	// merged at threshold 0 (the distance 0 is not below it).
+	same := make([]geom.Point, 9)
+	if got := Agglomerate(same, 1e-12); len(got) != 1 || len(got[0]) != 9 {
+		t.Fatalf("coincident points: got %v", got)
+	}
+	if got := Agglomerate(same, 0); len(got) != 9 {
+		t.Fatalf("coincident points at threshold 0: got %v", got)
+	}
+}
+
+func TestAgglomerateCollinearPoints(t *testing.T) {
+	// Points on the diagonal y = x, so every distance goes through Hypot.
+	// (2, 3) is the closest pair (0.125·√2), then (0, 1) (0.25·√2); the
+	// merged centres 0.125 and 1.0625 are 0.9375·√2 apart, and point 4 is
+	// far from both.
+	var pts []geom.Point
+	for _, x := range []float64{0, 0.25, 1, 1.125, 3} {
+		pts = append(pts, geom.Point{X: x, Y: x})
+	}
+	want := [][]int{{0, 1}, {2, 3}, {4}}
+	if got := Agglomerate(pts, 0.5); !reflect.DeepEqual(got, want) {
+		t.Fatalf("collinear: got %v, want %v", got, want)
+	}
+	checkAgainstBrute(t, pts, 0.5)
+	checkAgainstBrute(t, pts, 2)
+}
+
+// agglomerateBrute is the definition Agglomerate implements: each step
+// scans every alive pair for the minimum (distance, lo, hi) under threshold
+// and merges hi into lo with the same gravity-centre expression.
+func agglomerateBrute(pts []geom.Point, threshold float64) [][]int {
+	n := len(pts)
+	if n == 0 {
+		return nil
+	}
+	root := make([]int, n)
+	size := make([]int, n)
+	centre := append([]geom.Point(nil), pts...)
+	for i := range root {
+		root[i], size[i] = i, 1
+	}
+	for {
+		lo, hi, best := -1, -1, threshold
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n && root[i] == i; j++ {
+				if root[j] == j {
+					if d := centre[i].Dist(centre[j]); d < best {
+						lo, hi, best = i, j, d
+					}
+				}
+			}
+		}
+		if lo < 0 {
+			break
+		}
+		tot := size[lo] + size[hi]
+		centre[lo] = centre[lo].Scale(float64(size[lo]) / float64(tot)).
+			Add(centre[hi].Scale(float64(size[hi]) / float64(tot)))
+		size[lo] = tot
+		for i := range root {
+			if root[i] == hi {
+				root[i] = lo
+			}
+		}
+	}
+	var out [][]int
+	slot := map[int]int{}
+	for i, r := range root {
+		if _, ok := slot[r]; !ok {
+			slot[r] = len(out)
+			out = append(out, nil)
+		}
+		out[slot[r]] = append(out[slot[r]], i)
+	}
+	return out
+}
+
+func checkAgainstBrute(t *testing.T, pts []geom.Point, threshold float64) {
+	t.Helper()
+	got, want := Agglomerate(pts, threshold), agglomerateBrute(pts, threshold)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("threshold %v, points %v:\n got  %v\n want %v", threshold, pts, got, want)
+	}
+}
+
+// gridPoints draws n points on a coarse grid, so duplicate points and
+// distance ties are common.
+func gridPoints(n int, rng *rand.Rand) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Point{X: float64(rng.Intn(6)) * 0.25, Y: float64(rng.Intn(6)) * 0.25}
+	}
+	return pts
+}
+
+func TestAgglomerateMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(50)
+		threshold := []float64{-1, 0, 0.2, 0.25, 0.5, 1, 3}[trial%7]
+		pts := gridPoints(n, rng)
+		if trial%2 == 1 {
+			pts = randPoints(n, rng.Int63(), 2)
+		}
+		checkAgainstBrute(t, pts, threshold)
+	}
+}
+
+// TestAgglomerateMatchesLazyRef compares Agglomerate with the lazy pair heap
+// it replaced on random float points, where exact distance ties (which the
+// heap broke by its layout) have probability zero.
+func TestAgglomerateMatchesLazyRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	thresholds := []float64{0.02, 0.05, 0.1, 0.2, 0.5}
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + rng.Intn(120)
+		threshold := thresholds[trial%len(thresholds)]
+		pts := randPoints(n, rng.Int63(), 1)
+		got, want := Agglomerate(pts, threshold), agglomerateLazyRef(pts, threshold)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d, threshold %v):\n got  %v\n want %v", trial, n, threshold, got, want)
+		}
+	}
+}
+
+// decodePoints turns bytes into a threshold and at most 64 points: the first
+// byte gives the threshold in steps of 1/32 from -4 (so zero and negative
+// thresholds occur), each further byte one point on a 16×16 grid of pitch
+// 0.25, where duplicates and distance ties are common.
+func decodePoints(data []byte) ([]geom.Point, float64) {
+	if len(data) == 0 {
+		return nil, 0
+	}
+	threshold := float64(int8(data[0])) / 32
+	data = data[1:]
+	if len(data) > 64 {
+		data = data[:64]
+	}
+	pts := make([]geom.Point, len(data))
+	for i, b := range data {
+		pts[i] = geom.Point{X: float64(b&15) * 0.25, Y: float64(b>>4) * 0.25}
+	}
+	return pts, threshold
+}
+
+// FuzzAgglomerate checks Agglomerate against agglomerateBrute on the inputs
+// decodePoints builds. `go test` runs the seed corpus in
+// testdata/fuzz/FuzzAgglomerate; `go test -fuzz FuzzAgglomerate` explores.
+func FuzzAgglomerate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pts, threshold := decodePoints(data)
+		checkAgainstBrute(t, pts, threshold)
+	})
+}
+
+// agglomerateLazyRef is the lazy pair heap Agglomerate replaced: every
+// centre pair is heapified up front, a popped pair whose centres have since
+// moved apart by more than geom.Eps is re-queued at its current distance,
+// and each merge pushes the merged centre's pairs under threshold. It
+// differs from Agglomerate only on exact distance ties (broken by heap
+// layout) and on stale pairs within geom.Eps of their key (merged at once).
+func agglomerateLazyRef(pts []geom.Point, threshold float64) [][]int {
+	n := len(pts)
+	if n == 0 {
+		return nil
+	}
+	parent := make([]int, n)
+	size := make([]int, n)
+	centre := append([]geom.Point(nil), pts...)
+	alive := make([]bool, n)
+	for i := range parent {
+		parent[i], size[i], alive[i] = i, 1, true
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	if threshold > 0 && n > 1 {
+		var pq pairQueue
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				pq = append(pq, pair{a: i, b: j, d: centre[i].Dist(centre[j])})
+			}
+		}
+		for i := len(pq)/2 - 1; i >= 0; i-- {
+			pq.down(i, len(pq))
+		}
+		for len(pq) > 0 {
+			pr := pq.pop()
+			a, b := find(pr.a), find(pr.b)
+			if a == b || !alive[a] || !alive[b] {
+				continue
+			}
+			d := centre[a].Dist(centre[b])
+			if d > pr.d+geom.Eps {
+				if d < threshold {
+					pq.push(pair{a: a, b: b, d: d})
+				}
+				continue
+			}
+			if d >= threshold {
+				continue
+			}
+			tot := size[a] + size[b]
+			centre[a] = centre[a].Scale(float64(size[a]) / float64(tot)).
+				Add(centre[b].Scale(float64(size[b]) / float64(tot)))
+			size[a] = tot
+			parent[b] = a
+			alive[b] = false
+			for c := 0; c < n; c++ {
+				if c != a && alive[c] {
+					if d := centre[a].Dist(centre[c]); d < threshold {
+						pq.push(pair{a: a, b: c, d: d})
+					}
+				}
+			}
+		}
+	}
+	groups := map[int][]int{}
+	for i := 0; i < n; i++ {
+		r := find(i)
+		groups[r] = append(groups[r], i)
+	}
+	out := make([][]int, 0, len(groups))
+	for _, g := range groups {
+		out = append(out, g)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+type pair struct {
+	a, b int
+	d    float64
+}
+
+// pairQueue is a binary min-heap on centre distance with container/heap's
+// sift algorithms, so its pop order is that of the heap it reproduces.
+type pairQueue []pair
+
+func (q *pairQueue) push(p pair) {
+	*q = append(*q, p)
+	q.up(len(*q) - 1)
+}
+
+func (q *pairQueue) pop() pair {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	q.down(0, n)
+	it := h[n]
+	*q = h[:n]
+	return it
+}
+
+func (q pairQueue) up(j int) {
+	for {
+		i := (j - 1) / 2
+		if i == j || !(q[j].d < q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (q pairQueue) down(i0, n int) {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1
+		if j2 := j1 + 1; j2 < n && q[j2].d < q[j1].d {
+			j = j2
+		}
+		if !(q[j].d < q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
 }
 
 func TestCentres(t *testing.T) {

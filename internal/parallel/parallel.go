@@ -1,8 +1,10 @@
 // Package parallel provides the shared bounded worker pool every
 // independent-per-item stage of the flow runs on: candidate generation,
 // per-group signal processing, the crossing-loss table fill and Lagrangian
-// pricing. Items should take well over the pool's per-item hand-off cost;
-// the WDM arc costing, about a microsecond per connection, runs serially.
+// pricing. Workers pull the next index from an atomic counter, so the
+// per-item hand-off is one atomic add, with no lock or channel send, and
+// items of a few microseconds still gain from a second worker. The WDM arc
+// costing, about a microsecond per connection, runs serially.
 //
 // The pool guarantees deterministic behaviour regardless of worker count:
 // callers write results by item index (never by completion order), and on
@@ -19,6 +21,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // Panic is the value the pool re-panics with when fn panicked: the item
@@ -139,6 +142,12 @@ func ForEach(ctx context.Context, n int, workers int, fn func(int) error) error 
 }
 
 // forEach is the shared pool core behind ForEach and ForEachScratchContext.
+// With more than one worker, workers claim the next index from an atomic
+// counter, so the hand-off is one atomic add per item; the calling goroutine
+// is worker 0. Indices are
+// claimed in ascending order and a claimed item always runs, so when item i
+// fails every lower index has run or is running: the lowest failing index
+// is the one a sequential loop would report.
 func forEach(ctx context.Context, n int, workers int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -156,55 +165,59 @@ func forEach(ctx context.Context, n int, workers int, fn func(worker, i int) err
 		return nil
 	}
 
-	var (
-		mu       sync.Mutex
-		errIdx   = -1
-		firstErr error
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if errIdx < 0 || i < errIdx {
-			errIdx, firstErr = i, err
-		}
-		mu.Unlock()
+	r := &run{n: n, fn: fn, done: ctx.Done()}
+	for w := 1; w < workers; w++ {
+		r.wg.Add(1)
+		go r.work(w)
 	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return errIdx >= 0
-	}
+	r.work(0)
+	r.wg.Wait()
 
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for i := range next {
-				if err := call(fn, worker, i); err != nil {
-					fail(i, err)
-				}
-			}
-		}(w)
-	}
-dispatch:
-	for i := 0; i < n; i++ {
-		if failed() {
-			break
-		}
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-
-	if firstErr != nil {
-		return rethrow(firstErr)
+	if r.firstErr != nil {
+		return rethrow(r.firstErr)
 	}
 	return ctx.Err()
+}
+
+// run is the state of one forEach call, shared by its workers.
+type run struct {
+	n    int
+	fn   func(worker, i int) error
+	done <-chan struct{}
+	next atomic.Int64 // next unclaimed index
+	stop atomic.Bool  // an item failed: claim no more
+	wg   sync.WaitGroup
+
+	mu       sync.Mutex
+	errIdx   int // lowest failing index, once firstErr is set
+	firstErr error
+}
+
+// work claims and runs items until they run out, one fails or the context
+// is done. Workers other than 0 run on their own goroutine.
+func (r *run) work(worker int) {
+	if worker > 0 {
+		defer r.wg.Done()
+	}
+	for !r.stop.Load() {
+		select {
+		case <-r.done:
+			return
+		default:
+		}
+		i := int(r.next.Add(1) - 1)
+		if i >= r.n {
+			return
+		}
+		if err := call(r.fn, worker, i); err != nil {
+			r.mu.Lock()
+			if r.firstErr == nil || i < r.errIdx {
+				r.errIdx, r.firstErr = i, err
+			}
+			r.mu.Unlock()
+			r.stop.Store(true)
+		}
+	}
 }
 
 // call runs fn for one item and turns a panic into a *Panic error carrying
