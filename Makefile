@@ -18,7 +18,6 @@ vet:
 # Enforce 100% doc-comment coverage on the public surface of the flow
 # package and the solver substrate (see cmd/docscheck for the audited set).
 docs-lint:
-	$(GO) vet ./...
 	$(GO) run ./cmd/docscheck
 
 # Boot operond in-process, solve one benchmark over real HTTP under a 1 ms

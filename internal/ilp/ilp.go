@@ -64,8 +64,9 @@ type Options struct {
 	// MaxNodes bounds the number of branch-and-bound nodes solved, root
 	// included; zero means 200000.
 	MaxNodes int
-	// MaxTableauBytes caps the LP solver workspace (zero = lp default).
-	// Oversized relaxations end the solve with TimedOut set.
+	// MaxTableauBytes caps the LP solver workspace (zero = lp default). An
+	// oversized relaxation ends the solve before any LP is solved, with
+	// status Limit and TimedOut set.
 	MaxTableauBytes int64
 	// Obs, when non-nil, receives an ilp/node event per branch-and-bound
 	// node (depth, bound, warm-start pivot count), an ilp/incumbent event
@@ -128,10 +129,6 @@ type Result struct {
 	LPSolves int
 	// LPTime is the part of Elapsed spent inside the LP solver.
 	LPTime time.Duration
-	// LPRows is the constraint-row count of the relaxation solver: always
-	// len(LP.Rows), because nodes are expressed purely as variable-bound
-	// changes and never add rows.
-	LPRows int
 }
 
 const intTol = 1e-6
@@ -197,7 +194,6 @@ type search struct {
 	opt      Options
 	ctx      context.Context
 	deadline time.Time
-	lpOpt    lp.Options
 	maxNodes int
 
 	solver *lp.BoundedSolver
@@ -251,7 +247,14 @@ func Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 			fullUp[v] = 1
 		}
 	}
-	solver, err := lp.NewBoundedSolver(p.LP)
+	solver, err := lp.NewBoundedSolver(p.LP,
+		lp.Options{MaxTableauBytes: opt.MaxTableauBytes, Obs: opt.Obs})
+	if errors.Is(err, lp.ErrTooLarge) {
+		// The relaxation alone exceeds the memory budget; report a limit so
+		// callers fall back, mirroring the paper's ">3000 s" outcomes.
+		return Result{Status: Limit, Objective: math.Inf(1), TimedOut: true,
+			Elapsed: time.Since(start)}, nil
+	}
 	if err != nil {
 		return Result{}, err
 	}
@@ -261,10 +264,9 @@ func Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 		opt:      opt,
 		ctx:      ctx,
 		deadline: deadline,
-		lpOpt:    lp.Options{MaxTableauBytes: opt.MaxTableauBytes, Obs: opt.Obs},
 		maxNodes: maxNodes,
 		solver:   solver,
-		res:      Result{Status: Limit, Objective: math.Inf(1), LPRows: solver.NumRows()},
+		res:      Result{Status: Limit, Objective: math.Inf(1)},
 		rootUp:   fullUp,
 		lo:       make([]float64, n),
 		up:       make([]float64, n),
@@ -306,10 +308,10 @@ func (s *search) materialize(nd *bnode) {
 // basis is numerically hopeless.
 func (s *search) relax(warm *lp.Basis, sol *lp.Solution, out *lp.Basis) error {
 	t0 := time.Now()
-	err := s.solver.SolveBounds(s.ctx, s.lo, s.up, warm, s.lpOpt, sol, out)
+	err := s.solver.SolveBounds(s.ctx, s.lo, s.up, warm, sol, out)
 	s.res.LPSolves++
 	if warm != nil && errors.Is(err, lp.ErrNumerical) {
-		err = s.solver.SolveBounds(s.ctx, s.lo, s.up, nil, s.lpOpt, sol, out)
+		err = s.solver.SolveBounds(s.ctx, s.lo, s.up, nil, sol, out)
 		s.res.LPSolves++
 	}
 	s.res.LPTime += time.Since(t0)
@@ -386,9 +388,6 @@ func (s *search) tryRound(x []float64, warm *lp.Basis) error {
 	if err == nil && s.roundSol.Status == lp.Optimal {
 		s.record(s.roundSol.X, s.roundSol.Objective)
 	}
-	if errors.Is(err, lp.ErrTooLarge) {
-		err = nil
-	}
 	return err
 }
 
@@ -434,10 +433,6 @@ func (s *search) processNode(nd *bnode) (stop bool, err error) {
 	defer s.release(childRef)
 	err = s.relax(&nd.basis.b, s.nodeSol, &childRef.b)
 	s.release(nd.basis) // warm start consumed
-	if errors.Is(err, lp.ErrTooLarge) {
-		s.res.TimedOut = true
-		return true, nil
-	}
 	if err != nil {
 		return false, err
 	}
@@ -477,14 +472,7 @@ func (s *search) run() error {
 	clear(s.lo)
 	copy(s.up, s.rootUp)
 	rootRef := s.newBasisRef()
-	err := s.relax(nil, s.nodeSol, &rootRef.b)
-	if errors.Is(err, lp.ErrTooLarge) {
-		// The relaxation alone exceeds the memory budget; report a limit so
-		// callers fall back, mirroring the paper's ">3000 s" outcomes.
-		s.res.TimedOut = true
-		return nil
-	}
-	if err != nil {
+	if err := s.relax(nil, s.nodeSol, &rootRef.b); err != nil {
 		return err
 	}
 	s.countNode(0, s.nodeSol, s.nodeSol.Objective)

@@ -489,4 +489,10 @@ func TestMemoryBudgetEndsSolve(t *testing.T) {
 		t.Fatalf("tiny memory budget: status %v timedOut %v, want limit/true",
 			r.Status, r.TimedOut)
 	}
+	// The budget is checked before the solver is built, so no relaxation
+	// is attempted.
+	if r.LPSolves != 0 || r.Nodes != 0 {
+		t.Fatalf("tiny memory budget: %d LP solves, %d nodes, want none",
+			r.LPSolves, r.Nodes)
+	}
 }

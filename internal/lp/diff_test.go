@@ -133,7 +133,7 @@ func TestBoundedSolverWarmStartMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 120; trial++ {
 		p := randomProblem(rng)
-		s, err := NewBoundedSolver(p)
+		s, err := NewBoundedSolver(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestBoundedSolverWarmStartMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: warm: %v", trial, err)
 		}
-		s2, err := NewBoundedSolver(p)
+		s2, err := NewBoundedSolver(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestFixedVariableBounds(t *testing.T) {
 			{Terms: []Term{{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}}, Sense: GE, RHS: 2},
 		},
 	}
-	s, err := NewBoundedSolver(p)
+	s, err := NewBoundedSolver(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestSolverReuse(t *testing.T) {
 	for p.NumVars < 3 {
 		p = randomProblem(rng)
 	}
-	s, err := NewBoundedSolver(p)
+	s, err := NewBoundedSolver(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestSelectionShapedAllocs(t *testing.T) {
 func solveBounds(s *BoundedSolver, lo, up []float64, warm *Basis) (Solution, *Basis, error) {
 	var sol Solution
 	out := &Basis{}
-	if err := s.SolveBounds(context.Background(), lo, up, warm, Options{}, &sol, out); err != nil {
+	if err := s.SolveBounds(context.Background(), lo, up, warm, &sol, out); err != nil {
 		return Solution{}, nil, err
 	}
 	return sol, out, nil

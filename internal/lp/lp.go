@@ -5,19 +5,16 @@
 //	     0 <= x <= u   (u optional, +Inf by default)
 //
 // It is the substrate under OPERON's ILP stage (paper §3.3), standing in
-// for the commercial solver the authors used. Two engines are provided:
+// for the commercial solver the authors used. It has one engine: a revised
+// simplex over sparse column storage (CSC) with a product-form eta
+// representation of B⁻¹, partial pricing, native bounded variables, and a
+// dual-simplex phase used to warm-start from a near-optimal basis (see
+// BoundedSolver). Solve runs it once on a whole problem. The package's tests
+// keep a dense two-phase tableau simplex as an independent oracle to check
+// it against.
 //
-//   - Solve — a revised simplex over sparse column storage (CSC) with a
-//     product-form eta representation of B⁻¹, partial pricing, native
-//     bounded variables, and a dual-simplex phase used to warm-start from
-//     a near-optimal basis (see BoundedSolver). This is the production
-//     path.
-//   - SolveDense — the original dense two-phase
-//     tableau simplex, retained as a cross-check oracle for tests and as a
-//     fallback on numerical breakdown of the revised engine.
-//
-// Both engines use deterministic pivot rules (Dantzig/partial pricing with
-// a Bland anti-cycling fallback, lowest-index tie-breaks), so results are
+// The pivot rules are deterministic (Dantzig/partial pricing with a Bland
+// anti-cycling fallback, lowest-index tie-breaks), so results are
 // bit-identical across runs and worker counts.
 package lp
 
@@ -147,8 +144,8 @@ type Solution struct {
 	X []float64
 	// Objective is the objective value of X.
 	Objective float64
-	// Iterations counts simplex pivots consumed by the solve (both engines
-	// fill it; diagnostic only).
+	// Iterations counts simplex pivots consumed by the solve (diagnostic
+	// only).
 	Iterations int
 }
 
@@ -159,14 +156,13 @@ var ErrTooLarge = errors.New("lp: problem exceeds solver memory budget")
 // Options bound a solve beyond the problem statement. The time budget is
 // not among them: it is the ctx argument of every solve.
 type Options struct {
-	// MaxTableauBytes caps the solver workspace allocation; Solve returns
-	// ErrTooLarge above it. Zero means 1.5 GiB. The revised simplex needs
-	// far less memory than the dense tableau, so the same budget admits
-	// much larger problems.
+	// MaxTableauBytes caps the solver workspace allocation;
+	// NewBoundedSolver, and so Solve, returns ErrTooLarge above it before
+	// allocating anything. Zero means 1.5 GiB.
 	MaxTableauBytes int64
-	// Obs, when non-nil, receives the revised engine's behaviour counters:
-	// lp.solves, lp.pivots, lp.bound_flips, and lp.refactors. The dense
-	// oracle is not instrumented. Nil costs the pivot loop one nil check.
+	// Obs, when non-nil, receives the engine's behaviour counters:
+	// lp.solves, lp.pivots, lp.bound_flips, and lp.refactors. Nil costs the
+	// pivot loop one nil check.
 	Obs *obs.Tracer
 }
 
@@ -178,25 +174,20 @@ const (
 )
 
 // Solve runs the revised simplex method on p under the given resource
-// bounds (the zero Options are unbounded), falling back to the dense oracle
-// on numerical breakdown (singular refactorisation that cannot be
-// recovered).
+// bounds (the zero Options mean the default memory cap and no counters). A
+// singular refactorisation that cannot be recovered returns ErrNumerical.
 //
 // ctx is the solver substrate's single time budget: its deadline (if any)
 // aborts the pivot loop with Status IterLimit once passed, and
 // cancellation is observed every few pivots with the same effect. A nil
 // ctx means context.Background().
 func Solve(ctx context.Context, p Problem, opt Options) (Solution, error) {
-	s, err := NewBoundedSolver(p)
+	s, err := NewBoundedSolver(p, opt)
 	if err != nil {
 		return Solution{}, err
 	}
 	var sol Solution
-	err = s.SolveBounds(ctx, nil, nil, nil, opt, &sol, &Basis{})
-	if errors.Is(err, ErrNumerical) {
-		return SolveDense(ctx, p, opt)
-	}
-	if err != nil {
+	if err := s.SolveBounds(ctx, nil, nil, nil, &sol, &Basis{}); err != nil {
 		return Solution{}, err
 	}
 	return sol, nil

@@ -44,10 +44,14 @@ func TestTableauMemoryBudget(t *testing.T) {
 			Terms: []Term{{i, 1}, {(i + 1) % 4, 1}}, Sense: GE, RHS: 1,
 		})
 	}
-	// A budget too small for even this tiny tableau triggers ErrTooLarge.
-	_, err := Solve(context.Background(), p, Options{MaxTableauBytes: 8})
-	if !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("err = %v, want ErrTooLarge", err)
+	// A budget too small for even this tiny problem is refused when the
+	// solver is built, and so by Solve.
+	small := Options{MaxTableauBytes: 8}
+	if s, err := NewBoundedSolver(p, small); !errors.Is(err, ErrTooLarge) || s != nil {
+		t.Fatalf("NewBoundedSolver: solver %v, err = %v, want nil, ErrTooLarge", s, err)
+	}
+	if _, err := Solve(context.Background(), p, small); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Solve: err = %v, want ErrTooLarge", err)
 	}
 	// The default budget solves it.
 	s, err := Solve(context.Background(), p, Options{})

@@ -11,8 +11,8 @@ import (
 )
 
 // ErrNumerical reports an unrecoverable numerical breakdown of the revised
-// engine (singular refactorisation); Solve falls back to the
-// dense oracle on it.
+// engine (singular refactorisation). Solve returns it as is; branch and bound
+// retries a warm-started relaxation cold once before surfacing it.
 var ErrNumerical = errors.New("lp: revised simplex numerical breakdown")
 
 const (
@@ -92,19 +92,29 @@ type BoundedSolver struct {
 	stall    int
 	scanAt   int // partial-pricing cursor
 
-	// Behaviour counters, fetched from Options.Obs per solve; nil counters
-	// make the increments no-ops (a nil check per pivot, nothing more).
-	cPivots, cFlips, cRefactors *obs.Counter
+	// Behaviour counters, fetched from Options.Obs once at construction; nil
+	// counters make the increments no-ops (a nil check per pivot, nothing
+	// more).
+	cSolves, cPivots, cFlips, cRefactors *obs.Counter
 	// numErr records a numerical breakdown inside the pivot loop (singular
-	// refactorisation); SolveBounds surfaces it as ErrNumerical so callers
-	// can fall back to the dense engine.
+	// refactorisation); SolveBounds returns it as ErrNumerical.
 	numErr error
 }
 
 // NewBoundedSolver validates p and builds the sparse column storage once.
-func NewBoundedSolver(p Problem) (*BoundedSolver, error) {
+// It returns ErrTooLarge, before allocating anything, when the workspace
+// p's shape implies exceeds opt.MaxTableauBytes; opt.Obs receives the
+// counters of every later SolveBounds call.
+func NewBoundedSolver(p Problem, opt Options) (*BoundedSolver, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	maxBytes := opt.MaxTableauBytes
+	if maxBytes == 0 {
+		maxBytes = 3 << 29 // 1.5 GiB
+	}
+	if bytes := workspaceBytes(p); bytes > maxBytes {
+		return nil, fmt.Errorf("%w: needs %d bytes", ErrTooLarge, bytes)
 	}
 	s := &BoundedSolver{prob: p}
 	s.A = buildCSC(p)
@@ -130,19 +140,25 @@ func NewBoundedSolver(p Problem) (*BoundedSolver, error) {
 	s.sigma = make([]float64, s.m)
 	s.dw = make([]float64, s.nTot)
 	s.dvAcc = make([]float64, s.nTot)
+	s.cSolves = opt.Obs.Counter("lp.solves")
+	s.cPivots = opt.Obs.Counter("lp.pivots")
+	s.cFlips = opt.Obs.Counter("lp.bound_flips")
+	s.cRefactors = opt.Obs.Counter("lp.refactors")
 	return s, nil
 }
 
-// NumRows returns the constraint-row count of the underlying problem; it is
-// invariant across SolveBounds calls (branch and bound asserts this).
-func (s *BoundedSolver) NumRows() int { return s.m }
-
-// workspaceBytes estimates the revised-simplex working memory (the CSC
-// store plus its CSR mirror, per-column state incl. devex weights, and the
-// dense row scratch).
-func (s *BoundedSolver) workspaceBytes() int64 {
-	return int64(s.A.nnz())*24 + int64(s.nTot)*41 + int64(s.m)*44 +
-		int64(refactorEvery)*16
+// workspaceBytes bounds the revised-simplex working memory from p's shape
+// alone: the CSC store plus its CSR mirror (at most one entry per term plus
+// one slack per row), per-column state incl. devex weights, and the dense
+// row scratch.
+func workspaceBytes(p Problem) int64 {
+	m := int64(len(p.Rows))
+	nnz := m
+	for _, r := range p.Rows {
+		nnz += int64(len(r.Terms))
+	}
+	nTot := int64(p.NumVars) + m
+	return nnz*24 + nTot*41 + m*44 + refactorEvery*16
 }
 
 // SolveBounds solves min cᵀx subject to the problem rows and lo <= x <= up
@@ -158,14 +174,7 @@ func (s *BoundedSolver) workspaceBytes() int64 {
 // solver state and safe to retain. sol and out must be non-nil; out may be
 // the same *Basis passed as warm (the warm basis is consumed before the
 // snapshot is written).
-func (s *BoundedSolver) SolveBounds(ctx context.Context, lo, up []float64, warm *Basis, opt Options, sol *Solution, out *Basis) error {
-	maxBytes := opt.MaxTableauBytes
-	if maxBytes == 0 {
-		maxBytes = 3 << 29 // 1.5 GiB
-	}
-	if bytes := s.workspaceBytes(); bytes > maxBytes {
-		return fmt.Errorf("%w: needs %d bytes", ErrTooLarge, bytes)
-	}
+func (s *BoundedSolver) SolveBounds(ctx context.Context, lo, up []float64, warm *Basis, sol *Solution, out *Basis) error {
 	if lo != nil && len(lo) != s.n {
 		return fmt.Errorf("lp: %d lower bounds for %d variables", len(lo), s.n)
 	}
@@ -179,14 +188,7 @@ func (s *BoundedSolver) SolveBounds(ctx context.Context, lo, up []float64, warm 
 	s.stall = 0
 	s.scanAt = 0
 	s.numErr = nil
-	if opt.Obs != nil {
-		opt.Obs.Counter("lp.solves").Inc()
-		s.cPivots = opt.Obs.Counter("lp.pivots")
-		s.cFlips = opt.Obs.Counter("lp.bound_flips")
-		s.cRefactors = opt.Obs.Counter("lp.refactors")
-	} else {
-		s.cPivots, s.cFlips, s.cRefactors = nil, nil, nil
-	}
+	s.cSolves.Inc()
 
 	warmLoaded := s.loadBasis(warm)
 	if err := s.refactor(); err != nil {

@@ -19,9 +19,6 @@ func (a *csc) col(j int) ([]int32, []float64) {
 	return a.rowIdx[s:e], a.val[s:e]
 }
 
-// nnz returns the stored non-zero count.
-func (a *csc) nnz() int { return len(a.val) }
-
 // dot returns yᵀ·A_j, the sparse dot product of a dense vector with
 // column j.
 func (a *csc) dot(y []float64, j int) float64 {

@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -384,7 +385,7 @@ func solve(ctx context.Context, d signal.Design, cfg Config, ws *Workspace, prev
 	// list (every net carried over in place) and the identical choice.
 	var wdmFrom *Result
 	if prev != nil && !delta.wdm && !prev.cfg.SkipWDM && len(prev.nets) == len(next.nets) &&
-		identityMap(candMap) && intsEqual(res.Selection.Choice, prev.res.Selection.Choice) {
+		identityMap(candMap) && slices.Equal(res.Selection.Choice, prev.res.Selection.Choice) {
 		wdmFrom = prev.res
 		st.WDMReused = true
 	}

@@ -3,7 +3,7 @@ package operon
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"operon/internal/benchgen"
@@ -190,8 +190,8 @@ func (s *Session) Apply(edits ...Edit) (Dirty, error) {
 			return Dirty{}, fmt.Errorf("operon: edit %d: %w", k, err)
 		}
 	}
-	sort.Ints(dirty.Groups)
-	dirty.Groups = dedupInts(dirty.Groups)
+	slices.Sort(dirty.Groups)
+	dirty.Groups = slices.Compact(dirty.Groups)
 	s.design, s.cfg = d, cfg
 	return dirty, nil
 }
@@ -484,31 +484,4 @@ func identityMap(m []int) bool {
 		}
 	}
 	return true
-}
-
-// intsEqual compares two int slices element-wise.
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// dedupInts removes adjacent duplicates from a sorted slice.
-func dedupInts(xs []int) []int {
-	if len(xs) == 0 {
-		return xs
-	}
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }

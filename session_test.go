@@ -312,6 +312,44 @@ func TestSessionBudgetEdit(t *testing.T) {
 	requireIdentical(t, "budget edit", got, want)
 }
 
+// TestSessionWDMCarryOver checks the WDM carry-over branch: a config edit
+// that only touches a selection knob LR ignores (ILPMaxNodes) re-runs
+// selection, which picks the same choice, so the previous WDM placement and
+// assignment are reused, and the result still matches cold.
+func TestSessionWDMCarryOver(t *testing.T) {
+	d := ecoDesign(t, 4, 12, 41)
+	cfg := DefaultConfig()
+	s := NewSession(d, cfg)
+	ws := NewWorkspace()
+	first, _, err := s.Resolve(context.Background(), ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Connections) < 2 {
+		t.Fatalf("design has %d optical connections; the carry-over needs a real WDM stage",
+			len(first.Connections))
+	}
+	cfg.ILPMaxNodes = 17
+	if _, err := s.Apply(SetConfig(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	got, st, err := s.Resolve(context.Background(), ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FullReuse || !st.WDMReused {
+		t.Fatalf("selection-knob edit should re-run selection and reuse WDM, got %+v", st)
+	}
+	if st.CandsRebuilt != 0 || st.CandsReused != len(got.Nets) {
+		t.Fatalf("selection-knob edit should reuse every candidate set, got %+v", st)
+	}
+	want, err := Run(s.Design(), s.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "selection-knob edit", got, want)
+}
+
 // TestSessionGroupAddRemove checks structural edits end to end against cold.
 func TestSessionGroupAddRemove(t *testing.T) {
 	d := ecoDesign(t, 3, 8, 51)
