@@ -100,7 +100,8 @@ dup-smoke:
 # against enumeration, BI1S trees, the LP revised simplex against the dense
 # oracle, the per-component min-cost flow against the whole-network search,
 # hyper-pin agglomeration against the all-pairs scan, the fingerprint's
-# equal/differ/ignore contract).
+# equal/differ/ignore contract, the co-design DP's prune against input
+# order and dominance).
 # `go test ./...` runs only their committed seed corpora; commit any crasher
 # a run writes under testdata/fuzz/ as a new seed.
 fuzz-smoke:
@@ -110,6 +111,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxFlow$$' -fuzztime 10s ./internal/mcmf
 	$(GO) test -run '^$$' -fuzz '^FuzzAgglomerate$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz '^FuzzPrune$$' -fuzztime 10s ./internal/codesign
 
 # Code-size gauge: non-test Go lines outside the perfbench module. Deleting
 # code while bench and load stay unchanged counts as progress, so this is the

@@ -88,7 +88,7 @@ func (r *Result) degradeToElectricalFloor(ctx context.Context, cfg Config, ws *W
 	r.markDegraded(ctx, cfg, "candidates")
 
 	stop := startStage(cfg.Obs, "stage/candidates", &r.Times.Candidates)
-	nets, err := electricalNets(r.HyperNets, cfg, ws.arenaOf(), "net/electrical-floor")
+	nets, err := electricalNets(r.HyperNets, cfg, ws, "net/electrical-floor")
 	if err != nil {
 		return err
 	}

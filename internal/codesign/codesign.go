@@ -10,20 +10,30 @@
 // placed at every optical exit. Splitting loss 10·log10(arms) is charged at
 // every node whose light fans out, per the paper's Eq. (2).
 //
+// Pruning is one rule for every list the DP keeps: the lists hold one state
+// type, sorted by one total order (power first), and a state is dropped when
+// an earlier kept one dominates it in power, worst open loss, arm count and
+// worst sealed loss. Equal-power ties are broken by the order, never by the
+// sort algorithm, so the kept list depends only on the states offered. The
+// decoded candidates are then cut to their ParetoFront over (power, worst
+// fixed path loss); loss stays a coordinate next to power because the
+// selection stage must still fit every path under the detection budget.
+//
 // A labeling alone decodes unambiguously into conversion sites because the
 // DP never creates back-to-back OE→EO regeneration at a single node; see
 // Evaluate for the decode rules.
 //
-// The DP churns through many short-lived label vectors and option lists; a
+// The DP churns through many short-lived label vectors and state lists; a
 // Workspace owns all of that scratch so repeated Generate/Evaluate calls
 // (one per hyper net per flow) approach zero amortized allocation. All
 // entry points accept a nil Workspace and fall back to a throwaway one.
 package codesign
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"operon/internal/geom"
 	"operon/internal/optics"
@@ -127,26 +137,27 @@ type rooted struct {
 // while rooting the tree.
 type adjEntry struct{ node, edge int }
 
-// option is a DP state at a node. mode SELF: no light requested from the
-// parent; all optical structure below is sealed. mode RECV: the node
-// expects light from an optical parent edge; recvLoss describes the open
-// cone.
-type option struct {
+// state is one DP sub-solution at a node, in one of three roles:
+//   - a partial: the in-progress merge of the node's child arms. loss is the
+//     worst open optical arm (-Inf with no arm yet), arms counts the optical
+//     arms, and flag records an electrical child edge;
+//   - a SELF option: no light requested from the parent, all optical
+//     structure below is sealed. loss and arms are 0, and flag records a
+//     modulator at this node;
+//   - a RECV option: the node expects light from an optical parent edge, and
+//     loss is the worst loss of the open cone below. arms is 0 and flag is
+//     false.
+//
+// sealedWorst is the worst loss of every domain already sealed below. One
+// type lets every list share one order (cmpState), one dominance rule and
+// one prune.
+type state struct {
 	labels      []Label
 	pow         float64
-	recvLoss    float64
+	loss        float64
 	sealedWorst float64
-	domainAtTop bool // SELF only: a modulator sits at this node
-}
-
-// partial is the in-progress merge state at a node.
-type partial struct {
-	labels      []Label
-	pow         float64
 	arms        int
-	maxArmLoss  float64
-	sealedWorst float64
-	hasEChild   bool
+	flag        bool
 }
 
 // frame is one node of the domain-decode walk in evaluateRooted. The
@@ -159,10 +170,11 @@ type frame struct {
 }
 
 // Workspace owns every transient buffer Generate and Evaluate need: the
-// rooted-tree index, the DP option/partial lists, the label arena, and the
-// decode-walk scratch. Reusing one Workspace across calls makes steady-state
-// candidate generation nearly allocation-free. A Workspace is not safe for
-// concurrent use; give each worker its own (see internal/parallel.Scratch).
+// rooted-tree index, the DP state lists, the label arena, the Env boxes and
+// per-edge crossing losses of the current call, and the decode-walk scratch.
+// Reusing one Workspace across calls makes steady-state candidate generation
+// nearly allocation-free. A Workspace is not safe for concurrent use; give
+// each pool worker its own (see parallel.ForEachWorker).
 type Workspace struct {
 	r       rooted
 	adj     [][]adjEntry
@@ -170,15 +182,17 @@ type Workspace struct {
 	visited []bool
 	pre     []int
 
-	labels     labelArena
-	edgeLossDB []float64
-	edgeElecP  []float64
-	selfOpts   [][]option
-	recvOpts   [][]option
-	partials   []partial
-	next       []partial
-	selfs      []option
-	recvs      []option
+	labels      labelArena
+	envBoxes    []geom.Rect
+	edgeCrossDB []float64
+	edgeLossDB  []float64
+	edgeElecP   []float64
+	selfOpts    [][]state
+	recvOpts    [][]state
+	partials    []state
+	next        []state
+	selfs       []state
+	recvs       []state
 
 	frames []frame
 	chain  []int
@@ -262,6 +276,22 @@ func growFloats(s []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return s[:n]
+}
+
+// fillEdgeCross sets ws.edgeCrossDB[ei] to tree edge ei's estimated crossing
+// loss against in.Env. The Env bounding boxes are computed once per call
+// into ws.envBoxes, not once per edge.
+func (ws *Workspace) fillEdgeCross(in Input, r *rooted) {
+	ws.envBoxes = ws.envBoxes[:0]
+	for _, s := range in.Env {
+		ws.envBoxes = append(ws.envBoxes, s.BBox())
+	}
+	ws.edgeCrossDB = growFloats(ws.edgeCrossDB, len(in.Tree.Edges))
+	for ei := range in.Tree.Edges {
+		seg := r.edgeSeg(ei)
+		n := geom.CountCrossingsBoxed([]geom.Segment{seg}, []geom.Rect{seg.BBox()}, in.Env, ws.envBoxes)
+		ws.edgeCrossDB[ei] = in.Lib.CrossingLossDB(n)
+	}
 }
 
 // buildRooted roots the tree at terminal 0 into the workspace's reusable
@@ -364,125 +394,63 @@ func (r *rooted) edgeSeg(ei int) geom.Segment {
 	return geom.Segment{A: r.tree.Nodes[e.U].Pt, B: r.tree.Nodes[e.V].Pt}
 }
 
-// sortPartialsByPow is an in-place, allocation-free heapsort of ps by
-// ascending pow (sort.Slice allocates a closure and a swapper per call,
-// which dominates the DP's allocation profile).
-func sortPartialsByPow(ps []partial) {
-	n := len(ps)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftPartial(ps, i, n)
+// cmpState is the total order prune sorts by: power, then loss, arms,
+// sealedWorst and flag, then the labels. A state that dominates another
+// componentwise sorts no later than it, and distinct states never compare
+// equal, so the states prune keeps depend only on the set it is given,
+// never on the order the list arrives in.
+func cmpState(a, b state) int {
+	if c := cmp.Compare(a.pow, b.pow); c != 0 {
+		return c
 	}
-	for i := n - 1; i > 0; i-- {
-		ps[0], ps[i] = ps[i], ps[0]
-		siftPartial(ps, 0, i)
+	if c := cmp.Compare(a.loss, b.loss); c != 0 {
+		return c
 	}
+	if c := cmp.Compare(a.arms, b.arms); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.sealedWorst, b.sealedWorst); c != 0 {
+		return c
+	}
+	if a.flag != b.flag {
+		if a.flag {
+			return 1
+		}
+		return -1
+	}
+	return slices.Compare(a.labels, b.labels)
 }
 
-func siftPartial(ps []partial, lo, hi int) {
-	root := lo
-	for {
-		c := 2*root + 1
-		if c >= hi {
-			return
-		}
-		if c+1 < hi && ps[c+1].pow > ps[c].pow {
-			c++
-		}
-		if ps[c].pow <= ps[root].pow {
-			return
-		}
-		ps[root], ps[c] = ps[c], ps[root]
-		root = c
-	}
+// dominates reports whether a is at least as good as b in every pruning
+// coordinate (within geom.Eps) and plays the same role: partials must agree
+// on an electrical child, SELF options on a modulator at the node.
+func dominates(a, b *state) bool {
+	return a.pow <= b.pow+geom.Eps &&
+		a.loss <= b.loss+geom.Eps &&
+		a.arms <= b.arms &&
+		a.sealedWorst <= b.sealedWorst+geom.Eps &&
+		a.flag == b.flag
 }
 
-// sortOptionsByPow is sortPartialsByPow for option lists.
-func sortOptionsByPow(os []option) {
-	n := len(os)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftOption(os, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		os[0], os[i] = os[i], os[0]
-		siftOption(os, 0, i)
-	}
-}
-
-func siftOption(os []option, lo, hi int) {
-	root := lo
-	for {
-		c := 2*root + 1
-		if c >= hi {
-			return
-		}
-		if c+1 < hi && os[c+1].pow > os[c].pow {
-			c++
-		}
-		if os[c].pow <= os[root].pow {
-			return
-		}
-		os[root], os[c] = os[c], os[root]
-		root = c
-	}
-}
-
-// prunePartials sorts ps by power and compacts it in place to the
-// non-dominated prefix, capped at maxKeep entries.
-func prunePartials(ps []partial, maxKeep int) []partial {
-	sortPartialsByPow(ps)
+// prune sorts ss by cmpState and compacts it in place to the states that no
+// earlier kept state dominates, at most maxKeep of them.
+func prune(ss []state, maxKeep int) []state {
+	slices.SortFunc(ss, cmpState)
 	k := 0
-	for i := range ps {
-		p := ps[i]
-		dominated := false
-		for j := 0; j < k; j++ {
-			kp := &ps[j]
-			if kp.pow <= p.pow+geom.Eps &&
-				kp.maxArmLoss <= p.maxArmLoss+geom.Eps &&
-				kp.arms <= p.arms &&
-				kp.sealedWorst <= p.sealedWorst+geom.Eps &&
-				kp.hasEChild == p.hasEChild {
-				dominated = true
-				break
+next:
+	for i := range ss {
+		for j := range k {
+			if dominates(&ss[j], &ss[i]) {
+				continue next
 			}
 		}
-		if !dominated {
-			ps[k] = p
-			k++
-			if k >= maxKeep {
-				break
-			}
+		ss[k] = ss[i]
+		k++
+		if k >= maxKeep {
+			break
 		}
 	}
-	return ps[:k]
-}
-
-// pruneOptions is prunePartials over option lists; keepLoss additionally
-// treats recvLoss as a pruning coordinate (RECV options).
-func pruneOptions(os []option, keepLoss bool, maxKeep int) []option {
-	sortOptionsByPow(os)
-	k := 0
-	for i := range os {
-		o := os[i]
-		dominated := false
-		for j := 0; j < k; j++ {
-			kp := &os[j]
-			if kp.pow <= o.pow+geom.Eps &&
-				kp.sealedWorst <= o.sealedWorst+geom.Eps &&
-				(!keepLoss || kp.recvLoss <= o.recvLoss+geom.Eps) &&
-				kp.domainAtTop == o.domainAtTop {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			os[k] = o
-			k++
-			if k >= maxKeep {
-				break
-			}
-		}
-	}
-	return os[:k]
+	return ss[:k]
 }
 
 // Generate runs the co-design DP and returns the pruned candidate set,
@@ -519,14 +487,13 @@ func Generate(in Input, ws *Workspace) ([]Candidate, error) {
 	modP := in.Lib.ConversionPowerMW(1, 0) * bits
 	detP := in.Lib.ConversionPowerMW(0, 1) * bits
 
+	ws.fillEdgeCross(in, r)
 	ws.edgeLossDB = growFloats(ws.edgeLossDB, nEdges)
 	ws.edgeElecP = growFloats(ws.edgeElecP, nEdges)
 	edgeLossDB, edgeElecP := ws.edgeLossDB, ws.edgeElecP
 	for ei := range in.Tree.Edges {
 		seg := r.edgeSeg(ei)
-		crossings := geom.CrossingsWithSegment(seg, in.Env)
-		edgeLossDB[ei] = in.Lib.PropagationLossDB(seg.Length()) +
-			in.Lib.CrossingLossDB(crossings)
+		edgeLossDB[ei] = in.Lib.PropagationLossDB(seg.Length()) + ws.edgeCrossDB[ei]
 		edgeElecP[ei] = in.Elec.BusPowerMW(seg.ManhattanLength(), in.Bits)
 	}
 
@@ -543,7 +510,7 @@ func Generate(in Input, ws *Workspace) ([]Candidate, error) {
 
 	for _, v := range r.order {
 		partials := ws.partials[:0]
-		partials = append(partials, partial{labels: la.allocZero(nEdges), maxArmLoss: math.Inf(-1)})
+		partials = append(partials, state{labels: la.allocZero(nEdges), loss: math.Inf(-1)})
 		next := ws.next
 		for ci, c := range r.children[v] {
 			ei := r.childE[v][ci]
@@ -553,70 +520,70 @@ func Generate(in Input, ws *Workspace) ([]Candidate, error) {
 				for _, co := range selfOpts[c] {
 					lb := la.merge(p.labels, co.labels, nEdges)
 					lb[ei] = Electrical
-					next = append(next, partial{
+					next = append(next, state{
 						labels:      lb,
 						pow:         p.pow + co.pow + edgeElecP[ei],
-						arms:        p.arms,
-						maxArmLoss:  p.maxArmLoss,
+						loss:        p.loss,
 						sealedWorst: math.Max(p.sealedWorst, co.sealedWorst),
-						hasEChild:   true,
+						arms:        p.arms,
+						flag:        true,
 					})
 				}
 				// Label the edge Optical.
 				for _, co := range recvOpts[c] {
 					lb := la.merge(p.labels, co.labels, nEdges)
 					lb[ei] = Optical
-					next = append(next, partial{
+					next = append(next, state{
 						labels:      lb,
 						pow:         p.pow + co.pow,
-						arms:        p.arms + 1,
-						maxArmLoss:  math.Max(p.maxArmLoss, edgeLossDB[ei]+co.recvLoss),
+						loss:        math.Max(p.loss, edgeLossDB[ei]+co.loss),
 						sealedWorst: math.Max(p.sealedWorst, co.sealedWorst),
-						hasEChild:   p.hasEChild,
+						arms:        p.arms + 1,
+						flag:        p.flag,
 					})
 				}
 				// Optical edge ending at a sealed child: a pure exit with a
 				// detector at the child. Forbidden when the child hosts its
 				// own modulator (no OEO regeneration at a single node).
 				for _, co := range selfOpts[c] {
-					if co.domainAtTop {
+					if co.flag {
 						continue
 					}
 					lb := la.merge(p.labels, co.labels, nEdges)
 					lb[ei] = Optical
-					next = append(next, partial{
+					next = append(next, state{
 						labels:      lb,
 						pow:         p.pow + co.pow + detP,
-						arms:        p.arms + 1,
-						maxArmLoss:  math.Max(p.maxArmLoss, edgeLossDB[ei]),
+						loss:        math.Max(p.loss, edgeLossDB[ei]),
 						sealedWorst: math.Max(p.sealedWorst, co.sealedWorst),
-						hasEChild:   p.hasEChild,
+						arms:        p.arms + 1,
+						flag:        p.flag,
 					})
 				}
 			}
-			partials, next = prunePartials(next, maxOpts*4), partials
+			partials, next = prune(next, maxOpts*4), partials
 		}
 
 		// Finalize the node's options.
 		selfs, recvs := ws.selfs[:0], ws.recvs[:0]
 		for _, p := range partials {
 			if p.arms == 0 {
-				selfs = append(selfs, option{
+				selfs = append(selfs, state{
 					labels: p.labels, pow: p.pow, sealedWorst: p.sealedWorst,
 				})
 			} else {
-				loss := p.maxArmLoss + optics.SplittingLossDB(p.arms)
+				loss := p.loss + optics.SplittingLossDB(p.arms)
 				if in.Lib.Detectable(loss) {
-					selfs = append(selfs, option{
+					selfs = append(selfs, state{
 						labels:      p.labels,
 						pow:         p.pow + modP,
 						sealedWorst: math.Max(p.sealedWorst, loss),
-						domainAtTop: true,
+						flag:        true,
 					})
 				}
 			}
 			if v != r.root {
-				selfExit := r.isSink(v) || p.hasEChild || len(r.children[v]) == 0
+				selfExit := r.isSink(v) || p.flag || len(r.children[v]) == 0
 				armsTotal := p.arms
 				pow := p.pow
 				if selfExit {
@@ -629,14 +596,14 @@ func Generate(in Input, ws *Workspace) ([]Candidate, error) {
 				split := optics.SplittingLossDB(armsTotal)
 				worst := split
 				if p.arms > 0 {
-					worst = split + math.Max(p.maxArmLoss, 0)
+					worst = split + math.Max(p.loss, 0)
 					if !selfExit {
-						worst = split + p.maxArmLoss
+						worst = split + p.loss
 					}
 				}
 				if worst <= in.Lib.MaxLossDB { // quick bound; exact check at seal
-					recvs = append(recvs, option{
-						labels: p.labels, pow: pow, recvLoss: worst,
+					recvs = append(recvs, state{
+						labels: p.labels, pow: pow, loss: worst,
 						sealedWorst: p.sealedWorst,
 					})
 				}
@@ -645,8 +612,8 @@ func Generate(in Input, ws *Workspace) ([]Candidate, error) {
 		ws.selfs, ws.recvs = selfs, recvs
 		// Copy the pruned option lists into the per-node buffers so the
 		// shared selfs/recvs scratch can be reused at the next node.
-		selfOpts[v] = append(selfOpts[v][:0], pruneOptions(selfs, false, maxOpts)...)
-		recvOpts[v] = append(recvOpts[v][:0], pruneOptions(recvs, true, maxOpts)...)
+		selfOpts[v] = append(selfOpts[v][:0], prune(selfs, maxOpts)...)
+		recvOpts[v] = append(recvOpts[v][:0], prune(recvs, maxOpts)...)
 		ws.partials, ws.next = partials, next
 	}
 
@@ -670,14 +637,14 @@ func Generate(in Input, ws *Workspace) ([]Candidate, error) {
 		allE, _ := evaluateRooted(in, r, la.allocZero(nEdges), ws)
 		out = append(out, allE)
 	}
-	out = paretoFilter(out)
-	// Order candidates by power, with the pure-electrical fallback last.
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].AllElectrical != out[j].AllElectrical {
-			return !out[i].AllElectrical
-		}
-		return out[i].PowerMW < out[j].PowerMW
-	})
+	// The front is in ascending power; move the pure-electrical fallback
+	// last.
+	out = ParetoFront(out)
+	if i := slices.IndexFunc(out, func(c Candidate) bool { return c.AllElectrical }); i >= 0 {
+		allE := out[i]
+		copy(out[i:], out[i+1:])
+		out[len(out)-1] = allE
+	}
 	return out, nil
 }
 
@@ -698,12 +665,13 @@ func Evaluate(in Input, labels []Label, ws *Workspace) (Candidate, bool) {
 	if err != nil {
 		return Candidate{}, false
 	}
+	ws.fillEdgeCross(in, r)
 	return evaluateRooted(in, r, labels, ws)
 }
 
 // evaluateRooted is the decode core behind Evaluate; r must be ws.buildRooted
-// of in.Tree, which lets Generate decode every root option without re-rooting
-// the tree each time.
+// of in.Tree and ws.edgeCrossDB its fillEdgeCross, which lets Generate decode
+// every root option without re-rooting the tree or recounting crossings.
 func evaluateRooted(in Input, r *rooted, labels []Label, ws *Workspace) (Candidate, bool) {
 	if len(labels) != len(in.Tree.Edges) {
 		return Candidate{}, false
@@ -790,12 +758,10 @@ func evaluateRooted(in Input, r *rooted, labels []Label, ws *Workspace) (Candida
 				if labels[ei] != Optical {
 					continue
 				}
-				seg := r.edgeSeg(ei)
-				crossings := geom.CrossingsWithSegment(seg, in.Env)
 				stack = append(stack, frame{
 					node:    ch,
-					lossDB:  f.lossDB + split + in.Lib.PropagationLossDB(seg.Length()),
-					crossDB: f.crossDB + in.Lib.CrossingLossDB(crossings),
+					lossDB:  f.lossDB + split + in.Lib.PropagationLossDB(r.edgeSeg(ei).Length()),
+					crossDB: f.crossDB + ws.edgeCrossDB[ei],
 				})
 			}
 		}
@@ -826,32 +792,28 @@ func pathSegs(r *rooted, top, u int, ws *Workspace) []geom.Segment {
 	return segs
 }
 
-// paretoFilter drops candidates strictly dominated in (power, worst fixed
-// path loss) by another candidate. The electrical fallback (zero optical
-// loss) is never dominated and always survives.
-func paretoFilter(cands []Candidate) []Candidate {
-	var kept []Candidate
-	for i, c := range cands {
-		dominated := false
-		for j, o := range cands {
-			if i == j {
-				continue
-			}
-			// Strict domination in both coordinates, with index tie-break
-			// to keep exactly one of exact duplicates.
-			better := o.PowerMW < c.PowerMW-geom.Eps && o.MaxFixedLossDB < c.MaxFixedLossDB-geom.Eps
-			duplicate := math.Abs(o.PowerMW-c.PowerMW) <= geom.Eps &&
-				math.Abs(o.MaxFixedLossDB-c.MaxFixedLossDB) <= geom.Eps && j < i
-			if better || duplicate {
-				dominated = true
-				break
-			}
+// ParetoFront compacts cands in place to its Pareto front over (PowerMW,
+// MaxFixedLossDB) and returns it in ascending power: after a stable sort by
+// power, then loss, a candidate is kept when it lowers the best loss kept
+// so far by more than geom.Eps. A candidate another one matches or beats in
+// both coordinates is dropped, and of exact duplicates the first listed is
+// kept.
+func ParetoFront(cands []Candidate) []Candidate {
+	slices.SortStableFunc(cands, func(a, b Candidate) int {
+		if c := cmp.Compare(a.PowerMW, b.PowerMW); c != 0 {
+			return c
 		}
-		if !dominated {
-			kept = append(kept, c)
+		return cmp.Compare(a.MaxFixedLossDB, b.MaxFixedLossDB)
+	})
+	front := cands[:0]
+	best := math.Inf(1)
+	for _, c := range cands {
+		if c.MaxFixedLossDB < best-geom.Eps {
+			front = append(front, c)
+			best = c.MaxFixedLossDB
 		}
 	}
-	return kept
+	return front
 }
 
 // isDomainTop reports whether node v hosts a modulator under the labeling:

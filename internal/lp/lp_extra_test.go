@@ -141,7 +141,7 @@ func TestDualityGapZero(t *testing.T) {
 	}
 }
 
-func BenchmarkSolveDense(b *testing.B) {
+func BenchmarkSolve(b *testing.B) {
 	// An OPERON-selection-shaped LP: assignment equalities plus covering
 	// rows, ~200 variables.
 	rng := rand.New(rand.NewSource(3))

@@ -30,7 +30,7 @@ import (
 // worker-pool goroutines use WorkerLane(w).
 const LaneFlow = 0
 
-// WorkerLane maps a parallel.ForEachScratchContext worker index to its lane ID, so
+// WorkerLane maps a parallel.ForEachWorker worker index to its lane ID, so
 // the Config.Workers fan-out renders as parallel tracks in the trace.
 func WorkerLane(worker int) int { return worker + 1 }
 

@@ -54,74 +54,6 @@ func Workers(workers, n int) int {
 	return workers
 }
 
-// Scratch is a per-worker scratch arena: a keyed bag of reusable buffers a
-// stage can stash package-specific workspaces in (keyed by package name,
-// fetched with a type assertion). A Scratch is handed to exactly one worker
-// goroutine at a time by ForEachScratchContext, so its methods need no
-// locking; it must not be shared across concurrently running workers.
-type Scratch struct {
-	slots map[string]any
-}
-
-// Get returns the scratch slot for key, creating it with mk on first use.
-// The returned value is whatever mk produced the first time, so callers
-// type-assert it to their package's workspace type. mk runs at most once
-// per key per Scratch, which makes it a natural hook for workspace-creation
-// counters (reuse rate = uses - creations).
-func (s *Scratch) Get(key string, mk func() any) any {
-	if s.slots == nil {
-		s.slots = make(map[string]any)
-	}
-	v, ok := s.slots[key]
-	if !ok {
-		v = mk()
-		s.slots[key] = v
-	}
-	return v
-}
-
-// Arena owns one Scratch per worker slot and hands the same slot to the
-// same worker index on every ForEachScratchContext invocation, so per-worker
-// workspaces persist across pool runs (across nets, LR iterations, and —
-// when the Arena is held by a serving queue slot — across requests).
-// The zero value is ready to use. Arena is safe for use from sequential
-// pool invocations; the pool itself guarantees slot i is only touched by
-// worker i while a run is in flight.
-type Arena struct {
-	mu        sync.Mutex
-	scratches []*Scratch
-}
-
-// NewArena returns an empty arena; scratches are created on demand.
-func NewArena() *Arena { return &Arena{} }
-
-// grab returns the first w scratch slots, growing the arena as needed.
-func (a *Arena) grab(w int) []*Scratch {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for len(a.scratches) < w {
-		a.scratches = append(a.scratches, &Scratch{})
-	}
-	return a.scratches[:w]
-}
-
-// ForEachScratchContext is ForEach with the worker's pool index
-// (0..Workers-1) and a per-worker *Scratch from the arena passed to fn
-// alongside the item index; the sequential path is worker 0. Worker w
-// always receives arena slot w, so buffers cached in a Scratch are reused
-// across invocations without locks. A nil arena gets a throwaway one (no
-// reuse across calls, but the per-call reuse within one pool run still
-// applies). The determinism, cancellation and drain contracts of ForEach
-// hold: the worker index must only feed telemetry, and scratch contents
-// must only affect allocation behaviour, never results.
-func ForEachScratchContext(ctx context.Context, a *Arena, n, workers int, fn func(worker int, s *Scratch, i int) error) error {
-	if a == nil {
-		a = NewArena()
-	}
-	sc := a.grab(Workers(workers, n))
-	return forEach(ctx, n, workers, func(worker, i int) error { return fn(worker, sc[worker], i) })
-}
-
 // ForEach runs fn(i) for every i in [0,n) on at most Workers(workers,
 // n) goroutines. The first error short-circuits: no new items are
 // dispatched, in-flight calls finish, and the error of the lowest failing
@@ -138,17 +70,23 @@ func ForEachScratchContext(ctx context.Context, a *Arena, n, workers int, fn fun
 // provides a happens-before edge between every fn call and ForEach's
 // return, so no further synchronisation is needed for such writes.
 func ForEach(ctx context.Context, n int, workers int, fn func(int) error) error {
-	return forEach(ctx, n, workers, func(_, i int) error { return fn(i) })
+	return ForEachWorker(ctx, n, workers, func(_, i int) error { return fn(i) })
 }
 
-// forEach is the shared pool core behind ForEach and ForEachScratchContext.
+// ForEachWorker is ForEach with the worker's pool index (0..Workers(workers,
+// n)-1) passed to fn alongside the item index; the calling goroutine, and so
+// the whole sequential path, is worker 0. Each worker runs its items one at a
+// time, so a caller may keep per-worker scratch indexed by worker and touch
+// it without locks. The determinism, cancellation and drain contracts of
+// ForEach hold: the worker index may only feed telemetry and scratch reuse,
+// never results.
+//
 // With more than one worker, workers claim the next index from an atomic
-// counter, so the hand-off is one atomic add per item; the calling goroutine
-// is worker 0. Indices are
-// claimed in ascending order and a claimed item always runs, so when item i
-// fails every lower index has run or is running: the lowest failing index
-// is the one a sequential loop would report.
-func forEach(ctx context.Context, n int, workers int, fn func(worker, i int) error) error {
+// counter, so the hand-off is one atomic add per item. Indices are claimed
+// in ascending order and a claimed item always runs, so when item i fails
+// every lower index has run or is running: the lowest failing index is the
+// one a sequential loop would report.
+func ForEachWorker(ctx context.Context, n int, workers int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -179,7 +117,7 @@ func forEach(ctx context.Context, n int, workers int, fn func(worker, i int) err
 	return ctx.Err()
 }
 
-// run is the state of one forEach call, shared by its workers.
+// run is the state of one ForEachWorker call, shared by its workers.
 type run struct {
 	n    int
 	fn   func(worker, i int) error

@@ -34,7 +34,7 @@ func TestForEachWorkerIDsInRangeAndComplete(t *testing.T) {
 		n := 97
 		seen := make([]int32, n)
 		byWorker := make([]int32, workers)
-		if err := ForEachScratchContext(context.Background(), nil, n, workers, func(w int, _ *Scratch, i int) error {
+		if err := ForEachWorker(context.Background(), n, workers, func(w, i int) error {
 			if w < 0 || w >= workers {
 				return fmt.Errorf("worker %d out of range", w)
 			}

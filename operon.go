@@ -24,16 +24,13 @@ package operon
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"operon/internal/codesign"
 	"operon/internal/geom"
 	"operon/internal/obs"
 	"operon/internal/optics"
-	"operon/internal/parallel"
 	"operon/internal/power"
 	"operon/internal/selection"
 	"operon/internal/signal"
@@ -429,7 +426,7 @@ func (next *sessionState) candidates(ctx context.Context, cfg Config, ws *Worksp
 	}
 	st.TreesRebuilt = nN - st.TreesReused
 	blStart := time.Now()
-	if err := baselineTrees(ctx, next.hnets, next.trees, cfg, ws.arenaOf()); err != nil {
+	if err := baselineTrees(ctx, next.hnets, next.trees, cfg, ws); err != nil {
 		return nil, err
 	}
 	// The baseline-topology sweep is the first half of the candidates stage;
@@ -450,7 +447,7 @@ func (next *sessionState) candidates(ctx context.Context, cfg Config, ws *Worksp
 		}
 	}
 	st.CandsRebuilt = nN - st.CandsReused
-	if err := coDesignNets(ctx, next.hnets, next.trees, envs, next.nets, cfg, ws.arenaOf()); err != nil {
+	if err := coDesignNets(ctx, next.hnets, next.trees, envs, next.nets, cfg, ws); err != nil {
 		return nil, err
 	}
 	return candMap, nil
@@ -594,7 +591,7 @@ func RunOpticalContext(ctx context.Context, d signal.Design, cfg Config) (*Resul
 
 	ws := NewWorkspace()
 	floored, err := res.candidateStage(ctx, cfg, ws, func() ([]selection.Net, error) {
-		return opticalNets(ctx, hnets, cfg, ws.arenaOf())
+		return opticalNets(ctx, hnets, cfg, ws)
 	})
 	if err != nil {
 		return nil, err
@@ -633,19 +630,18 @@ func RunOpticalContext(ctx context.Context, d signal.Design, cfg Config) (*Resul
 // opticalNets gives every hyper net GLOW's candidates: the all-optical route
 // on its primary baseline tree when it is feasible, then the electrical
 // fallback. The only possible error besides a generation failure is ctx's.
-func opticalNets(ctx context.Context, hnets []signal.HyperNet, cfg Config, arena *parallel.Arena) ([]selection.Net, error) {
+func opticalNets(ctx context.Context, hnets []signal.HyperNet, cfg Config, ws *Workspace) ([]selection.Net, error) {
 	trees := make([][]steiner.Tree, len(hnets))
-	if err := baselineTrees(ctx, hnets, trees, cfg, arena); err != nil {
+	if err := baselineTrees(ctx, hnets, trees, cfg, ws); err != nil {
 		return nil, err
 	}
 	envs, _ := buildEnvsContrib(hnets, trees)
 	nets := make([]selection.Net, len(hnets))
-	err := parallel.ForEachScratchContext(ctx, arena, len(hnets), cfg.Workers, func(w int, s *parallel.Scratch, i int) error {
+	err := ws.forEach(ctx, len(hnets), cfg.Workers, cfg.Obs, func(w int, scr *workerScratch, i int) error {
 		var sp obs.Span
 		if cfg.Obs != nil {
 			sp = cfg.Obs.Span("net/optical", obs.WorkerLane(w), obs.I("net", i))
 		}
-		scr := grabScratch(s, cfg.Obs)
 		in := codesign.Input{
 			Tree: trees[i][0],
 			Bits: hnets[i].BitCount(),
@@ -698,15 +694,15 @@ func process(d signal.Design, cfg Config, prev [][]signal.HyperNet, clean []bool
 }
 
 // baselineTrees fills every nil entry trees[i] with hyper net i's optical
-// baseline topologies, built on the per-worker Steiner workspaces of arena
+// baseline topologies, built on the per-worker Steiner workspaces of ws
 // (the trees own their memory — workspace scratch never escapes). The only
 // possible error is ctx's: cancellation stops dispatch and surfaces
 // ctx.Err(), on which callers degrade to the electrical floor.
-func baselineTrees(ctx context.Context, hnets []signal.HyperNet, trees [][]steiner.Tree, cfg Config, arena *parallel.Arena) error {
+func baselineTrees(ctx context.Context, hnets []signal.HyperNet, trees [][]steiner.Tree, cfg Config, ws *Workspace) error {
 	todo := missing(len(trees), func(i int) bool { return trees[i] == nil })
-	return parallel.ForEachScratchContext(ctx, arena, len(todo), cfg.Workers, func(w int, s *parallel.Scratch, k int) error {
+	return ws.forEach(ctx, len(todo), cfg.Workers, cfg.Obs, func(w int, scr *workerScratch, k int) error {
 		i := todo[k]
-		trees[i] = steiner.Baselines(hnets[i].Terminals(), steiner.Euclidean, cfg.MaxBaselines, grabScratch(s, cfg.Obs).steiner)
+		trees[i] = steiner.Baselines(hnets[i].Terminals(), steiner.Euclidean, cfg.MaxBaselines, scr.steiner)
 		return nil
 	})
 }
@@ -756,20 +752,20 @@ func buildEnvsContrib(hnets []signal.HyperNet, trees [][]steiner.Tree) ([][]geom
 // that has none yet. Cancelling ctx stops dispatch of further nets (in-flight
 // ones finish — the pool's deterministic drain) and returns ctx.Err(); the
 // caller then degrades to the electrical floor.
-func coDesignNets(ctx context.Context, hnets []signal.HyperNet, trees [][]steiner.Tree, envs [][]geom.Segment, nets []selection.Net, cfg Config, arena *parallel.Arena) error {
+func coDesignNets(ctx context.Context, hnets []signal.HyperNet, trees [][]steiner.Tree, envs [][]geom.Segment, nets []selection.Net, cfg Config, ws *Workspace) error {
 	todo := missing(len(nets), func(i int) bool { return nets[i].Cands == nil })
 	netHist := cfg.Obs.Histogram("net/candidates")
 	// Candidate generation is the widest fan-out of the flow; each net is
 	// tagged with the worker lane that produced it so the trace shows the
 	// pool's parallel tracks. The lane feeds telemetry only — results stay
-	// bit-identical across worker counts, with or without arena reuse.
-	return parallel.ForEachScratchContext(ctx, arena, len(todo), cfg.Workers, func(w int, s *parallel.Scratch, k int) error {
+	// bit-identical across worker counts, with or without workspace reuse.
+	return ws.forEach(ctx, len(todo), cfg.Workers, cfg.Obs, func(w int, scr *workerScratch, k int) error {
 		i := todo[k]
 		var sp obs.Span
 		if cfg.Obs != nil {
 			sp = cfg.Obs.Span("net/candidates", obs.WorkerLane(w), obs.I("net", i))
 		}
-		net, err := generateNetCandidates(i, hnets[i], trees[i], envs[i], cfg, grabScratch(s, cfg.Obs))
+		net, err := generateNetCandidates(i, hnets[i], trees[i], envs[i], cfg, scr)
 		if err != nil {
 			return err
 		}
@@ -795,16 +791,16 @@ func missing(n int, absent func(int) bool) []int {
 // electricalNets routes every hyper net with its all-electrical RSMT fallback
 // as its only candidate, one span named span per net. It ignores
 // cancellation by design — the electrical routing is the degradation floor —
-// so the pool runs under context.Background(). A nil arena means throwaway
+// so the pool runs under context.Background(). A nil ws means throwaway
 // scratch.
-func electricalNets(hnets []signal.HyperNet, cfg Config, arena *parallel.Arena, span string) ([]selection.Net, error) {
+func electricalNets(hnets []signal.HyperNet, cfg Config, ws *Workspace, span string) ([]selection.Net, error) {
 	nets := make([]selection.Net, len(hnets))
-	err := parallel.ForEachScratchContext(context.Background(), arena, len(hnets), cfg.Workers, func(w int, s *parallel.Scratch, i int) error {
+	err := ws.forEach(context.Background(), len(hnets), cfg.Workers, cfg.Obs, func(w int, scr *workerScratch, i int) error {
 		var sp obs.Span
 		if cfg.Obs != nil {
 			sp = cfg.Obs.Span(span, obs.WorkerLane(w), obs.I("net", i))
 		}
-		cand, err := electricalCandidate(hnets[i], cfg, grabScratch(s, cfg.Obs))
+		cand, err := electricalCandidate(hnets[i], cfg, scr)
 		if err != nil {
 			return err
 		}
@@ -878,26 +874,14 @@ func lossPressed(tr steiner.Tree, env []geom.Segment, lib optics.Library, sinks 
 }
 
 // thinCandidates reduces a merged candidate list to at most max entries:
-// dominated candidates (in power and worst fixed loss) are dropped first,
-// then the Pareto front is subsampled evenly along its power ordering so
-// loss diversity survives. max <= 0 keeps everything.
+// dominated candidates (in power and worst fixed loss) are dropped first
+// (codesign.ParetoFront), then the front is subsampled evenly along its
+// power ordering so loss diversity survives. max <= 0 keeps everything.
 func thinCandidates(cands []codesign.Candidate, max int) []codesign.Candidate {
 	if max <= 0 || len(cands) <= max {
 		return cands
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].PowerMW < cands[j].PowerMW })
-	var front []codesign.Candidate
-	bestLoss := math.Inf(1)
-	for _, c := range cands {
-		// Power-ascending scan: keep only candidates that strictly improve
-		// the best loss seen so far (the Pareto front).
-		if c.MaxFixedLossDB < bestLoss-1e-12 || len(front) == 0 {
-			front = append(front, c)
-			if c.MaxFixedLossDB < bestLoss {
-				bestLoss = c.MaxFixedLossDB
-			}
-		}
-	}
+	front := codesign.ParetoFront(cands)
 	if len(front) <= max {
 		return front
 	}

@@ -25,28 +25,40 @@ func TestThinCandidatesKeepsAllWhenSmall(t *testing.T) {
 }
 
 func TestThinCandidatesDropsDominated(t *testing.T) {
-	cands := []codesign.Candidate{
-		mkCand(1, 10), // cheapest
-		mkCand(2, 9),
-		mkCand(2.5, 9.5), // dominated by (2,9)
-		mkCand(3, 6),
-		mkCand(4, 4),
-		mkCand(5, 2), // lowest loss
-	}
-	got := thinCandidates(cands, 3)
-	if len(got) != 3 {
-		t.Fatalf("thinned to %d, want 3", len(got))
-	}
-	// Extremes survive: the cheapest and the lowest-loss candidate.
-	if got[0].PowerMW != 1 {
-		t.Errorf("cheapest dropped: %+v", got[0])
-	}
-	if got[len(got)-1].MaxFixedLossDB != 2 {
-		t.Errorf("lowest-loss dropped: %+v", got[len(got)-1])
-	}
-	for _, c := range got {
-		if c.PowerMW == 2.5 {
-			t.Error("dominated candidate survived")
+	for _, tc := range []struct {
+		cands   []codesign.Candidate
+		max     int
+		dropped codesign.Candidate
+	}{
+		{[]codesign.Candidate{
+			mkCand(1, 10), // cheapest
+			mkCand(2, 9),
+			mkCand(2.5, 9.5), // dominated by (2,9)
+			mkCand(3, 6),
+			mkCand(4, 4),
+			mkCand(5, 2), // lowest loss
+		}, 3, mkCand(2.5, 9.5)},
+		// At equal power, (2,9) is listed before the (2,3) that dominates
+		// it; input order must not let it through.
+		{[]codesign.Candidate{
+			mkCand(1, 10), mkCand(2, 9), mkCand(2, 3), mkCand(3, 2.5), mkCand(4, 1), mkCand(5, 0.5),
+		}, 4, mkCand(2, 9)},
+	} {
+		got := thinCandidates(tc.cands, tc.max)
+		if len(got) != tc.max {
+			t.Fatalf("thinned to %d, want %d", len(got), tc.max)
+		}
+		// Extremes survive: the cheapest and the lowest-loss candidate.
+		if got[0].PowerMW != 1 {
+			t.Errorf("cheapest dropped: %+v", got[0])
+		}
+		if last := got[len(got)-1]; last.PowerMW != 5 {
+			t.Errorf("lowest-loss dropped: %+v", last)
+		}
+		for _, c := range got {
+			if c.PowerMW == tc.dropped.PowerMW && c.MaxFixedLossDB == tc.dropped.MaxFixedLossDB {
+				t.Errorf("dominated candidate %+v survived: %+v", c, got)
+			}
 		}
 	}
 }

@@ -97,7 +97,7 @@ func TestWorkspaceReuseCounters(t *testing.T) {
 	}
 	created := counterValue(t, cfg.Obs, "ws.worker.create")
 	if created == 0 {
-		t.Fatal("no worker scratch created — grabScratch is not wired in")
+		t.Fatal("no worker scratch created — Workspace.forEach is not wired in")
 	}
 	if created > int64(cfg.Workers) {
 		t.Errorf("three runs on one workspace created %d worker scratches, want at most %d", created, cfg.Workers)

@@ -1,6 +1,8 @@
 package operon
 
 import (
+	"context"
+
 	"operon/internal/codesign"
 	"operon/internal/obs"
 	"operon/internal/parallel"
@@ -22,21 +24,12 @@ import (
 // (internal/serve), and it serves every job of that slot: cold solves and
 // Session resolves alike, since a Session owns no scratch of its own.
 type Workspace struct {
-	arena *parallel.Arena
+	workers []*workerScratch // slot w belongs to pool worker w
 }
 
 // NewWorkspace returns an empty workspace; per-worker scratch is created on
 // first use and reused afterwards.
-func NewWorkspace() *Workspace { return &Workspace{arena: parallel.NewArena()} }
-
-// arenaOf returns the workspace's arena, tolerating a nil receiver (a nil
-// Workspace means per-run throwaway scratch).
-func (w *Workspace) arenaOf() *parallel.Arena {
-	if w == nil {
-		return nil
-	}
-	return w.arena
-}
+func NewWorkspace() *Workspace { return &Workspace{} }
 
 // workerScratch bundles the per-worker package workspaces used by the
 // candidate-generation stages.
@@ -46,25 +39,31 @@ type workerScratch struct {
 	labels   []codesign.Label
 }
 
-// grabScratch fetches the flow's worker scratch from s, creating it on
-// first use. Creations and reuses are counted on t (ws.worker.create /
-// ws.worker.reuse), so an instrumented run can report its workspace reuse
-// rate as reuse / (create + reuse).
-func grabScratch(s *parallel.Scratch, t *obs.Tracer) *workerScratch {
-	created := false
-	ws := s.Get("operon", func() any {
-		created = true
-		return &workerScratch{
-			codesign: codesign.NewWorkspace(),
-			steiner:  steiner.NewWorkspace(),
-		}
-	}).(*workerScratch)
-	if created {
-		t.Counter("ws.worker.create").Inc()
-	} else {
-		t.Counter("ws.worker.reuse").Inc()
+// forEach runs fn over [0,n) on parallel.ForEachWorker and hands worker w
+// the workspace's slot w, so the scratch persists across pool runs. A nil
+// Workspace gets throwaway slots, reused only within this one run. A slot's
+// scratch is created on its worker's first item; creations and reuses are
+// counted on t (ws.worker.create / ws.worker.reuse), so an instrumented run
+// can report its reuse rate as reuse / (create + reuse).
+func (w *Workspace) forEach(ctx context.Context, n, workers int, t *obs.Tracer, fn func(worker int, scr *workerScratch, i int) error) error {
+	if w == nil {
+		w = NewWorkspace()
 	}
-	return ws
+	for len(w.workers) < parallel.Workers(workers, n) {
+		w.workers = append(w.workers, nil)
+	}
+	slots := w.workers
+	return parallel.ForEachWorker(ctx, n, workers, func(wk, i int) error {
+		scr := slots[wk]
+		if scr == nil {
+			scr = &workerScratch{codesign: codesign.NewWorkspace(), steiner: steiner.NewWorkspace()}
+			slots[wk] = scr
+			t.Counter("ws.worker.create").Inc()
+		} else {
+			t.Counter("ws.worker.reuse").Inc()
+		}
+		return fn(wk, scr, i)
+	})
 }
 
 // fillLabels returns a scratch label slice of length n with every entry set
