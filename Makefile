@@ -98,7 +98,8 @@ dup-smoke:
 
 # Fuzz smoke: ten seconds of fresh inputs for each fuzz target (the ILP
 # against enumeration, BI1S trees, the LP revised simplex against the dense
-# oracle, the per-component min-cost flow against the whole-network search,
+# oracle, the sparse refactorisation against the dense rebuild, the
+# per-component min-cost flow against the whole-network search,
 # hyper-pin agglomeration against the all-pairs scan, the fingerprint's
 # equal/differ/ignore contract, the co-design DP's prune against input
 # order and dominance).
@@ -108,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime 10s ./internal/ilp
 	$(GO) test -run '^$$' -fuzz '^FuzzBI1S$$' -fuzztime 10s ./internal/steiner
 	$(GO) test -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime 10s ./internal/lp
+	$(GO) test -run '^$$' -fuzz '^FuzzRefactor$$' -fuzztime 10s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxFlow$$' -fuzztime 10s ./internal/mcmf
 	$(GO) test -run '^$$' -fuzz '^FuzzAgglomerate$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s .

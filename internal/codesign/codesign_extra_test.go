@@ -199,6 +199,10 @@ func TestDPOnSubdividedTreesMatchesOracle(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerate times the DP as the flow runs it: one workspace reused
+// across calls (the flow keeps one per worker) and an Env of other nets'
+// baseline segments over the same area, so crossing estimation runs (the
+// Table-1 designs hand a net 18-49 such segments).
 func BenchmarkGenerate(b *testing.B) {
 	in := Input{
 		Tree: steiner.Subdivide(
@@ -207,9 +211,18 @@ func BenchmarkGenerate(b *testing.B) {
 		Lib:  optics.DefaultLibrary(),
 		Elec: power.DefaultElectricalModel(),
 	}
+	for seed := int64(100); len(in.Env) < 32; seed++ {
+		other := steiner.BI1S(randTerminals(4, seed, 3), steiner.Euclidean, nil)
+		in.Env = append(in.Env, other.Segments()...)
+	}
+	ws := NewWorkspace()
+	if _, err := Generate(in, ws); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Generate(in, nil); err != nil {
+		if _, err := Generate(in, ws); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,7 +19,7 @@ type Basis struct {
 // by a pivot direction d = B'⁻¹·A_enter. FTRAN applies the inverses in
 // creation order, BTRAN transposed in reverse order. The file is rebuilt
 // from scratch (refactorisation) periodically to bound its length and
-// squash numerical drift.
+// squash numerical drift; a rebuild stores no identity eta.
 type etaFile struct {
 	pivRow []int32   // pivot row per eta
 	piv    []float64 // pivot element d[pivRow]
@@ -49,22 +49,48 @@ func (e *etaFile) reset() {
 func (e *etaFile) len() int { return len(e.pivRow) }
 
 // push appends the eta for pivot direction d (dense, length m) with pivot
-// row r. It returns false if the pivot element is numerically unusable.
+// row r, scanning every row for off-pivot entries: the update path, whose d
+// comes from a full FTRAN. It returns false if the pivot element is
+// numerically unusable.
 func (e *etaFile) push(d []float64, r int32) bool {
 	p := d[r]
 	if math.Abs(p) < pivTol {
 		return false
 	}
-	e.pivRow = append(e.pivRow, r)
-	e.piv = append(e.piv, p)
 	for i, v := range d {
 		if int32(i) != r && math.Abs(v) > dropTol {
 			e.idx = append(e.idx, int32(i))
 			e.val = append(e.val, v)
 		}
 	}
-	e.starts = append(e.starts, int32(len(e.idx)))
+	e.seal(r, p)
 	return true
+}
+
+// pushRows appends the eta for d with pivot row r, reading off-pivot
+// entries only from rows (ascending; d is zero on every other row): the
+// refactorisation path, whose caller has already vetted the pivot. An eta
+// that would be the identity — pivot exactly 1 and no entry kept, in
+// practice a basic slack — is not stored: applying it changes no FTRAN or
+// BTRAN bit, and every later solve would walk past it.
+func (e *etaFile) pushRows(d []float64, rows []int32, r int32) {
+	for _, i := range rows {
+		if v := d[i]; i != r && math.Abs(v) > dropTol {
+			e.idx = append(e.idx, i)
+			e.val = append(e.val, v)
+		}
+	}
+	if d[r] == 1 && len(e.idx) == int(e.starts[len(e.starts)-1]) {
+		return
+	}
+	e.seal(r, d[r])
+}
+
+// seal closes the eta whose off-pivot entries were just appended.
+func (e *etaFile) seal(r int32, p float64) {
+	e.pivRow = append(e.pivRow, r)
+	e.piv = append(e.piv, p)
+	e.starts = append(e.starts, int32(len(e.idx)))
 }
 
 // ftran solves B·w = v in place (w = B⁻¹·v): apply E⁻¹ in creation order.
@@ -80,6 +106,31 @@ func (e *etaFile) ftran(v []float64) {
 		}
 		v[r] = t
 	}
+}
+
+// ftranRows is ftran for a v that is zero outside the rows listed in nz
+// (mark[i] is true exactly for listed rows). An eta whose pivot row is
+// unlisted leaves v unchanged and is skipped; a row that fills in is marked
+// and appended. It returns the grown list, in no particular order.
+func (e *etaFile) ftranRows(v []float64, mark []bool, nz []int32) []int32 {
+	for k, r := range e.pivRow {
+		if !mark[r] {
+			continue
+		}
+		t := v[r] / e.piv[k]
+		if t != 0 {
+			for s := e.starts[k]; s < e.starts[k+1]; s++ {
+				i := e.idx[s]
+				if !mark[i] {
+					mark[i] = true
+					nz = append(nz, i)
+				}
+				v[i] -= e.val[s] * t
+			}
+		}
+		v[r] = t
+	}
+	return nz
 }
 
 // btran solves Bᵀ·w = v in place (w = B⁻ᵀ·v): apply E⁻ᵀ in reverse order.

@@ -6,10 +6,7 @@ import "math"
 // the problem objective is sign-compatible with the bound it rests at
 // (rc >= 0 at lower, rc <= 0 at upper) — the precondition for dual simplex.
 func (s *BoundedSolver) dualFeasible() bool {
-	for r := 0; r < s.m; r++ {
-		s.y[r] = s.c[s.basic[r]]
-	}
-	s.etas.btran(s.y)
+	s.freshDuals()
 	for j := 0; j < s.nTot; j++ {
 		if s.pos[j] >= 0 || s.lo[j] == s.up[j] {
 			continue
@@ -65,13 +62,12 @@ func (s *BoundedSolver) dualSimplex() (Status, bool) {
 		lv := s.basic[leave]
 
 		// rho = row `leave` of B⁻¹; y = simplex multipliers for rc.
-		for r := 0; r < s.m; r++ {
+		for r := range s.rho {
 			s.rho[r] = 0
-			s.y[r] = s.c[s.basic[r]]
 		}
 		s.rho[leave] = 1
 		s.etas.btran(s.rho)
-		s.etas.btran(s.y)
+		s.freshDuals()
 
 		// Dual ratio test. delta orients the row so the leaving variable
 		// moves toward its violated bound.
@@ -144,18 +140,8 @@ func (s *BoundedSolver) dualSimplex() (Status, bool) {
 				s.xB[r] -= tE * d[r]
 			}
 		}
-		s.pos[lv] = -1
-		s.atUp[lv] = above
-		s.basic[leave] = int32(enter)
-		s.pos[enter] = int32(leave)
-		s.xB[leave] = s.valOf(enter) + tE
-		// valOf(enter) above read the post-pivot state: enter is already
-		// basic, but valOf only consults bounds and atUp, both unchanged.
-		if !s.etas.push(d, int32(leave)) || s.etas.len() >= refactorEvery {
-			if err := s.refactor(); err != nil {
-				return 0, false
-			}
-			s.computeXB()
+		if err := s.pivot(enter, leave, above, s.valOf(enter)+tE, d); err != nil {
+			return 0, false
 		}
 		if math.Abs(tE) > tol {
 			s.stall = 0

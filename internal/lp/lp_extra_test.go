@@ -173,3 +173,17 @@ func BenchmarkSolve(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSolveSelectionShaped times a cold solve at the exact-ilp root
+// relaxation's shape: selectionShaped(60, 4, 29) has 532 rows and 476
+// structural columns, so every solve refactorises several times.
+func BenchmarkSolveSelectionShaped(b *testing.B) {
+	p := selectionShaped(60, 4, 29)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := Solve(context.Background(), p, Options{})
+		if err != nil || s.Status != Optimal {
+			b.Fatalf("%v %v", s.Status, err)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"operon/internal/obs"
@@ -20,7 +21,8 @@ const (
 	bndTol = 1e-7
 	// dualTol is the dual feasibility tolerance on reduced costs.
 	dualTol = 1e-7
-	// refactorEvery bounds the eta-file length before a refactorisation.
+	// refactorEvery bounds the update etas (pivots since the last rebuild)
+	// before a refactorisation.
 	refactorEvery = 100
 )
 
@@ -59,9 +61,12 @@ type BoundedSolver struct {
 
 	etas etaFile
 	// etaBase is the eta-file length right after the last refactorisation
-	// (one eta per basis column); only update etas beyond it count against
-	// refactorEvery.
+	// (one eta per non-identity basis column); only update etas beyond it
+	// count against refactorEvery.
 	etaBase int
+	// factorGen counts refactorisations; phase 2 compares it to know when
+	// its updated duals must be recomputed from the new file.
+	factorGen int
 
 	// Dense scratch vectors, length m.
 	dir, rho, y, sigma []float64
@@ -84,6 +89,10 @@ type BoundedSolver struct {
 	fBackSlots, fBackRows  []int32
 	fCols                  []int32
 	fRowTaken              []bool
+	// fMark flags the rows of fNz, the non-zero list of the column being
+	// refactorised; both are clear between columns.
+	fMark []bool
+	fNz   []int32
 
 	ctx      context.Context
 	deadline time.Time
@@ -99,6 +108,9 @@ type BoundedSolver struct {
 	// numErr records a numerical breakdown inside the pivot loop (singular
 	// refactorisation); SolveBounds returns it as ErrNumerical.
 	numErr error
+	// onPrice, when set (tests only), runs before each phase-2 pricing pass
+	// and learns whether y is fresh from a BTRAN or carried by updates.
+	onPrice func(yFresh bool)
 }
 
 // NewBoundedSolver validates p and builds the sparse column storage once.
@@ -149,8 +161,9 @@ func NewBoundedSolver(p Problem, opt Options) (*BoundedSolver, error) {
 
 // workspaceBytes bounds the revised-simplex working memory from p's shape
 // alone: the CSC store plus its CSR mirror (at most one entry per term plus
-// one slack per row), per-column state incl. devex weights, and the dense
-// row scratch.
+// one slack per row), per-column state incl. devex weights, the dense row
+// scratch (44 bytes a row) and the refactorisation's row marker and
+// non-zero list (5 bytes a row).
 func workspaceBytes(p Problem) int64 {
 	m := int64(len(p.Rows))
 	nnz := m
@@ -158,7 +171,7 @@ func workspaceBytes(p Problem) int64 {
 		nnz += int64(len(r.Terms))
 	}
 	nTot := int64(p.NumVars) + m
-	return nnz*24 + nTot*41 + m*44 + refactorEvery*16
+	return nnz*24 + nTot*41 + m*49 + refactorEvery*16
 }
 
 // SolveBounds solves min cᵀx subject to the problem rows and lo <= x <= up
@@ -558,40 +571,58 @@ func boolScratch(buf *[]bool, n int) []bool {
 // refactor rebuilds the eta file from the current basic set in the
 // fill-reducing order of factorOrder: each basis column is FTRANed through
 // the file built so far and pivoted on its suggested row when numerically
-// sound, else on the largest-magnitude entry among rows not yet pivoted.
-// The basis is a column set — which row a column pivots on is bookkeeping —
-// so basic/pos are relabelled to the chosen rows; callers recompute xB
-// afterwards. Free row choice makes the factorisation succeed for every
-// nonsingular basis (pinning columns to fixed rows can deadlock on a zero
-// transformed diagonal even when the basis is fine).
+// sound, else on the largest-magnitude entry among rows not yet pivoted
+// (lowest row on ties). The basis is a column set — which row a column
+// pivots on is bookkeeping — so basic/pos are relabelled to the chosen
+// rows; callers recompute xB afterwards. Free row choice makes the
+// factorisation succeed for every nonsingular basis (pinning columns to
+// fixed rows can deadlock on a zero transformed diagonal even when the
+// basis is fine).
+//
+// The work is sparse: a column is scattered with a row marker and a
+// non-zero list, the FTRAN appends the rows that fill in, and the pivot
+// search, the eta push and the clean-up visit that sorted list only. The
+// file matches a dense rebuild entry for entry, less the identity etas
+// pushRows drops (the refactorDense oracle in the tests checks both).
 func (s *BoundedSolver) refactor() error {
 	s.cRefactors.Inc()
+	s.factorGen++
 	order, hints := s.factorOrder()
 	cols := i32Scratch(&s.fCols, s.m)
 	copy(cols, s.basic)
 	s.etas.reset()
 	rowTaken := boolScratch(&s.fRowTaken, s.m)
+	mark := boolScratch(&s.fMark, s.m)
+	// d arrives holding the caller's last pivot direction; from here on it
+	// is zero outside the current column's list.
+	d := s.dir
 	for i := range rowTaken {
 		rowTaken[i] = false
+		mark[i] = false
+		d[i] = 0
 	}
-	d := s.dir
+	nz := s.fNz[:0]
 	for t, k := range order {
 		j := cols[k]
-		for i := range d {
-			d[i] = 0
+		ri, rv := s.A.col(int(j))
+		for e, r := range ri {
+			mark[r] = true
+			nz = append(nz, r)
+			d[r] = rv[e]
 		}
-		s.A.scatter(d, int(j), 1)
-		s.etas.ftran(d)
+		nz = s.etas.ftranRows(d, mark, nz)
+		slices.Sort(nz)
 		pivRow, pivAbs := -1, 0.0
-		for r := 0; r < s.m; r++ {
+		for _, r := range nz {
 			if rowTaken[r] {
 				continue
 			}
 			if a := math.Abs(d[r]); a > pivAbs {
-				pivRow, pivAbs = r, a
+				pivRow, pivAbs = int(r), a
 			}
 		}
 		if pivRow < 0 || pivAbs < pivTol {
+			s.fNz = nz
 			return ErrNumerical // column dependent on those already pivoted
 		}
 		// Prefer the fill-reducing hint row when it is within a stability
@@ -602,10 +633,16 @@ func (s *BoundedSolver) refactor() error {
 			}
 		}
 		rowTaken[pivRow] = true
-		s.etas.push(d, int32(pivRow))
+		s.etas.pushRows(d, nz, int32(pivRow))
+		for _, r := range nz {
+			d[r] = 0
+			mark[r] = false
+		}
+		nz = nz[:0]
 		s.basic[pivRow] = j
 		s.pos[j] = int32(pivRow)
 	}
+	s.fNz = nz
 	if len(order) < s.m {
 		return ErrNumerical
 	}
@@ -657,9 +694,13 @@ const (
 )
 
 // primal runs bounded primal simplex pivots. In phase 1 the objective is
-// the total bound violation of the basic variables (recomputed gradient per
-// iteration); in phase 2 it is the problem objective over a primal-feasible
-// basis. Returns Optimal (phase 1: feasible), Infeasible (phase 1 only),
+// the total bound violation of the basic variables (gradient and its BTRAN
+// recomputed every iteration); in phase 2 it is the problem objective over
+// a primal-feasible basis, priced with duals y that are BTRANed fresh after
+// each refactorisation and otherwise carried by the pivot update
+// y += (d_q/α_q)·ρ, ρ = B⁻ᵀe_leave being the row devexUpdate already
+// BTRANs. An Optimal or Unbounded verdict is only ever given on fresh
+// duals. Returns Optimal (phase 1: feasible), Infeasible (phase 1 only),
 // Unbounded (phase 2 only), or IterLimit.
 func (s *BoundedSolver) primal(kind phaseKind) Status {
 	// Each phase starts a fresh devex reference framework: the phase-1
@@ -669,6 +710,9 @@ func (s *BoundedSolver) primal(kind phaseKind) Status {
 	// rechecked reports that phase 1 already recomputed xB from the
 	// factorisation before an infeasible verdict.
 	rechecked := false
+	// Phase 2's y was BTRANed under factorisation yGen (-1: not yet), and
+	// yFresh reports that no pivot update has touched it since.
+	yGen, yFresh := -1, false
 	for {
 		if s.expired() {
 			return IterLimit
@@ -679,16 +723,22 @@ func (s *BoundedSolver) primal(kind phaseKind) Status {
 				return Optimal // primal feasible
 			}
 			copy(s.y, s.sigma)
+			s.etas.btran(s.y)
 		} else {
-			for r := 0; r < s.m; r++ {
-				s.y[r] = s.c[s.basic[r]]
+			cost = s.c
+			if yGen != s.factorGen {
+				s.freshDuals()
+				yGen, yFresh = s.factorGen, true
 			}
 		}
-		s.etas.btran(s.y)
-		if kind == phase2 {
-			cost = s.c
+		enter, dir := s.pricePhase(cost, yFresh)
+		if enter < 0 && kind == phase2 && !yFresh {
+			// Updated duals carry rounding drift; re-price once against
+			// a fresh BTRAN before declaring optimality.
+			s.freshDuals()
+			yFresh = true
+			enter, dir = s.pricePhase(cost, yFresh)
 		}
-		enter, dir := s.priceEnter(s.y, cost)
 		if enter < 0 {
 			if kind == phase1 {
 				// A degenerate step clamps basics that sat within bndTol
@@ -731,12 +781,31 @@ func (s *BoundedSolver) primal(kind phaseKind) Status {
 				s.computeXB()
 				continue
 			}
+			if !yFresh {
+				yGen = -1 // confirm the entering column on fresh duals
+				continue
+			}
 			return Unbounded
 		}
 		if leave >= 0 {
 			// Must run against the pre-pivot basis: it BTRANs e_leave
 			// through the eta file applyStep is about to extend.
-			s.devexUpdate(enter, leave, d)
+			rho := s.devexUpdate(enter, leave, d)
+			if kind == phase2 {
+				if rho == nil {
+					yGen = -1 // unusable pivot: applyStep refactorises
+				} else {
+					// The entering column prices to zero under the new
+					// basis and the other basic columns stay at zero.
+					theta := (s.c[enter] - s.A.dot(s.y, enter)) / d[leave]
+					for i, v := range rho {
+						if v != 0 {
+							s.y[i] += theta * v
+						}
+					}
+					yFresh = false
+				}
+			}
 		}
 		if err := s.applyStep(enter, dir, d, t, leave, leaveAtUp); err != nil {
 			s.numErr = err
@@ -748,6 +817,23 @@ func (s *BoundedSolver) primal(kind phaseKind) Status {
 			s.stall++
 		}
 	}
+}
+
+// pricePhase runs priceEnter on the current y, first showing the test
+// hook, in phase 2, whether y is fresh.
+func (s *BoundedSolver) pricePhase(cost []float64, yFresh bool) (int, int) {
+	if cost != nil && s.onPrice != nil {
+		s.onPrice(yFresh)
+	}
+	return s.priceEnter(s.y, cost)
+}
+
+// freshDuals sets y = B⁻ᵀc_B, the phase-2 simplex multipliers, by BTRAN.
+func (s *BoundedSolver) freshDuals() {
+	for r := 0; r < s.m; r++ {
+		s.y[r] = s.c[s.basic[r]]
+	}
+	s.etas.btran(s.y)
 }
 
 // infeasGradient fills sigma with the phase-1 gradient (+1 above upper,
@@ -856,11 +942,14 @@ func (s *BoundedSolver) resetDevex() {
 // column re-enters the nonbasic set with the entering column's weight
 // transferred through the pivot element. It BTRANs e_leave through the
 // current eta file and walks the touched rows of the CSR mirror, so it must
-// run against the pre-pivot basis (before applyStep extends the file).
-func (s *BoundedSolver) devexUpdate(enter, leave int, d []float64) {
+// run against the pre-pivot basis (before applyStep extends the file). It
+// returns that row ρ = B⁻ᵀe_leave (valid until sigma is next written), or
+// nil, skipping the update, when the pivot element is unusable — the pivot
+// then refactorises.
+func (s *BoundedSolver) devexUpdate(enter, leave int, d []float64) []float64 {
 	aq := d[leave]
 	if math.Abs(aq) < pivTol {
-		return
+		return nil
 	}
 	wq := s.dw[enter]
 	// sigma is free scratch here: phase 1 rebuilds its gradient at the top
@@ -908,6 +997,7 @@ func (s *BoundedSolver) devexUpdate(enter, leave int, d []float64) {
 	if reset {
 		s.resetDevex()
 	}
+	return rho
 }
 
 // ratioPhase2 finds the blocking step for a primal-feasible basis.
@@ -1008,8 +1098,7 @@ func (s *BoundedSolver) ratioPhase1(enter, dir int, d []float64) (float64, int, 
 
 // applyStep moves the entering variable by t (in direction dir off its
 // bound), updates the basic values, and pivots (or bound-flips when
-// leave < 0). The eta file grows by one; it is refactorised periodically
-// or when the pivot element is numerically unusable.
+// leave < 0).
 func (s *BoundedSolver) applyStep(enter, dir int, d []float64, t float64, leave int, leaveAtUp bool) error {
 	if t != 0 {
 		step := float64(dir) * t
@@ -1024,21 +1113,31 @@ func (s *BoundedSolver) applyStep(enter, dir int, d []float64, t float64, leave 
 		s.atUp[enter] = !s.atUp[enter]
 		return nil
 	}
+	return s.pivot(enter, leave, leaveAtUp, s.valOf(enter)+float64(dir)*t, d)
+}
+
+// pivot is the one commit path for a basis change, primal and dual: enter
+// becomes basic in row leave at value xEnter, the leaving column rests at
+// its upper bound when leaveAtUp, and the eta of pivot direction d (the
+// entering column FTRANed through the pre-pivot file) is appended. It
+// counts the pivot and refactorises, recomputing xB, when the pivot element
+// is unusable or refactorEvery update etas have piled up since the last
+// rebuild (the etas the rebuild itself left never count).
+func (s *BoundedSolver) pivot(enter, leave int, leaveAtUp bool, xEnter float64, d []float64) error {
 	s.cPivots.Inc()
 	lv := s.basic[leave]
 	s.pos[lv] = -1
 	s.atUp[lv] = leaveAtUp
-	enterVal := s.valOf(enter) + float64(dir)*t
 	s.basic[leave] = int32(enter)
 	s.pos[enter] = int32(leave)
-	s.xB[leave] = enterVal
-	pushed := s.etas.push(d, int32(leave))
-	if !pushed || s.etas.len()-s.etaBase >= refactorEvery {
-		if err := s.refactor(); err != nil {
-			return err
-		}
-		s.computeXB()
+	s.xB[leave] = xEnter
+	if s.etas.push(d, int32(leave)) && s.etas.len()-s.etaBase < refactorEvery {
+		return nil
 	}
+	if err := s.refactor(); err != nil {
+		return err
+	}
+	s.computeXB()
 	return nil
 }
 
