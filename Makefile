@@ -100,7 +100,8 @@ dup-smoke:
 # against enumeration, BI1S trees, the LP revised simplex against the dense
 # oracle, the sparse refactorisation against the dense rebuild, the
 # per-component min-cost flow against the whole-network search,
-# hyper-pin agglomeration against the all-pairs scan, the fingerprint's
+# hyper-pin agglomeration against the all-pairs scan, the grid box-overlap
+# query against a double loop, the fingerprint's
 # equal/differ/ignore contract, the co-design DP's prune against input
 # order and dominance).
 # `go test ./...` runs only their committed seed corpora; commit any crasher
@@ -112,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRefactor$$' -fuzztime 10s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxFlow$$' -fuzztime 10s ./internal/mcmf
 	$(GO) test -run '^$$' -fuzz '^FuzzAgglomerate$$' -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzOverlapLists$$' -fuzztime 10s ./internal/geom
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzPrune$$' -fuzztime 10s ./internal/codesign
 

@@ -1,7 +1,8 @@
 // Package geom provides the planar-geometry primitives used throughout the
 // OPERON flow: points, segments, bounding boxes, Euclidean and Manhattan
-// metrics, and proper-intersection counting between segment sets (the
-// substrate of the crossing-loss model).
+// metrics, proper-intersection counting between segment sets (the
+// substrate of the crossing-loss model), and the box-overlap query that
+// prunes it.
 //
 // All coordinates are in centimetres, matching the paper's up-scaled
 // benchmark dimensions.
@@ -10,6 +11,7 @@ package geom
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Eps is the tolerance used for floating-point geometric predicates.
@@ -110,6 +112,19 @@ func BBoxOf(pts []Point) Rect {
 		r = r.Include(p)
 	}
 	return r
+}
+
+// SegmentsBBox returns the bounding box of segs, or the zero Rect when segs
+// is empty.
+func SegmentsBBox(segs []Segment) Rect {
+	if len(segs) == 0 {
+		return Rect{}
+	}
+	box := segs[0].BBox()
+	for _, s := range segs[1:] {
+		box = box.Union(s.BBox())
+	}
+	return box
 }
 
 // Include returns r grown to contain p.
@@ -249,22 +264,6 @@ func CountCrossingsBoxed(a []Segment, ab []Rect, b []Segment, bb []Rect) int {
 	return n
 }
 
-// CrossingsWithSegment returns the number of segments in set that properly
-// cross s.
-func CrossingsWithSegment(s Segment, set []Segment) int {
-	n := 0
-	sb := s.BBox()
-	for _, t := range set {
-		if !sb.Overlaps(t.BBox()) {
-			continue
-		}
-		if ProperCrossing(s, t) {
-			n++
-		}
-	}
-	return n
-}
-
 // MergeCollinear repeatedly joins segments that share an endpoint and lie
 // on the same line into single segments. Routing stages may subdivide edges
 // for labelling; the physical waveguide of consecutive same-direction
@@ -328,4 +327,110 @@ func PointSegmentDist(p Point, s Segment) float64 {
 	t := ((p.X-s.A.X)*d.X + (p.Y-s.A.Y)*d.Y) / l2
 	t = math.Max(0, math.Min(1, t))
 	return p.Dist(Point{s.A.X + t*d.X, s.A.Y + t*d.Y})
+}
+
+// OverlapLists answers, for every box, which other boxes overlap it — the
+// bounding-box pruning of the crossing model. For every i with has[i] it
+// lists, ascending, each j ≠ i with has[j] whose box overlaps box i
+// (Rect.Overlaps) and for which keep(i, j) holds; a nil has includes every
+// box and a nil keep keeps every overlap. The lists come flat: list i is
+// flat[start[i]:start[i+1]], and start has len(boxes)+1 entries. The boxes
+// are bucketed in a uniform grid, so only boxes sharing a cell are tested.
+func OverlapLists(boxes []Rect, has []bool, keep func(i, j int) bool) (flat, start []int) {
+	in := func(i int) bool { return has == nil || has[i] }
+	g := newGrid(boxes, in)
+	start = make([]int, len(boxes)+1)
+	stamp := make([]int, len(boxes))
+	for i, b := range boxes {
+		if in(i) {
+			g.visit(b.Expand(2*Eps), func(c int) {
+				for _, j := range g.ids[g.off[c]:g.off[c+1]] {
+					if j != i && stamp[j] != i+1 {
+						stamp[j] = i + 1
+						if b.Overlaps(boxes[j]) && (keep == nil || keep(i, j)) {
+							flat = append(flat, j)
+						}
+					}
+				}
+			})
+			slices.Sort(flat[start[i]:])
+		}
+		start[i+1] = len(flat)
+	}
+	return flat, start
+}
+
+// A grid buckets boxes by the uniform square cells they cover: cell c holds
+// the ids ids[off[c]:off[c+1]], ascending.
+type grid struct {
+	lo       Point
+	size     float64
+	nx, ny   int
+	off, ids []int
+}
+
+// newGrid buckets every box i with in(i) in square cells about as wide as
+// the mean box half-perimeter, with at most four cells per box in all.
+func newGrid(boxes []Rect, in func(int) bool) *grid {
+	var span Rect
+	var extent float64
+	count := 0
+	for i, b := range boxes {
+		if in(i) {
+			if count == 0 {
+				span = b
+			}
+			span = span.Union(b)
+			extent += b.Width() + b.Height()
+			count++
+		}
+	}
+	w, h := span.Width(), span.Height()
+	c := float64(4 * max(count, 1))
+	size := extent / float64(2*max(count, 1))
+	if limit := max(math.Sqrt(w*h/c), (w+h)/c); !(size >= limit) {
+		size = limit
+	}
+	if !(size > 0) {
+		size = 1
+	}
+	g := &grid{lo: span.Lo, size: size, nx: int(w/size) + 1, ny: int(h/size) + 1}
+	// A counting sort: count the ids of every cell, then place them from
+	// the back so each cell's ids stay ascending.
+	g.off = make([]int, g.nx*g.ny+1)
+	for i, b := range boxes {
+		if in(i) {
+			g.visit(b, func(c int) { g.off[c]++ })
+		}
+	}
+	for c := 1; c < len(g.off); c++ {
+		g.off[c] += g.off[c-1]
+	}
+	g.ids = make([]int, g.off[len(g.off)-1])
+	for i := len(boxes) - 1; i >= 0; i-- {
+		if in(i) {
+			g.visit(boxes[i], func(c int) {
+				g.off[c]--
+				g.ids[g.off[c]] = i
+			})
+		}
+	}
+	return g
+}
+
+// visit calls fn with the index of every cell r covers.
+func (g *grid) visit(r Rect, fn func(c int)) {
+	x0, x1 := g.cell(r.Lo.X, g.lo.X, g.nx), g.cell(r.Hi.X, g.lo.X, g.nx)
+	y0, y1 := g.cell(r.Lo.Y, g.lo.Y, g.ny), g.cell(r.Hi.Y, g.lo.Y, g.ny)
+	for y := y0; y <= y1; y++ {
+		for x := x0; x <= x1; x++ {
+			fn(y*g.nx + x)
+		}
+	}
+}
+
+// cell returns the index, clamped to [0, n), of the cell holding v along an
+// axis starting at lo with n cells.
+func (g *grid) cell(v, lo float64, n int) int {
+	return min(max(int(math.Floor((v-lo)/g.size)), 0), n-1)
 }

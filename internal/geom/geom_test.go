@@ -208,8 +208,8 @@ func TestCountCrossings(t *testing.T) {
 	if got := CountCrossings(hs, hs); got != 0 {
 		t.Errorf("parallel self crossings = %d, want 0", got)
 	}
-	if got := CrossingsWithSegment(vs[0], hs); got != 3 {
-		t.Errorf("CrossingsWithSegment = %d, want 3", got)
+	if got := CountCrossings(vs[:1], hs); got != 3 {
+		t.Errorf("one segment's crossings = %d, want 3", got)
 	}
 }
 

@@ -129,11 +129,7 @@ func NewInstance(nets []Net, lib optics.Library, opt InstanceOptions) (*Instance
 				continue
 			}
 			inst.hasOpt[i][j] = true
-			box := c.OpticalSegs[0].BBox()
-			for _, s := range c.OpticalSegs[1:] {
-				box = box.Union(s.BBox())
-			}
-			inst.candBox[i][j] = box
+			inst.candBox[i][j] = geom.SegmentsBBox(c.OpticalSegs)
 		}
 	}
 	inst.pathOff = make([][]int, len(nets))
@@ -158,16 +154,12 @@ func NewInstance(nets []Net, lib optics.Library, opt InstanceOptions) (*Instance
 // precomputeInteractions fills interactions[i] for every net — the §3.3
 // bounding-box pruning that drops crossing terms between non-overlapping
 // hyper nets — and rev. Net m interacts with net i when one of m's
-// candidate boxes overlaps net i's box (the union of its candidate boxes).
-// The net boxes are bucketed in a uniform grid, so only nets sharing a cell
-// are box-tested.
+// candidate boxes overlaps net i's box (the union of its candidate boxes);
+// geom.OverlapLists finds the nets whose boxes overlap.
 func (inst *Instance) precomputeInteractions() {
 	n := len(inst.Nets)
 	netBox := make([]geom.Rect, n)
 	netHas := make([]bool, n)
-	var span geom.Rect
-	var extent float64
-	optNets := 0
 	for i := range inst.Nets {
 		for j := range inst.Nets[i].Cands {
 			if inst.hasOpt[i][j] {
@@ -179,50 +171,17 @@ func (inst *Instance) precomputeInteractions() {
 				}
 			}
 		}
-		if !netHas[i] {
-			continue
-		}
-		if optNets == 0 {
-			span = netBox[i]
-		} else {
-			span = span.Union(netBox[i])
-		}
-		extent += netBox[i].Width() + netBox[i].Height()
-		optNets++
 	}
-	g := newGrid(span, extent/float64(2*max(optNets, 1)), optNets)
-	for i := range netBox {
-		if netHas[i] {
-			g.insert(i, netBox[i])
-		}
-	}
-
 	// The lists, rev and crossBase are views into flat arrays, one
 	// allocation each rather than one per net.
-	var flat []int
-	start := make([]int, n+1)
-	stamp := make([]int, n)
-	for i := 0; i < n; i++ {
-		if netHas[i] {
-			g.visit(netBox[i].Expand(2*geom.Eps), func(m int) {
-				if m == i || stamp[m] == i+1 {
-					return
-				}
-				stamp[m] = i + 1
-				if !netBox[i].Overlaps(netBox[m]) {
-					return
-				}
-				for j := range inst.Nets[m].Cands {
-					if inst.hasOpt[m][j] && netBox[i].Overlaps(inst.candBox[m][j]) {
-						flat = append(flat, m)
-						return
-					}
-				}
-			})
-			slices.Sort(flat[start[i]:])
+	flat, start := geom.OverlapLists(netBox, netHas, func(i, m int) bool {
+		for j := range inst.Nets[m].Cands {
+			if inst.hasOpt[m][j] && netBox[i].Overlaps(inst.candBox[m][j]) {
+				return true
+			}
 		}
-		start[i+1] = len(flat)
-	}
+		return false
+	})
 	inst.interactions = views(flat, start)
 	inst.rev = views(make([]int, len(flat)), start)
 	for i, inter := range inst.interactions {
@@ -243,66 +202,6 @@ func views(flat []int, start []int) [][]int {
 		out[i] = flat[start[i]:start[i+1]:start[i+1]]
 	}
 	return out
-}
-
-// A grid buckets rectangles by the uniform cells they cover.
-type grid struct {
-	lo     geom.Point
-	cell   float64
-	nx, ny int
-	cells  [][]int
-}
-
-// newGrid covers span with square cells of side about size, at most
-// 4·count cells in all (count is the number of rectangles to come).
-func newGrid(span geom.Rect, size float64, count int) *grid {
-	w, h := span.Width(), span.Height()
-	c := float64(4 * max(count, 1))
-	if limit := max(math.Sqrt(w*h/c), (w+h)/c); !(size >= limit) {
-		size = limit
-	}
-	if !(size > 0) {
-		size = 1
-	}
-	g := &grid{lo: span.Lo, cell: size}
-	g.nx = int(w/size) + 1
-	g.ny = int(h/size) + 1
-	g.cells = make([][]int, g.nx*g.ny)
-	return g
-}
-
-// cellRange returns the clamped cell index range [c0, c1] of [a, b] along
-// an axis starting at lo with n cells.
-func (g *grid) cellRange(a, b, lo float64, n int) (int, int) {
-	c0 := int(math.Floor((a - lo) / g.cell))
-	c1 := int(math.Floor((b - lo) / g.cell))
-	return min(max(c0, 0), n-1), min(max(c1, 0), n-1)
-}
-
-// insert adds id to every cell r covers.
-func (g *grid) insert(id int, r geom.Rect) {
-	g.visitCells(r, func(c int) { g.cells[c] = append(g.cells[c], id) })
-}
-
-// visit calls fn for every id in a cell r covers; an id in several such
-// cells is passed once per cell.
-func (g *grid) visit(r geom.Rect, fn func(id int)) {
-	g.visitCells(r, func(c int) {
-		for _, id := range g.cells[c] {
-			fn(id)
-		}
-	})
-}
-
-// visitCells calls fn with the index of every cell r covers.
-func (g *grid) visitCells(r geom.Rect, fn func(c int)) {
-	x0, x1 := g.cellRange(r.Lo.X, r.Hi.X, g.lo.X, g.nx)
-	y0, y1 := g.cellRange(r.Lo.Y, r.Hi.Y, g.lo.Y, g.ny)
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			fn(y*g.nx + x)
-		}
-	}
 }
 
 // fillCross lays out and fills the crossing-loss table: one block per
@@ -384,18 +283,11 @@ func newBoxTable(n int) *boxTable {
 
 // add appends the boxes of one list.
 func (t *boxTable) add(segs []geom.Segment) {
-	var hull geom.Rect
-	for k, s := range segs {
-		b := s.BBox()
-		t.box = append(t.box, b)
-		if k == 0 {
-			hull = b
-		} else {
-			hull = hull.Union(b)
-		}
+	for _, s := range segs {
+		t.box = append(t.box, s.BBox())
 	}
 	t.off = append(t.off, len(t.box))
-	t.hull = append(t.hull, hull)
+	t.hull = append(t.hull, geom.SegmentsBBox(segs))
 }
 
 // of returns list l's boxes.

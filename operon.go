@@ -393,14 +393,15 @@ func solve(ctx context.Context, d signal.Design, cfg Config, ws *Workspace, prev
 	return res, next, nil
 }
 
-// candidates runs the candidate stage into next: baseline trees, crossing
-// environments and co-design candidate sets per hyper net, each carried
-// over from prev when its inputs are unchanged. A net's trees carry over
-// when its group is clean and no tree knob changed; its candidates carry
-// over when, in addition, no candidate knob changed and its crossing
-// environment is byte-identical (contribsMatch). The returned candMap holds
-// the previous index of every net whose candidates carried over, -1 for the
-// rest. The only possible error besides a generation failure is ctx's.
+// candidates runs the candidate stage into next: baseline trees,
+// crossing-environment contributors and co-design candidate sets per hyper
+// net, each carried over from prev when its inputs are unchanged. A net's
+// trees carry over when its group is clean and no tree knob changed; its
+// candidates carry over when, in addition, no candidate knob changed and
+// its crossing environment is byte-identical (contribsMatch). The returned
+// candMap holds the previous index of every net whose candidates carried
+// over, -1 for the rest. The only possible error besides a generation
+// failure is ctx's.
 func (next *sessionState) candidates(ctx context.Context, cfg Config, ws *Workspace, prev *sessionState, delta cfgDelta, groupClean []bool, st *ResolveStats) ([]int, error) {
 	nN := len(next.hnets)
 	// netPrev maps a net of a clean group to its previous index: clean groups
@@ -434,13 +435,13 @@ func (next *sessionState) candidates(ctx context.Context, cfg Config, ws *Worksp
 	// in the serving-side latency breakdown.
 	cfg.Obs.Histogram("stage/baselines").RecordDuration(time.Since(blStart))
 
-	envs, contribs := buildEnvsContrib(next.hnets, next.trees)
-	next.contribs = contribs
+	envs := newCrossEnvs(next.trees)
+	next.contribs = envs.contribs
 	next.nets = make([]selection.Net, nN)
 	candMap := make([]int, nN)
 	for i := range candMap {
 		candMap[i] = -1
-		if !delta.trees && !delta.cands && contribsMatch(i, netPrev, contribs, prev) {
+		if !delta.trees && !delta.cands && contribsMatch(i, netPrev, next.contribs, prev) {
 			candMap[i] = netPrev[i]
 			next.nets[i] = prev.nets[netPrev[i]]
 			st.CandsReused++
@@ -459,19 +460,7 @@ func (next *sessionState) candidates(ctx context.Context, cfg Config, ws *Worksp
 // carried its trees over.
 func contribsMatch(i int, netPrev []int, contribs [][]int, prev *sessionState) bool {
 	pi := netPrev[i]
-	if pi < 0 {
-		return false
-	}
-	pc := prev.contribs[pi]
-	if len(contribs[i]) != len(pc) {
-		return false
-	}
-	for k, c := range contribs[i] {
-		if netPrev[c] != pc[k] {
-			return false
-		}
-	}
-	return true
+	return pi >= 0 && slices.EqualFunc(contribs[i], prev.contribs[pi], func(c, pc int) bool { return netPrev[c] == pc })
 }
 
 // runSelection runs the configured solution-determination algorithm on inst
@@ -635,19 +624,20 @@ func opticalNets(ctx context.Context, hnets []signal.HyperNet, cfg Config, ws *W
 	if err := baselineTrees(ctx, hnets, trees, cfg, ws); err != nil {
 		return nil, err
 	}
-	envs, _ := buildEnvsContrib(hnets, trees)
+	envs := newCrossEnvs(trees)
 	nets := make([]selection.Net, len(hnets))
 	err := ws.forEach(ctx, len(hnets), cfg.Workers, cfg.Obs, func(w int, scr *workerScratch, i int) error {
 		var sp obs.Span
 		if cfg.Obs != nil {
 			sp = cfg.Obs.Span("net/optical", obs.WorkerLane(w), obs.I("net", i))
 		}
+		scr.env = envs.env(i, scr.env)
 		in := codesign.Input{
 			Tree: trees[i][0],
 			Bits: hnets[i].BitCount(),
 			Lib:  cfg.Lib,
 			Elec: cfg.Elec,
-			Env:  envs[i],
+			Env:  scr.env,
 		}
 		allO := scr.fillLabels(len(trees[i][0].Edges), codesign.Optical)
 		var cands []codesign.Candidate
@@ -707,52 +697,52 @@ func baselineTrees(ctx context.Context, hnets []signal.HyperNet, trees [][]stein
 	})
 }
 
-// buildEnvsContrib collects, for every hyper net, the primary-baseline
-// optical segments of the other hyper nets whose bounding boxes overlap — the
-// crossing-estimation environment for the co-design DP — and, alongside, the
-// ascending list of net indices that contributed them. A net's environment
-// is exactly the concatenation of its contributors' primary-tree
-// segments in index order, so two solves whose contributor lists map to each
-// other net-for-net (with identical trees) see byte-identical environments —
-// the invariant incremental re-synthesis uses to decide candidate reuse.
-func buildEnvsContrib(hnets []signal.HyperNet, trees [][]steiner.Tree) ([][]geom.Segment, [][]int) {
-	type netGeom struct {
-		segs []geom.Segment
-		box  geom.Rect
+// crossEnvs holds what the co-design DP's crossing environments are built
+// from: every net's primary-baseline optical segments and, per net, the
+// ascending list of the other nets whose segment boxes overlap its own (its
+// contributors). A net's environment is exactly its contributors' segments
+// concatenated in index order, so two solves whose contributor lists map to
+// each other net-for-net (with identical trees) see byte-identical
+// environments — the invariant incremental re-synthesis uses to decide
+// candidate reuse. An environment is built only when a net's candidates
+// are generated, into the generating worker's scratch (env).
+type crossEnvs struct {
+	segs     [][]geom.Segment
+	contribs [][]int
+}
+
+// newCrossEnvs collects the primary-tree segments of every net and their
+// contributor lists.
+func newCrossEnvs(trees [][]steiner.Tree) crossEnvs {
+	n := len(trees)
+	e := crossEnvs{segs: make([][]geom.Segment, n), contribs: make([][]int, n)}
+	boxes := make([]geom.Rect, n)
+	has := make([]bool, n)
+	for i := range trees {
+		e.segs[i] = trees[i][0].Segments()
+		boxes[i], has[i] = geom.SegmentsBBox(e.segs[i]), len(e.segs[i]) > 0
 	}
-	geoms := make([]netGeom, len(hnets))
-	for i := range hnets {
-		segs := trees[i][0].Segments()
-		g := netGeom{segs: segs}
-		if len(segs) > 0 {
-			g.box = segs[0].BBox()
-			for _, s := range segs[1:] {
-				g.box = g.box.Union(s.BBox())
-			}
-		}
-		geoms[i] = g
+	flat, start := geom.OverlapLists(boxes, has, nil)
+	for i := range e.contribs {
+		e.contribs[i] = flat[start[i]:start[i+1]:start[i+1]]
 	}
-	envs := make([][]geom.Segment, len(hnets))
-	contribs := make([][]int, len(hnets))
-	for i := range hnets {
-		for j := range hnets {
-			if i == j || len(geoms[j].segs) == 0 || len(geoms[i].segs) == 0 {
-				continue
-			}
-			if geoms[i].box.Overlaps(geoms[j].box) {
-				envs[i] = append(envs[i], geoms[j].segs...)
-				contribs[i] = append(contribs[i], j)
-			}
-		}
+	return e
+}
+
+// env returns net i's crossing environment, built in buf's memory.
+func (e crossEnvs) env(i int, buf []geom.Segment) []geom.Segment {
+	buf = buf[:0]
+	for _, j := range e.contribs[i] {
+		buf = append(buf, e.segs[j]...)
 	}
-	return envs, contribs
+	return buf
 }
 
 // coDesignNets generates the full OPERON candidate set of every net of nets
 // that has none yet. Cancelling ctx stops dispatch of further nets (in-flight
 // ones finish — the pool's deterministic drain) and returns ctx.Err(); the
 // caller then degrades to the electrical floor.
-func coDesignNets(ctx context.Context, hnets []signal.HyperNet, trees [][]steiner.Tree, envs [][]geom.Segment, nets []selection.Net, cfg Config, ws *Workspace) error {
+func coDesignNets(ctx context.Context, hnets []signal.HyperNet, trees [][]steiner.Tree, envs crossEnvs, nets []selection.Net, cfg Config, ws *Workspace) error {
 	todo := missing(len(nets), func(i int) bool { return nets[i].Cands == nil })
 	netHist := cfg.Obs.Histogram("net/candidates")
 	// Candidate generation is the widest fan-out of the flow; each net is
@@ -765,7 +755,8 @@ func coDesignNets(ctx context.Context, hnets []signal.HyperNet, trees [][]steine
 		if cfg.Obs != nil {
 			sp = cfg.Obs.Span("net/candidates", obs.WorkerLane(w), obs.I("net", i))
 		}
-		net, err := generateNetCandidates(i, hnets[i], trees[i], envs[i], cfg, scr)
+		scr.env = envs.env(i, scr.env)
+		net, err := generateNetCandidates(i, hnets[i], trees[i], scr.env, cfg, scr)
 		if err != nil {
 			return err
 		}
@@ -863,11 +854,16 @@ func generateNetCandidates(i int, hn signal.HyperNet, trees []steiner.Tree, env 
 // lossPressed estimates whether an all-optical implementation of the tree
 // would approach the detection budget: propagation over the whole tree,
 // crossing loss against the environment, and a single splitting stage per
-// sink. Nets above 70%% of l_m get subdivided topologies.
+// sink. Nets above 70% of l_m get subdivided topologies. The environment's
+// segment boxes are computed once per call, not once per tree segment.
 func lossPressed(tr steiner.Tree, env []geom.Segment, lib optics.Library, sinks int) bool {
+	envBoxes := make([]geom.Rect, len(env))
+	for k, t := range env {
+		envBoxes[k] = t.BBox()
+	}
 	loss := lib.PropagationLossDB(tr.EuclideanLength())
 	for _, s := range tr.Segments() {
-		loss += lib.CrossingLossDB(geom.CrossingsWithSegment(s, env))
+		loss += lib.CrossingLossDB(geom.CountCrossingsBoxed([]geom.Segment{s}, []geom.Rect{s.BBox()}, env, envBoxes))
 	}
 	loss += optics.SplittingLossDB(sinks)
 	return loss > 0.7*lib.MaxLossDB

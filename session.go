@@ -36,7 +36,7 @@ type Session struct {
 	mu     sync.Mutex
 	design signal.Design
 	cfg    Config
-	last   *sessionState // the last non-degraded solve; its design is a deep copy
+	last   *sessionState // the last non-degraded solve; its design shares groups with design
 }
 
 // NewSession starts an editing session on a deep copy of d: later mutations
@@ -179,14 +179,21 @@ type Dirty struct {
 // pending design/config: on error nothing is applied and the error names
 // the offending edit's position. The returned Dirty summarises the touched
 // groups; Resolve performs the actual re-solve.
+//
+// The pending design shares its groups with the committed one. The script
+// edits a fresh group slice and deep-copies a group just before its first
+// terminal edit, so neither the committed design nor a failed script's
+// pending design is ever written.
 func (s *Session) Apply(edits ...Edit) (Dirty, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d := copyDesign(s.design)
+	d := s.design
+	d.Groups = slices.Clone(d.Groups)
+	owned := make([]bool, len(d.Groups))
 	cfg := s.cfg
 	var dirty Dirty
 	for k, e := range edits {
-		if err := applyEdit(&d, &cfg, e, &dirty); err != nil {
+		if err := applyEdit(&d, &owned, &cfg, e, &dirty); err != nil {
 			return Dirty{}, fmt.Errorf("operon: edit %d: %w", k, err)
 		}
 	}
@@ -197,18 +204,23 @@ func (s *Session) Apply(edits ...Edit) (Dirty, error) {
 }
 
 // applyEdit applies one edit to the scratch design/config, accumulating the
-// dirty preview. Bounds are validated here so Apply can be atomic.
-func applyEdit(d *signal.Design, cfg *Config, e Edit, dirty *Dirty) error {
+// dirty preview. Bounds are validated here so Apply can be atomic. Group gi
+// of d is shared with the committed design until owned[gi] marks it as the
+// script's own deep copy.
+func applyEdit(d *signal.Design, owned *[]bool, cfg *Config, e Edit, dirty *Dirty) error {
 	touch := func(gi int) { dirty.Groups = append(dirty.Groups, gi) }
 	bitAt := func() (*signal.Bit, error) {
 		if e.Group < 0 || e.Group >= len(d.Groups) {
 			return nil, fmt.Errorf("group %d out of range [0,%d)", e.Group, len(d.Groups))
 		}
-		g := &d.Groups[e.Group]
-		if e.Bit < 0 || e.Bit >= len(g.Bits) {
-			return nil, fmt.Errorf("group %d bit %d out of range [0,%d)", e.Group, e.Bit, len(g.Bits))
+		if n := len(d.Groups[e.Group].Bits); e.Bit < 0 || e.Bit >= n {
+			return nil, fmt.Errorf("group %d bit %d out of range [0,%d)", e.Group, e.Bit, n)
 		}
-		return &g.Bits[e.Bit], nil
+		if !(*owned)[e.Group] {
+			d.Groups[e.Group] = copyGroup(d.Groups[e.Group])
+			(*owned)[e.Group] = true
+		}
+		return &d.Groups[e.Group].Bits[e.Bit], nil
 	}
 	switch e.Kind {
 	case EditMoveTerminal:
@@ -249,6 +261,7 @@ func applyEdit(d *signal.Design, cfg *Config, e Edit, dirty *Dirty) error {
 			return err
 		}
 		d.Groups = append(d.Groups, copyGroup(e.NewGroup))
+		*owned = append(*owned, true)
 		touch(len(d.Groups) - 1)
 	case EditRemoveGroup:
 		if e.Group < 0 || e.Group >= len(d.Groups) {
@@ -258,6 +271,7 @@ func applyEdit(d *signal.Design, cfg *Config, e Edit, dirty *Dirty) error {
 			return fmt.Errorf("cannot remove the last group")
 		}
 		d.Groups = append(d.Groups[:e.Group], d.Groups[e.Group+1:]...)
+		*owned = append((*owned)[:e.Group], (*owned)[e.Group+1:]...)
 		// Every surviving group at or after the removed index shifts down;
 		// its clustering seed (Seed + index) changes with it.
 		for gi := e.Group; gi < len(d.Groups); gi++ {
@@ -336,8 +350,7 @@ func (s *Session) Resolve(ctx context.Context, ws *Workspace) (*Result, ResolveS
 	}
 	s.recordStats(st)
 	if !res.Degraded {
-		next.design = copyDesign(s.design)
-		s.last = next
+		s.last = next // next.design shares s.design's groups; Apply never writes them
 	}
 	return res, st, nil
 }
@@ -350,13 +363,8 @@ func (s *Session) Resolve(ctx context.Context, ws *Workspace) (*Result, ResolveS
 func (s *Session) fullReuse(st *ResolveStats) *Result {
 	prev := s.last
 	if prev == nil || diffConfig(prev.cfg, s.cfg).any() ||
-		len(s.design.Groups) != len(prev.design.Groups) {
+		!slices.EqualFunc(s.design.Groups, prev.design.Groups, groupsEqual) {
 		return nil
-	}
-	for gi, g := range s.design.Groups {
-		if !groupsEqual(g, prev.design.Groups[gi]) {
-			return nil
-		}
 	}
 	*st = ResolveStats{
 		FullReuse:    true,
@@ -437,24 +445,14 @@ func diffConfig(a, b Config) cfgDelta {
 
 // groupsEqual compares two signal groups by content.
 func groupsEqual(a, b signal.Group) bool {
-	if a.Name != b.Name || len(a.Bits) != len(b.Bits) {
-		return false
-	}
-	for i := range a.Bits {
-		if a.Bits[i].Driver != b.Bits[i].Driver || len(a.Bits[i].Sinks) != len(b.Bits[i].Sinks) {
-			return false
-		}
-		for j := range a.Bits[i].Sinks {
-			if a.Bits[i].Sinks[j] != b.Bits[i].Sinks[j] {
-				return false
-			}
-		}
-	}
-	return true
+	return a.Name == b.Name && slices.EqualFunc(a.Bits, b.Bits, func(x, y signal.Bit) bool {
+		return x.Driver == y.Driver && slices.Equal(x.Sinks, y.Sinks)
+	})
 }
 
-// copyDesign deep-copies a design so session snapshots and pending designs
-// never alias caller- or edit-mutable memory.
+// copyDesign deep-copies a design, so a session never shares memory with
+// its caller: not with the design NewSession gets, nor with one Design
+// returns.
 func copyDesign(d signal.Design) signal.Design {
 	out := d
 	out.Groups = make([]signal.Group, len(d.Groups))

@@ -528,3 +528,65 @@ func TestSessionApplyAtomic(t *testing.T) {
 		t.Fatal("failed Apply must leave the pending design untouched")
 	}
 }
+
+// TestSessionIsolation checks that a session shares no writable memory with
+// its caller or with its own committed state: mutating the design passed to
+// NewSession, a Design result, or a group passed to AddGroup after the call
+// changes nothing, and a second move of a group already moved and committed
+// re-clusters that group, so the committed design was not edited in place.
+// Every Resolve must equal a cold solve of the design the session should
+// hold.
+func TestSessionIsolation(t *testing.T) {
+	d := ecoDesign(t, 3, 8, 21)
+	want := copyDesign(d)
+	cfg := DefaultConfig()
+	s := NewSession(d, cfg)
+	ws := NewWorkspace()
+	resolve := func(label string, wantRebuilt int) {
+		t.Helper()
+		got, st, err := s.Resolve(context.Background(), ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantRebuilt >= 0 && st.GroupsRebuilt != wantRebuilt {
+			t.Fatalf("%s: %d groups re-clustered, want %d (stats %+v)", label, st.GroupsRebuilt, wantRebuilt, st)
+		}
+		cold, err := Run(copyDesign(want), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, label, got, cold)
+		if !reflect.DeepEqual(s.Design(), want) {
+			t.Fatalf("%s: pending design differs from the expected one", label)
+		}
+	}
+	mutate := func(g signal.Group) {
+		g.Bits[0].Driver.X += 0.3
+		g.Bits[0].Sinks[0].Y += 0.3
+	}
+
+	mutate(d.Groups[0])
+	resolve("after mutating NewSession's design", len(want.Groups))
+
+	mutate(s.Design().Groups[1])
+	resolve("after mutating a Design result", -1)
+
+	added := copyGroup(want.Groups[2])
+	added.Name = "added"
+	if _, err := s.Apply(AddGroup(added)); err != nil {
+		t.Fatal(err)
+	}
+	want.Groups = append(want.Groups, copyGroup(added))
+	mutate(added)
+	resolve("after mutating an added group", 1)
+
+	for k, dx := range []float64{0.05, 0.1} {
+		p := want.Groups[1].Bits[0].Driver
+		p.X += dx
+		if _, err := s.Apply(MoveTerminal(1, 0, -1, p)); err != nil {
+			t.Fatal(err)
+		}
+		want.Groups[1].Bits[0].Driver = p
+		resolve(fmt.Sprintf("move %d of group 1", k), 1)
+	}
+}

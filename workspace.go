@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"operon/internal/codesign"
+	"operon/internal/geom"
 	"operon/internal/obs"
 	"operon/internal/parallel"
 	"operon/internal/steiner"
@@ -37,6 +38,7 @@ type workerScratch struct {
 	codesign *codesign.Workspace
 	steiner  *steiner.Workspace
 	labels   []codesign.Label
+	env      []geom.Segment // the crossing environment of the worker's current net
 }
 
 // forEach runs fn over [0,n) on parallel.ForEachWorker and hands worker w
