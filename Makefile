@@ -103,7 +103,8 @@ dup-smoke:
 # hyper-pin agglomeration against the all-pairs scan, the grid box-overlap
 # query against a double loop, the fingerprint's
 # equal/differ/ignore contract, the co-design DP's prune against input
-# order and dominance).
+# order and dominance, operond's one-pass request decoder against
+# encoding/json).
 # `go test ./...` runs only their committed seed corpora; commit any crasher
 # a run writes under testdata/fuzz/ as a new seed.
 fuzz-smoke:
@@ -116,6 +117,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOverlapLists$$' -fuzztime 10s ./internal/geom
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzPrune$$' -fuzztime 10s ./internal/codesign
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s ./internal/serve
 
 # Code-size gauge: non-test Go lines outside the perfbench module. Deleting
 # code while bench and load stay unchanged counts as progress, so this is the

@@ -22,6 +22,7 @@ package operon_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -82,6 +83,7 @@ var workloads = []workload{
 	{"ECO/SmallEditFullPipeline/I3", true, ecoEditRow(false, false)},
 	{"ECO/AllGroups/I3", true, ecoEditRow(true, true)},
 	{"Serve/CoalesceHot/I2", true, serveHotRow},
+	{"Serve/CacheHitInline/I3", true, serveInlineRow},
 }
 
 // row returns the named workload; a typo is a test bug.
@@ -326,15 +328,32 @@ func ecoEditRow(skipWDM, allGroups bool) func(testing.TB, operon.Config) func() 
 
 // serveHotRow is an identical /solve request answered from operond's
 // result cache through the full HTTP handler path (decode, fingerprint,
-// cache lookup, encode).
+// cache lookup, encode). The request names a built-in benchmark, which the
+// server regenerates on every request.
 func serveHotRow(tb testing.TB, cfg operon.Config) func() error {
+	return serveCacheHit(tb, cfg, []byte(`{"bench":"I2","timeout_ms":60000}`))
+}
+
+// serveInlineRow is serveHotRow with the design inline in the request, as
+// a client with its own design sends it: most of a hit is decoding it.
+func serveInlineRow(tb testing.TB, cfg operon.Config) func() error {
+	d := design(tb, "I3")
+	body, err := json.Marshal(serve.SolveRequest{Design: &d, TimeoutMS: 60000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return serveCacheHit(tb, cfg, body)
+}
+
+// serveCacheHit posts body to /solve once to fill the result cache and
+// returns the post, which the cache then answers.
+func serveCacheHit(tb testing.TB, cfg operon.Config, body []byte) func() error {
 	srv := serve.New(serve.Options{Config: cfg, QueueLen: 4, Concurrency: 1, DefaultTimeout: time.Minute})
 	tb.Cleanup(func() {
 		srv.Abort()
 		srv.Shutdown()
 	})
 	handler := srv.Handler()
-	body := []byte(`{"bench":"I2","timeout_ms":60000}`)
 	post := func() error {
 		req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")

@@ -339,18 +339,37 @@ func PointSegmentDist(p Point, s Segment) float64 {
 func OverlapLists(boxes []Rect, has []bool, keep func(i, j int) bool) (flat, start []int) {
 	in := func(i int) bool { return has == nil || has[i] }
 	g := newGrid(boxes, in)
-	start = make([]int, len(boxes)+1)
+	// overlaps calls fn once with every j ≠ i in the grid whose box
+	// overlaps box i; a pass over i = 0, 1, … stamps a visited j with i+1.
 	stamp := make([]int, len(boxes))
-	for i, b := range boxes {
-		if in(i) {
-			g.visit(b.Expand(2*Eps), func(c int) {
-				for _, j := range g.ids[g.off[c]:g.off[c+1]] {
-					if j != i && stamp[j] != i+1 {
-						stamp[j] = i + 1
-						if b.Overlaps(boxes[j]) && (keep == nil || keep(i, j)) {
-							flat = append(flat, j)
-						}
+	overlaps := func(i int, fn func(j int)) {
+		b := boxes[i]
+		g.visit(b.Expand(2*Eps), func(c int) {
+			for _, j := range g.ids[g.off[c]:g.off[c+1]] {
+				if j != i && stamp[j] != i+1 {
+					stamp[j] = i + 1
+					if b.Overlaps(boxes[j]) {
+						fn(j)
 					}
+				}
+			}
+		})
+	}
+	// A first pass counts the overlaps, which bound the lists' total
+	// length, so flat is allocated once.
+	total := 0
+	for i := range boxes {
+		if in(i) {
+			overlaps(i, func(int) { total++ })
+		}
+	}
+	clear(stamp)
+	flat, start = make([]int, 0, total), make([]int, len(boxes)+1)
+	for i := range boxes {
+		if in(i) {
+			overlaps(i, func(j int) {
+				if keep == nil || keep(i, j) {
+					flat = append(flat, j)
 				}
 			})
 			slices.Sort(flat[start[i]:])

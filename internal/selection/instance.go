@@ -233,7 +233,17 @@ func (inst *Instance) fillCross(opt InstanceOptions) {
 	for m, net := range inst.Nets {
 		candStart[m+1] = candStart[m] + len(net.Cands)
 	}
-	candSegs, pathSegs := newBoxTable(candStart[n]), newBoxTable(inst.numPaths)
+	var nCandSegs, nPathSegs int
+	for i := range inst.Nets {
+		for j := range inst.Nets[i].Cands {
+			c := &inst.Nets[i].Cands[j]
+			nCandSegs += len(c.OpticalSegs)
+			for p := range c.Paths {
+				nPathSegs += len(c.Paths[p].Segs)
+			}
+		}
+	}
+	candSegs, pathSegs := newBoxTable(candStart[n], nCandSegs), newBoxTable(inst.numPaths, nPathSegs)
 	for i := range inst.Nets {
 		for j := range inst.Nets[i].Cands {
 			c := &inst.Nets[i].Cands[j]
@@ -276,9 +286,10 @@ type boxTable struct {
 	hull []geom.Rect
 }
 
-// newBoxTable returns an empty table with room for n lists.
-func newBoxTable(n int) *boxTable {
-	return &boxTable{off: make([]int, 1, n+1), hull: make([]geom.Rect, 0, n)}
+// newBoxTable returns an empty table with room for n lists of segs
+// segments in all.
+func newBoxTable(n, segs int) *boxTable {
+	return &boxTable{off: make([]int, 1, n+1), box: make([]geom.Rect, 0, segs), hull: make([]geom.Rect, 0, n)}
 }
 
 // add appends the boxes of one list.

@@ -594,9 +594,9 @@ func (s *Server) withRequestLog(next http.Handler) http.Handler {
 	})
 }
 
-// reqPool recycles request-decode scratch across handler invocations, and
-// bufPool the response-encode buffers: the handler path allocates neither at
-// steady state, matching the workspace reuse of the solve path.
+// reqPool recycles /solve request structs across handler invocations, and
+// bufPool the response-encode buffers, matching the workspace reuse of the
+// solve path. Request bodies are not pooled (see wire).
 var (
 	reqPool = sync.Pool{New: func() any { return new(SolveRequest) }}
 	bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -635,10 +635,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // after the body and cancel r.Context() under every longer sync solve.
 const bodyReadTimeout = 5 * time.Second
 
-// decodeJSON decodes a request body into v under the server's body-size
-// cap and bodyReadTimeout. On failure it writes the JSON error response
-// (413 for an oversized body, 408 for a body that did not arrive in time,
-// 400 otherwise) and returns false.
+// decodeJSON decodes a request body into v, which points at a zero value,
+// under the server's body-size cap and bodyReadTimeout. It reads the body
+// once, into a buffer sized from Content-Length, and decodes it with
+// the one-pass decoder of wire.go (encoding/json for what that declines).
+// On failure it writes the JSON error response (413 for an oversized body,
+// 408 for a body that did not arrive in time, 400 otherwise) and returns
+// false.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	// ErrNotSupported (a writer without a connection) leaves the read
 	// unbounded; any other error means the connection is gone and the
@@ -647,11 +650,15 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 	// closes after the error reply.
 	rc := http.NewResponseController(w)
 	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
-	body := r.Body
-	if s.maxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
+	body, size := r.Body, s.maxBodyBytes
+	if size > 0 {
+		body = http.MaxBytesReader(w, r.Body, size)
+	} else {
+		size = 8 << 20 // no cap: trust Content-Length only this far
 	}
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	size = min(max(r.ContentLength, 0), size)
+	data, readErr := readBody(body, int(size))
+	if err := new(wire).decode(data, readErr, v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.tracer.Counter("http.body_too_large").Inc()
