@@ -70,6 +70,7 @@ var workloads = []workload{
 	{"Table1/OperonLR/I4", false, flowRow("I4", operon.Run)},
 	{"Table1/OperonLR/I5", false, flowRow("I5", operon.Run)},
 	{"Table1/OperonILP/I3s", false, operonILPRow},
+	{"Process/I3", true, processRow("I3")},
 	{"Fig3b/Uncached", true, fig3bRow(bpm.SimulateUncached)},
 	{"Fig3b/Cached", false, fig3bRow(bpm.Simulate)},
 	{"Fig8/WDM/I2", true, fig8Row("I2")},
@@ -225,6 +226,24 @@ func fig8Row(name string) func(testing.TB, operon.Config) func() error {
 		conns, wcfg := wdmInputs(selected(tb, design(tb, name), cfg), cfg)
 		return func() error {
 			_, _, _, err := wdm.Run(context.Background(), conns, wcfg)
+			return err
+		}
+	}
+}
+
+// processRow is the signal-processing stage (§3.1) alone on one design:
+// K-means bit clustering and hyper-pin agglomeration, every group cold.
+func processRow(name string) func(testing.TB, operon.Config) func() error {
+	return func(tb testing.TB, cfg operon.Config) func() error {
+		d := design(tb, name)
+		pcfg := signal.ProcessConfig{
+			WDMCapacity:         cfg.Lib.WDMCapacity,
+			PinMergeThresholdCM: cfg.PinMergeThresholdCM,
+			Seed:                cfg.Seed,
+			Workers:             cfg.Workers,
+		}
+		return func() error {
+			_, _, err := signal.Process(d, pcfg, nil, nil)
 			return err
 		}
 	}

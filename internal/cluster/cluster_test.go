@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -371,6 +372,84 @@ func TestAgglomerateMatchesBruteForce(t *testing.T) {
 		}
 		checkAgainstBrute(t, pts, threshold)
 	}
+	for trial := 0; trial < 3000; trial++ {
+		pts, threshold := blobPoints(rng)
+		checkAgainstBrute(t, pts, threshold)
+	}
+}
+
+// blobPoints draws the benchgen shape at the threshold's edge: blobs around
+// region centres, each a box corner plus copies of it, its opposite corner
+// (when the blob has spread) and points spread inside the box. Each box
+// diagonal and each gap to the next blob, along x or y, is exactly the
+// threshold, one ulp either side of it, about the decomposition's slack
+// either side of it, or clear of it. Copies merge first and their centres
+// drift by rounding, which is what the slack covers.
+func blobPoints(rng *rand.Rand) ([]geom.Point, float64) {
+	threshold := []float64{0.1, 0.25}[rng.Intn(2)]
+	edge := func() float64 {
+		switch rng.Intn(7) {
+		case 0:
+			return threshold
+		case 1, 2:
+			// The slack is 2^-48 of the largest magnitude per point.
+			slack := float64(int(1)<<(1+2*rng.Intn(4))) * 0x1p-48
+			return threshold + slack*float64(2*rng.Intn(2)-1)
+		case 3:
+			return threshold * rng.Float64()
+		default:
+			return threshold * (1 + rng.Float64())
+		}
+	}
+	// across returns the float b near a+d whose difference b-a is nearest
+	// d, moved by an ulp one way or the other in one case of three.
+	across := func(a, d float64) float64 {
+		b := a + d
+		for _, c := range []float64{math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1))} {
+			if math.Abs((c-a)-d) < math.Abs((b-a)-d) {
+				b = c
+			}
+		}
+		switch rng.Intn(6) {
+		case 0:
+			b = math.Nextafter(b, math.Inf(-1))
+		case 1:
+			b = math.Nextafter(b, math.Inf(1))
+		}
+		return b
+	}
+	// Region centres from the die's corner (exact gaps) to a couple of cm in.
+	at := geom.Point{X: []float64{0, 0.01, 1.5}[rng.Intn(3)] * rng.Float64(), Y: 2 * rng.Float64()}
+	var pts []geom.Point
+	for blobs := 1 + rng.Intn(4); blobs > 0; blobs-- {
+		lo, hi := at, at
+		if rng.Intn(3) > 0 {
+			if d := edge(); rng.Intn(2) == 0 {
+				hi.X = across(lo.X, d)
+			} else {
+				hi.X, hi.Y = across(lo.X, 0.6*d), across(lo.Y, 0.8*d)
+			}
+		}
+		for copies := 1 + rng.Intn(4); copies > 0; copies-- {
+			pts = append(pts, lo)
+		}
+		if hi != lo {
+			pts = append(pts, hi)
+			for inside := rng.Intn(4); inside > 0; inside-- {
+				pts = append(pts, geom.Point{X: lo.X + (hi.X-lo.X)*rng.Float64(), Y: lo.Y + (hi.Y-lo.Y)*rng.Float64()})
+			}
+		}
+		// The next blob starts a gap away along x or y, level with this
+		// one's far corner.
+		at = hi
+		if rng.Intn(2) == 0 {
+			at.X = across(hi.X, edge())
+		} else {
+			at.Y = across(hi.Y, edge())
+		}
+	}
+	rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+	return pts, threshold
 }
 
 // TestAgglomerateMatchesLazyRef compares Agglomerate with the lazy pair heap
@@ -390,19 +469,30 @@ func TestAgglomerateMatchesLazyRef(t *testing.T) {
 	}
 }
 
-// decodePoints turns bytes into a threshold and at most 64 points: the first
-// byte gives the threshold in steps of 1/32 from -4 (so zero and negative
-// thresholds occur), each further byte one point on a 16×16 grid of pitch
-// 0.25, where duplicates and distance ties are common.
+// decodePoints turns bytes into a threshold and at most 64 points. A payload
+// of at most 65 bytes is a grid: the first byte gives the threshold in steps
+// of 1/32 from -4 (so zero and negative thresholds occur), each further byte
+// one point on a 16×16 grid of pitch 0.25, where duplicates and distance ties
+// are common. A longer payload is raw: the first byte gives the number of
+// points, then little-endian float64 words give the threshold and the x and
+// y of each point, so exact boundaries, one-ulp steps, NaN and ±Inf occur.
 func decodePoints(data []byte) ([]geom.Point, float64) {
 	if len(data) == 0 {
 		return nil, 0
 	}
+	if len(data) > 65 {
+		words := make([]float64, (len(data)-1)/8)
+		for i := range words {
+			words[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[1+8*i:]))
+		}
+		pts := make([]geom.Point, min(int(data[0]), (len(words)-1)/2, 64))
+		for i := range pts {
+			pts[i] = geom.Point{X: words[1+2*i], Y: words[2+2*i]}
+		}
+		return pts, words[0]
+	}
 	threshold := float64(int8(data[0])) / 32
 	data = data[1:]
-	if len(data) > 64 {
-		data = data[:64]
-	}
 	pts := make([]geom.Point, len(data))
 	for i, b := range data {
 		pts[i] = geom.Point{X: float64(b&15) * 0.25, Y: float64(b>>4) * 0.25}

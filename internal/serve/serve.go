@@ -197,6 +197,14 @@ type Server struct {
 	maxBodyBytes int64
 	cache        *resultCache // nil when disabled
 
+	// bodyReadTimeout bounds how long decodeJSON may spend reading one
+	// request body (5 s), so a client that stalls mid-upload holds its
+	// handler for at most this long. It is a connection read deadline set
+	// around the decode only: an http.Server.ReadTimeout would also hit
+	// net/http's background read after the body and cancel r.Context()
+	// under every longer sync solve.
+	bodyReadTimeout time.Duration
+
 	baseCtx  context.Context
 	cancel   context.CancelFunc
 	queue    chan *Job
@@ -259,6 +267,7 @@ func New(opts Options) *Server {
 	if s.maxBodyBytes == 0 {
 		s.maxBodyBytes = 8 << 20
 	}
+	s.bodyReadTimeout = 5 * time.Second
 	s.reg = newRegistry(s)
 	s.initSessions(opts)
 	for i := 0; i < opts.Concurrency; i++ {
@@ -628,13 +637,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// bodyReadTimeout bounds how long decodeJSON may spend reading one request
-// body, so a client that stalls mid-upload holds its handler for at most
-// this long. It is a connection read deadline set around the decode only:
-// an http.Server.ReadTimeout would also hit net/http's background read
-// after the body and cancel r.Context() under every longer sync solve.
-const bodyReadTimeout = 5 * time.Second
-
 // decodeJSON decodes a request body into v, which points at a zero value,
 // under the server's body-size cap and bodyReadTimeout. It reads the body
 // once, into a buffer sized from Content-Length, and decodes it with
@@ -649,7 +651,7 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 	// so net/http's drain of the unread body fails fast and the connection
 	// closes after the error reply.
 	rc := http.NewResponseController(w)
-	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
+	_ = rc.SetReadDeadline(time.Now().Add(s.bodyReadTimeout))
 	body, size := r.Body, s.maxBodyBytes
 	if size > 0 {
 		body = http.MaxBytesReader(w, r.Body, size)
@@ -668,7 +670,7 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 		}
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			writeJSONError(w, http.StatusRequestTimeout,
-				"request body not received within %v", bodyReadTimeout)
+				"request body not received within %v", s.bodyReadTimeout)
 			return false
 		}
 		writeJSONError(w, http.StatusBadRequest, "parse request: %v", err)

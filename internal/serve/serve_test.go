@@ -478,6 +478,10 @@ func TestMetricsEndpoints(t *testing.T) {
 	srv.Shutdown()
 }
 
+// testBodyReadTimeout stands in for the server's 5 s body read timeout in
+// the tests that wait it out.
+const testBodyReadTimeout = 500 * time.Millisecond
+
 // TestSlowBodyTimesOut sends the headers and part of a /solve body over a
 // raw connection, then stalls: within bodyReadTimeout plus slack the server
 // must answer 408 with a JSON error or close the connection, so a stalled
@@ -485,6 +489,7 @@ func TestMetricsEndpoints(t *testing.T) {
 func TestSlowBodyTimesOut(t *testing.T) {
 	t.Parallel()
 	srv := newTestServer(4, 1, time.Minute, 0)
+	srv.bodyReadTimeout = testBodyReadTimeout
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Shutdown()
@@ -499,7 +504,7 @@ func TestSlowBodyTimesOut(t *testing.T) {
 		"Content-Type: application/json\r\nContent-Length: 4096\r\n\r\n{\"bench\":"); err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.SetReadDeadline(start.Add(bodyReadTimeout + 3*time.Second)); err != nil {
+	if err := conn.SetReadDeadline(start.Add(srv.bodyReadTimeout + 3*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
@@ -527,9 +532,10 @@ func TestSlowBodyTimesOut(t *testing.T) {
 func TestLongSyncSolveOutlastsBodyTimeout(t *testing.T) {
 	t.Parallel()
 	srv := newTestServer(4, 1, time.Minute, 0)
+	srv.bodyReadTimeout = testBodyReadTimeout
 	srv.SetSolve(func(ctx context.Context, d signal.Design, cfg operon.Config, _ *operon.Workspace) (*operon.Result, error) {
 		select {
-		case <-time.After(bodyReadTimeout + time.Second):
+		case <-time.After(2 * testBodyReadTimeout):
 			return &operon.Result{Design: d.Name, PowerMW: 1}, nil
 		case <-ctx.Done():
 			return &operon.Result{Design: d.Name, PowerMW: 2, Degraded: true, StopReason: operon.StopCanceled}, nil

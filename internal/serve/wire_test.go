@@ -155,6 +155,7 @@ func TestDecodeStatuses(t *testing.T) {
 		Config: operon.DefaultConfig(), QueueLen: 4, Concurrency: 1,
 		DefaultTimeout: time.Minute, MaxBodyBytes: limit,
 	})
+	srv.bodyReadTimeout = testBodyReadTimeout
 	ts := httptest.NewServer(srv.Handler())
 	defer srv.Shutdown()
 	defer ts.Close()
@@ -208,7 +209,7 @@ func TestDecodeStatuses(t *testing.T) {
 			"Content-Type: application/json\r\nContent-Length: 200\r\n\r\n[{\"bench\":"); err != nil {
 			t.Fatal(err)
 		}
-		if err := conn.SetReadDeadline(start.Add(bodyReadTimeout + 3*time.Second)); err != nil {
+		if err := conn.SetReadDeadline(start.Add(srv.bodyReadTimeout + 3*time.Second)); err != nil {
 			t.Fatal(err)
 		}
 	}

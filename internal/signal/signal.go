@@ -253,20 +253,21 @@ func buildHyperNet(g Group, members []int, mergeThreshold float64) (HyperNet, er
 
 	hn := HyperNet{Group: g.Name, Bits: append([]int(nil), members...)}
 	bestDrivers := -1
-	for _, idxs := range groups {
-		hp := HyperPin{}
-		bitSet := map[int]bool{}
-		memberLocs := make([]geom.Point, 0, len(idxs))
+	// seen[b] is 1 + the index of the last hyper pin that counted bit b.
+	seen := make([]int, len(g.Bits))
+	for h, idxs := range groups {
+		hp := HyperPin{Pins: make([]geom.Point, 0, len(idxs))}
 		for _, i := range idxs {
 			hp.Pins = append(hp.Pins, pins[i].loc)
-			memberLocs = append(memberLocs, pins[i].loc)
-			bitSet[pins[i].bit] = true
+			if seen[pins[i].bit] != h+1 {
+				seen[pins[i].bit] = h + 1
+				hp.Bits++
+			}
 			if pins[i].isDriver {
 				hp.Drivers++
 			}
 		}
-		hp.Centre = geom.Centroid(memberLocs)
-		hp.Bits = len(bitSet)
+		hp.Centre = geom.Centroid(hp.Pins)
 		hn.Pins = append(hn.Pins, hp)
 		if hp.Drivers > bestDrivers {
 			bestDrivers = hp.Drivers
