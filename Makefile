@@ -104,7 +104,8 @@ dup-smoke:
 # query against a double loop, the fingerprint's
 # equal/differ/ignore contract, the co-design DP's prune against input
 # order and dominance, operond's one-pass request decoder against
-# encoding/json).
+# encoding/json, a /solve or /solve/batch body posted twice, so the body
+# memo can answer it, against a fresh server).
 # `go test ./...` runs only their committed seed corpora; commit any crasher
 # a run writes under testdata/fuzz/ as a new seed.
 fuzz-smoke:
@@ -118,6 +119,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzPrune$$' -fuzztime 10s ./internal/codesign
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSolveBodyTwice$$' -fuzztime 10s ./internal/serve
 
 # Code-size gauge: non-test Go lines outside the perfbench module. Deleting
 # code while bench and load stay unchanged counts as progress, so this is the

@@ -85,6 +85,7 @@ var workloads = []workload{
 	{"ECO/AllGroups/I3", true, ecoEditRow(true, true)},
 	{"Serve/CoalesceHot/I2", true, serveHotRow},
 	{"Serve/CacheHitInline/I3", true, serveInlineRow},
+	{"Serve/CacheHitFreshBody/I3", true, serveFreshBodyRow},
 }
 
 // row returns the named workload; a typo is a test bug.
@@ -346,27 +347,50 @@ func ecoEditRow(skipWDM, allGroups bool) func(testing.TB, operon.Config) func() 
 }
 
 // serveHotRow is an identical /solve request answered from operond's
-// result cache through the full HTTP handler path (decode, fingerprint,
-// cache lookup, encode). The request names a built-in benchmark, which the
-// server regenerates on every request.
+// result cache through the full HTTP handler path. The request names a
+// built-in benchmark; its repeated bytes are found in the server's body
+// memo, so a hit is hash, lookup, encode.
 func serveHotRow(tb testing.TB, cfg operon.Config) func() error {
-	return serveCacheHit(tb, cfg, []byte(`{"bench":"I2","timeout_ms":60000}`))
+	body := []byte(`{"bench":"I2","timeout_ms":60000}`)
+	return serveCacheHit(tb, cfg, func() []byte { return body })
 }
 
-// serveInlineRow is serveHotRow with the design inline in the request, as
-// a client with its own design sends it: most of a hit is decoding it.
+// serveInlineRow is serveHotRow with the I3 design inline in the request,
+// as a client with its own design sends it: hashing the body is most of a
+// hit.
 func serveInlineRow(tb testing.TB, cfg operon.Config) func() error {
-	d := design(tb, "I3")
-	body, err := json.Marshal(serve.SolveRequest{Design: &d, TimeoutMS: 60000})
+	body := inlineBody(tb, "I3")
+	body = append(body[:len(body)-1], `,"timeout_ms":60000}`...)
+	return serveCacheHit(tb, cfg, func() []byte { return body })
+}
+
+// serveFreshBodyRow is serveInlineRow with timeout_ms changed on every
+// post. The budget is not part of the fingerprint, so each post misses the
+// body memo and hits the result cache: decode, fingerprint, lookup, encode.
+func serveFreshBodyRow(tb testing.TB, cfg operon.Config) func() error {
+	base := inlineBody(tb, "I3")
+	body, timeout := base, int64(60000)
+	return serveCacheHit(tb, cfg, func() []byte {
+		timeout++
+		body = append(body[:len(base)-1], `,"timeout_ms":`...)
+		body = strconv.AppendInt(body, timeout, 10)
+		return append(body, '}')
+	})
+}
+
+// inlineBody is the /solve body that sends the named benchmark inline.
+func inlineBody(tb testing.TB, name string) []byte {
+	d := design(tb, name)
+	body, err := json.Marshal(serve.SolveRequest{Design: &d})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return serveCacheHit(tb, cfg, body)
+	return body
 }
 
-// serveCacheHit posts body to /solve once to fill the result cache and
-// returns the post, which the cache then answers.
-func serveCacheHit(tb testing.TB, cfg operon.Config, body []byte) func() error {
+// serveCacheHit posts the next body to /solve once to fill the result
+// cache and returns the post, which the cache then answers.
+func serveCacheHit(tb testing.TB, cfg operon.Config, next func() []byte) func() error {
 	srv := serve.New(serve.Options{Config: cfg, QueueLen: 4, Concurrency: 1, DefaultTimeout: time.Minute})
 	tb.Cleanup(func() {
 		srv.Abort()
@@ -374,7 +398,7 @@ func serveCacheHit(tb testing.TB, cfg operon.Config, body []byte) func() error {
 	})
 	handler := srv.Handler()
 	post := func() error {
-		req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/solve", bytes.NewReader(next()))
 		req.Header.Set("Content-Type", "application/json")
 		w := httptest.NewRecorder()
 		handler.ServeHTTP(w, req)

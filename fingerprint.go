@@ -103,28 +103,41 @@ func Fingerprint(d signal.Design, cfg Config) [32]byte {
 	h.bool(cfg.SkipWDM)
 	h.num(int64(cfg.LRMaxIters))
 
+	h.flush()
 	var out [32]byte
 	h.h.Sum(out[:0])
 	return out
 }
 
-// fpHasher streams canonically encoded values into a hash. All multi-byte
-// values are little-endian fixed-width, all variable-length values are
-// length-prefixed, so no two distinct field sequences share an encoding.
+// fpHasher encodes values canonically into a fixed buffer that it writes
+// to the hash whenever it fills, so the hash sees a few large writes rather
+// than one per value. All multi-byte values are little-endian fixed-width,
+// all variable-length values are length-prefixed, so no two distinct field
+// sequences share an encoding. The digest depends only on the byte stream,
+// not on where the flushes fall.
 type fpHasher struct {
 	h   hash.Hash
-	buf [8]byte
+	n   int
+	buf [1024]byte
 }
 
-func (f *fpHasher) num(v int64) {
-	binary.LittleEndian.PutUint64(f.buf[:], uint64(v))
-	f.h.Write(f.buf[:])
+// flush writes the buffered bytes to the hash.
+func (f *fpHasher) flush() {
+	f.h.Write(f.buf[:f.n])
+	f.n = 0
 }
 
-func (f *fpHasher) f64(v float64) {
-	binary.LittleEndian.PutUint64(f.buf[:], math.Float64bits(v))
-	f.h.Write(f.buf[:])
+func (f *fpHasher) u64(v uint64) {
+	if f.n+8 > len(f.buf) {
+		f.flush()
+	}
+	binary.LittleEndian.PutUint64(f.buf[f.n:], v)
+	f.n += 8
 }
+
+func (f *fpHasher) num(v int64) { f.u64(uint64(v)) }
+
+func (f *fpHasher) f64(v float64) { f.u64(math.Float64bits(v)) }
 
 func (f *fpHasher) bool(v bool) {
 	if v {
@@ -136,7 +149,14 @@ func (f *fpHasher) bool(v bool) {
 
 func (f *fpHasher) str(s string) {
 	f.num(int64(len(s)))
-	f.h.Write([]byte(s))
+	for len(s) > 0 {
+		if f.n == len(f.buf) {
+			f.flush()
+		}
+		c := copy(f.buf[f.n:], s)
+		f.n += c
+		s = s[c:]
+	}
 }
 
 func (f *fpHasher) pt(p geom.Point) { f.f64(p.X); f.f64(p.Y) }

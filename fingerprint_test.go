@@ -1,11 +1,14 @@
 package operon
 
 import (
+	"encoding/hex"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"operon/internal/benchgen"
 	"operon/internal/geom"
 	"operon/internal/obs"
 	"operon/internal/signal"
@@ -305,4 +308,43 @@ func FuzzFingerprint(f *testing.F) {
 			t.Fatal("mutating the copy changed the original's key")
 		}
 	})
+}
+
+// TestFingerprintGolden pins the digest of fixed instances. The digest is
+// a cache key that must stay stable across releases that keep the version
+// tag (operond's body memo and result cache rely on it), so a change to the
+// encoding or to how it is fed to the hash must fail here. The long name
+// spans more than one flush of the hasher's buffer in a single string.
+func TestFingerprintGolden(t *testing.T) {
+	spec, err := benchgen.SpecByName("I1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	i1, err := benchgen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned := DefaultConfig()
+	tuned.Mode = ModeGreedy
+	tuned.SkipWDM = true
+	tuned.Seed = 7
+	tuned.Lib.MaxLossDB = 18.5
+	tuned.LRMaxIters = 40
+	long := fpDesign()
+	long.Name = strings.Repeat("long-name/", 700)
+	for _, tc := range []struct {
+		name string
+		d    signal.Design
+		cfg  Config
+		want string
+	}{
+		{"I1/default", i1, DefaultConfig(), "c521f09ff1e96d57f6375264178b9cbc4c4a73fc5cb2d7e5ef1cb42c1a0c68c6"},
+		{"I1/tuned", i1, tuned, "4d6dfd29ba0c96dde2fa93478a44ac77be845028e5a816d78ec67850632f271d"},
+		{"long-name/default", long, DefaultConfig(), "59d7e14cc03a2f8878caa308cf370db40c50105d1e6cfb22bdcdf986755c6ccf"},
+	} {
+		fp := Fingerprint(tc.d, tc.cfg)
+		if got := hex.EncodeToString(fp[:]); got != tc.want {
+			t.Errorf("%s: Fingerprint = %s, want %s", tc.name, got, tc.want)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"net/http"
 	"time"
 )
@@ -42,38 +43,61 @@ type BatchResponse struct {
 // batch larger than the queue still completes), and the positional results
 // report per-item cached/coalesced provenance. Per-item budgets degrade
 // per item; the batch itself only fails on malformed JSON.
+//
+// A body in the body memo is answered item by item from the result cache
+// without decoding; at the first item the cache cannot answer, the body is
+// decoded and that item and the rest go the normal way, while the items
+// already answered keep their answers. A decoded body whose items all
+// resolved is recorded in the memo.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSONError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
+	data, readErr := s.readRequest(w, r)
+	key := s.bodyKey("/solve/batch", data, readErr)
+	memo := s.memoGet(key)
 	var reqs []SolveRequest
-	if !s.decodeJSON(w, r, &reqs) {
-		return
-	}
-	if len(reqs) == 0 {
-		writeJSONError(w, http.StatusBadRequest, "empty batch")
-		return
+	n := 0
+	if memo != nil {
+		clearReadDeadline(w)
+		n = len(memo.items)
+	} else {
+		if !s.decodeBody(w, data, readErr, &reqs) {
+			return
+		}
+		if len(reqs) == 0 {
+			writeJSONError(w, http.StatusBadRequest, "empty batch")
+			return
+		}
+		n = len(reqs)
 	}
 	s.tracer.Counter("http.batch_requests").Inc()
-	s.tracer.Counter("http.batch_items").Add(int64(len(reqs)))
+	s.tracer.Counter("http.batch_items").Add(int64(n))
 	reqID := r.Header.Get("X-Request-Id")
 	start := time.Now()
 
-	resp := BatchResponse{Results: make([]BatchItem, len(reqs)), Items: len(reqs)}
-	jobs := make([]*Job, len(reqs))    // per-item admitted job (firsts only)
-	firstOf := map[[32]byte]int{}      // fingerprint -> first item index
-	follower := make([]int, len(reqs)) // item -> index it duplicates, or -1
-	for i, req := range reqs {
+	resp := BatchResponse{Results: make([]BatchItem, n), Items: n}
+	jobs := make([]*Job, n)         // per-item admitted job (firsts only)
+	firstOf := map[[32]byte]int{}   // fingerprint -> first item index
+	follower := make([]int, n)      // item -> index it duplicates, or -1
+	insts := make([]instance, 0, n) // decoded items, for the memo
+	for i := 0; i < n; i++ {
 		follower[i] = -1
-		if req.Async {
-			resp.Results[i].Error = "async is not supported inside a batch"
-			continue
-		}
-		inst, err := s.resolveInstance(req)
-		if err != nil {
-			resp.Results[i].Error = err.Error()
-			continue
+		var inst instance
+		if reqs == nil {
+			inst = s.memoInstance(memo.items[i])
+		} else {
+			if reqs[i].Async {
+				resp.Results[i].Error = "async is not supported inside a batch"
+				continue
+			}
+			var err error
+			if inst, err = s.resolveInstance(reqs[i]); err != nil {
+				resp.Results[i].Error = err.Error()
+				continue
+			}
+			insts = append(insts, inst)
 		}
 		if first, ok := firstOf[inst.fp]; ok {
 			follower[i] = first
@@ -81,13 +105,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.tracer.Counter("http.batch_dup_items").Inc()
 			continue
 		}
-		firstOf[inst.fp] = i
 		j, _, err := s.admit(inst, reqID, r.Context(), true)
+		if errors.Is(err, errMemoMiss) {
+			if !s.decodeBody(w, data, readErr, &reqs) {
+				for _, j := range jobs[:i] {
+					if j != nil {
+						s.DropJob(j)
+					}
+				}
+				return
+			}
+			i-- // resolve this item again, from its request
+			continue
+		}
+		firstOf[inst.fp] = i
 		if err != nil {
 			resp.Results[i].Error = err.Error()
 			continue
 		}
 		jobs[i] = j
+	}
+	switch {
+	case memo == nil && len(insts) == n:
+		s.memoPut(key, false, insts)
+	case reqs == nil:
+		s.tracer.Counter("http.body_memo_hits").Inc()
 	}
 
 	// One barrier over the unique jobs: every job's done channel closes —

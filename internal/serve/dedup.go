@@ -165,12 +165,19 @@ func (s *Server) cacheEntryCount() int {
 //     block=false a full queue fails with 429, with block=true (batch) the
 //     enqueue waits for a slot, bounded by rctx and server shutdown
 //
-// The returned status/error follow the writeJSONError convention and are
-// only set when the job could not be admitted at all.
+// A memo-resolved instance has no design to solve: on a flight hit or a
+// miss admit registers nothing and returns errMemoMiss. The returned
+// status/error otherwise follow the writeJSONError convention and are only
+// set when the job could not be admitted at all.
 func (s *Server) admit(inst instance, reqID string, rctx context.Context, block bool) (*Job, int, error) {
 	start := time.Now()
 	s.mu.Lock()
-	if leader, ok := s.flights[inst.fp]; ok {
+	leader, inFlight := s.flights[inst.fp]
+	if inFlight && inst.memo {
+		s.mu.Unlock()
+		return nil, 0, errMemoMiss
+	}
+	if inFlight {
 		sh := s.newJobLocked(inst, reqID)
 		s.mu.Unlock()
 		s.tracer.Counter("http.coalesce_joins").Inc()
@@ -188,6 +195,10 @@ func (s *Server) admit(inst instance, reqID string, rctx context.Context, block 
 		s.hCacheHit.RecordDuration(time.Since(start))
 		s.finish(j, &resp, "", 0)
 		return j, 0, nil
+	}
+	if inst.memo {
+		s.mu.Unlock()
+		return nil, 0, errMemoMiss
 	}
 	j := s.newJobLocked(inst, reqID)
 	j.dedup = true

@@ -196,8 +196,9 @@ type Server struct {
 
 	maxBodyBytes int64
 	cache        *resultCache // nil when disabled
+	memo         *bodyMemo    // nil when the cache is disabled
 
-	// bodyReadTimeout bounds how long decodeJSON may spend reading one
+	// bodyReadTimeout bounds how long readRequest may spend reading one
 	// request body (5 s), so a client that stalls mid-upload holds its
 	// handler for at most this long. It is a connection read deadline set
 	// around the decode only: an http.Server.ReadTimeout would also hit
@@ -267,6 +268,7 @@ func New(opts Options) *Server {
 	if s.maxBodyBytes == 0 {
 		s.maxBodyBytes = 8 << 20
 	}
+	s.memo = newBodyMemo(s.cache)
 	s.bodyReadTimeout = 5 * time.Second
 	s.reg = newRegistry(s)
 	s.initSessions(opts)
@@ -603,13 +605,9 @@ func (s *Server) withRequestLog(next http.Handler) http.Handler {
 	})
 }
 
-// reqPool recycles /solve request structs across handler invocations, and
-// bufPool the response-encode buffers, matching the workspace reuse of the
-// solve path. Request bodies are not pooled (see wire).
-var (
-	reqPool = sync.Pool{New: func() any { return new(SolveRequest) }}
-	bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-)
+// bufPool recycles the response-encode buffers, matching the workspace
+// reuse of the solve path. Request bodies are not pooled (see wire).
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // writeJSONError writes a JSON error body with the given status; every
 // handler error path goes through it so clients always see
@@ -637,21 +635,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// decodeJSON decodes a request body into v, which points at a zero value,
-// under the server's body-size cap and bodyReadTimeout. It reads the body
-// once, into a buffer sized from Content-Length, and decodes it with
-// the one-pass decoder of wire.go (encoding/json for what that declines).
-// On failure it writes the JSON error response (413 for an oversized body,
-// 408 for a body that did not arrive in time, 400 otherwise) and returns
-// false.
+// decodeJSON reads a request body (readRequest) and decodes it into v
+// (decodeBody).
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	data, readErr := s.readRequest(w, r)
+	return s.decodeBody(w, data, readErr, v)
+}
+
+// readRequest reads a request body under the server's body-size cap and
+// bodyReadTimeout, into a buffer sized from Content-Length, and returns the
+// bytes read and the error the read ended with. It leaves the read deadline
+// set: decodeBody, or a handler that answers without decoding, clears it.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	// ErrNotSupported (a writer without a connection) leaves the read
 	// unbounded; any other error means the connection is gone and the
 	// decode fails on its own. On a failed decode the deadline stays set,
 	// so net/http's drain of the unread body fails fast and the connection
 	// closes after the error reply.
-	rc := http.NewResponseController(w)
-	_ = rc.SetReadDeadline(time.Now().Add(s.bodyReadTimeout))
+	_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(s.bodyReadTimeout))
 	body, size := r.Body, s.maxBodyBytes
 	if size > 0 {
 		body = http.MaxBytesReader(w, r.Body, size)
@@ -659,7 +660,15 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 		size = 8 << 20 // no cap: trust Content-Length only this far
 	}
 	size = min(max(r.ContentLength, 0), size)
-	data, readErr := readBody(body, int(size))
+	return readBody(body, int(size))
+}
+
+// decodeBody decodes a body that readRequest returned into v, which points
+// at a zero value, with the one-pass decoder of wire.go (encoding/json for
+// what that declines). On failure it writes the JSON error response (413
+// for an oversized body, 408 for a body that did not arrive in time, 400
+// otherwise) and returns false; on success it clears the read deadline.
+func (s *Server) decodeBody(w http.ResponseWriter, data []byte, readErr error, v any) bool {
 	if err := new(wire).decode(data, readErr, v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -676,36 +685,58 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 		writeJSONError(w, http.StatusBadRequest, "parse request: %v", err)
 		return false
 	}
-	_ = rc.SetReadDeadline(time.Time{})
+	clearReadDeadline(w)
 	return true
 }
 
-// handleSolve validates the request and admits it through the dedup layer:
-// cache hits answer immediately, identical in-flight instances coalesce,
-// everything else enqueues a job (429 when the queue is full). The response
-// is either the job id (async) or the blocking result.
+// clearReadDeadline lifts the body read deadline once the body is in hand,
+// so it cannot cut the connection while a long sync solve runs.
+func clearReadDeadline(w http.ResponseWriter) {
+	_ = http.NewResponseController(w).SetReadDeadline(time.Time{})
+}
+
+// handleSolve answers a repeated body from the body memo when the result
+// cache still holds its instance. Otherwise it decodes and validates the
+// request, records the body in the memo, and admits it through the dedup
+// layer: cache hits answer immediately, identical in-flight instances
+// coalesce, everything else enqueues a job (429 when the queue is full).
+// The response is either the job id (async) or the blocking result.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSONError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	req := reqPool.Get().(*SolveRequest)
-	defer reqPool.Put(req)
-	*req = SolveRequest{}
-	if !s.decodeJSON(w, r, req) {
-		return
+	reqID := r.Header.Get("X-Request-Id")
+	data, readErr := s.readRequest(w, r)
+	key := s.bodyKey("/solve", data, readErr)
+	var j *Job
+	var async bool
+	if e := s.memoGet(key); e != nil {
+		if hit, _, err := s.admit(s.memoInstance(e.items[0]), reqID, r.Context(), false); err == nil {
+			clearReadDeadline(w)
+			s.tracer.Counter("http.body_memo_hits").Inc()
+			j, async = hit, e.async
+		}
 	}
-	inst, err := s.resolveInstance(*req)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, "%v", err)
-		return
+	if j == nil {
+		var req SolveRequest
+		if !s.decodeBody(w, data, readErr, &req) {
+			return
+		}
+		inst, err := s.resolveInstance(req)
+		if err != nil {
+			writeJSONError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		s.memoPut(key, req.Async, []instance{inst})
+		var status int
+		if j, status, err = s.admit(inst, reqID, r.Context(), false); err != nil {
+			writeJSONError(w, status, "%v", err)
+			return
+		}
+		async = req.Async
 	}
-	j, status, err := s.admit(inst, r.Header.Get("X-Request-Id"), r.Context(), false)
-	if err != nil {
-		writeJSONError(w, status, "%v", err)
-		return
-	}
-	if req.Async {
+	if async {
 		writeJSON(w, http.StatusAccepted, s.jobView(j))
 		return
 	}
@@ -737,12 +768,14 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, j *Job) (resp *So
 
 // instance is a fully resolved solve input: the materialised design, the
 // effective config, the clamped budget, and the content address the dedup
-// layer keys on.
+// layer keys on. memo marks an instance rebuilt from the body memo, which
+// has no design: admit answers it from the cache or not at all.
 type instance struct {
 	design  signal.Design
 	cfg     operon.Config
 	timeout time.Duration
 	fp      [32]byte
+	memo    bool
 }
 
 // resolveInstance materialises a request into an instance (design lookup,

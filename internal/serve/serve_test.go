@@ -396,9 +396,10 @@ func TestRequestIDMiddleware(t *testing.T) {
 	srv.Shutdown()
 }
 
-// TestMetricsEndpoints runs one stubbed solve and asserts (a) /metrics is
-// valid Prometheus text exposition containing the request histograms and
-// serving gauges, and (b) /metrics.json keeps the legacy "counters" key
+// TestMetricsEndpoints runs one stubbed solve and repeats its body, which
+// the body memo answers, and asserts (a) /metrics is valid Prometheus text
+// exposition containing the request histograms, serving gauges and the
+// memo-hit counter, and (b) /metrics.json keeps the legacy "counters" key
 // alongside gauges and histograms.
 func TestMetricsEndpoints(t *testing.T) {
 	srv := newTestServer(4, 1, time.Minute, 0)
@@ -409,6 +410,7 @@ func TestMetricsEndpoints(t *testing.T) {
 	defer ts.Close()
 	d := testDesign(t)
 	post(t, ts, "/solve", SolveRequest{Design: &d}).Body.Close()
+	post(t, ts, "/solve", SolveRequest{Design: &d}).Body.Close() // answered from the body memo
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -433,6 +435,7 @@ func TestMetricsEndpoints(t *testing.T) {
 		"operon_queue_capacity",
 		"operon_inflight_solves",
 		"operon_uptime_seconds",
+		"operon_http_body_memo_hits_total 1",
 		"go_goroutines",
 	} {
 		if !strings.Contains(text, want) {
@@ -453,14 +456,20 @@ func TestMetricsEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	decode(t, jr, &js)
-	reqs := int64(0)
+	reqs, memoHits := int64(0), int64(0)
 	for _, c := range js.Counters {
-		if c.Name == "http.requests" {
+		switch c.Name {
+		case "http.requests":
 			reqs = c.Value
+		case "http.body_memo_hits":
+			memoHits = c.Value
 		}
 	}
 	if reqs < 1 {
 		t.Errorf("http.requests counter = %d, want >= 1", reqs)
+	}
+	if memoHits != 1 {
+		t.Errorf("http.body_memo_hits counter = %d, want 1", memoHits)
 	}
 	if len(js.Gauges) == 0 {
 		t.Error("/metrics.json has no gauges")
